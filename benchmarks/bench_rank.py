@@ -1,78 +1,93 @@
 #!/usr/bin/env python3
-"""Benchmark the prime-field rank kernel: numba backend vs pure numpy.
+"""Micro-benchmark of the prime-field rank kernel against the BLAS ceiling.
 
-Both paths run the same blocked delayed-reduction elimination; this script
-times them on random near-square matrices and checks the ranks agree.
+For each shape it times gfp.rank on a seeded random matrix mod p and a
+float64 (m x n) @ (n x n) product on the same machine, and reports both in
+GFLOP/s.  A rank call is counted as F(m, n) = 2 sum_{k<min(m,n)} (m-k)(n-k)
+flops, as in perfbench/README.md; the product as 2 m n^2.  The shapes are the
+largest matrices of d = 14, 26 and 30 after the fundamental reduction, and a
+square 1330 x 1330 one.
+
+Results are merged into BENCH_rank.json at the repository root under a
+label, so one file holds the numbers before and after a change:
+
+    python benchmarks/bench_rank.py --label parent --src <parent checkout>/src
+    python benchmarks/bench_rank.py --label change
 
 Usage:
-    python benchmarks/bench_rank.py [--sizes 500,1000,2000] [--prime 32003]
-                                    [--block 256] [--repeats 3] [--threads N]
+    python benchmarks/bench_rank.py [--label NAME] [--src DIR] [--repeats 3]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from fatpoints import gfp
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_rank.json"
+SHAPES = ((448, 430), (1330, 1330), (2792, 2774), (4590, 4576))
+PRIME = 32003
 
 
-def time_backend(backend: str, mat: np.ndarray, p: int, block: int,
-                 threads: int, repeats: int) -> tuple[float, int]:
-    os.environ[gfp.BACKEND_ENV] = backend
-    # warm the JIT outside the timed region
-    gfp.rank(mat[:40, :40], p, block=block)
-    best = float("inf")
-    result = -1
+def rank_flops(m: int, n: int) -> int:
+    return 2 * sum((m - k) * (n - k) for k in range(min(m, n)))
+
+
+def best_time(fn, repeats: int) -> tuple[float, object]:
+    best, out = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        if threads > 1:
-            result = gfp.rank_blocked(mat, p, threads=threads, block=block)
-        else:
-            result = gfp.rank(mat, p, block=block)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best, out
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="500,1000,2000",
-                    help="comma-separated matrix sizes n (matrices are (n+19) x n)")
-    ap.add_argument("--prime", type=int, default=gfp.DEFAULT_PRIME)
-    ap.add_argument("--block", type=int, default=gfp.DEFAULT_BLOCK)
+    ap.add_argument("--label", default="change", help="key the results are stored under")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="source tree whose fatpoints package is timed")
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rng = np.random.default_rng(args.seed)
-    backends = ["numpy"] + (["numba"] if gfp.HAVE_NUMBA else [])
-    if len(backends) == 1:
-        print("numba not importable; timing the numpy path only")
+    sys.path.insert(0, str(args.src.resolve()))
+    from fatpoints import gfp
 
-    print(f"p={args.prime} block={args.block} threads={args.threads} "
-          f"repeats={args.repeats} (best-of)")
-    print(f"{'n':>6} {'numpy (s)':>12} {'numba (s)':>12} {'speedup':>8}  rank")
-    for n in sizes:
-        mat = rng.integers(0, args.prime, (n + 19, n))
-        times = {}
-        ranks = {}
-        for backend in backends:
-            times[backend], ranks[backend] = time_backend(
-                backend, mat, args.prime, args.block, args.threads, args.repeats
-            )
-        if len(set(ranks.values())) != 1:
-            print(f"RANK DISAGREEMENT at n={n}: {ranks}")
-            return 1
-        t_np = times["numpy"]
-        t_nb = times.get("numba")
-        speed = f"{t_np / t_nb:7.2f}x" if t_nb else "     n/a"
-        nb_col = f"{t_nb:12.3f}" if t_nb else "         n/a"
-        print(f"{n:>6} {t_np:12.3f} {nb_col} {speed}  {ranks['numpy']}")
+    rng = np.random.default_rng(20261018)
+    rows = []
+    for m, n in SHAPES:
+        mat = rng.integers(0, PRIME, (m, n)).astype(np.float64)
+        gfp.rank(mat[:40, :40], PRIME)  # warm-up
+        t_rank, r = best_time(lambda: gfp.rank(mat, PRIME), args.repeats)
+        b = rng.random((n, n))
+        t_mm, _ = best_time(lambda: mat @ b, max(2, args.repeats))
+        row = {
+            "m": m, "n": n, "rank": int(r), "rank_s": round(t_rank, 4),
+            "rank_gflops": round(rank_flops(m, n) / t_rank / 1e9, 2),
+            "matmul_s": round(t_mm, 4),
+            "matmul_gflops": round(2 * m * n * n / t_mm / 1e9, 2),
+        }
+        rows.append(row)
+        print(f"{m:>5}x{n:<5} rank {t_rank:8.3f} s {row['rank_gflops']:7.2f} GFLOP/s"
+              f"   a@b {row['matmul_gflops']:7.2f} GFLOP/s   rank={r}", flush=True)
+
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data.setdefault("runs", {})[args.label] = {
+        "prime": PRIME,
+        "repeats": args.repeats,
+        "timing": "best of repeats, single process",
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "shapes": rows,
+    }
+    OUT.write_text(json.dumps(data, indent=2) + "\n")
+    print(f"wrote {OUT} [{args.label}]")
     return 0
 
 

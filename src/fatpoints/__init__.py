@@ -22,10 +22,8 @@ from .gfp import (
     DEFAULT_PRIME,
     PRIME_LADDER,
     FieldPrime,
-    active_backend,
     is_prime,
     rank,
-    rank_blocked,
 )
 from .interpolation import (
     Certificate,
@@ -84,10 +82,8 @@ __all__ = [
     "DEFAULT_PRIME",
     "PRIME_LADDER",
     "FieldPrime",
-    "active_backend",
     "is_prime",
     "rank",
-    "rank_blocked",
     "Certificate",
     "MatrixTooLargeError",
     "build_matrix",

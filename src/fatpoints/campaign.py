@@ -2,7 +2,7 @@
 
 The result log is JSON-lines: a header record first, then one record per
 case, appended as cases finish.  Append-only writing keeps the log usable
-after a crash (a partial trailing line is tolerated on resume); sharded runs
+after a crash (a partial trailing line is cut off on resume); sharded runs
 on separate machines produce disjoint logs whose concatenation equals the
 unsharded log up to ordering.
 """
@@ -172,6 +172,18 @@ class ResultStore:
         return store
 
 
+def _trim_partial_line(path: Path):
+    """Cut the file after its last newline, dropping a killed writer's partial line.
+
+    Appending onto such a fragment would glue the next record to it.
+    """
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
+
+
 def _shard_indices(n_cases: int, shard: tuple[int, int]) -> list[int]:
     i, n = shard
     return [idx for idx in range(n_cases) if idx % n == i - 1]
@@ -190,6 +202,8 @@ def run_campaign(config: CampaignConfig) -> dict:
     if out.exists() and out.stat().st_size > 0:
         if not config.resume:
             raise FileExistsError(f"{out} exists; pass resume to continue into it")
+        _trim_partial_line(out)
+    if out.exists() and out.stat().st_size > 0:
         done = ResultStore.load(out)
     else:
         with open(out, "a") as fh:

@@ -1,48 +1,61 @@
 """Exact prime-field arithmetic and dense rank computation.
 
-The rank kernel is blocked Gaussian elimination with first-nonzero pivoting
-and delayed reduction: matrix entries live as integer-valued float64, panel
-updates accumulate raw multiply-subtract results, and values are brought back
-to [0, p) only when a column is scanned for pivots, when a pivot row sources
-an update, or after the blocked trailing update.  With block size B the raw
-values stay below B*p^2 + p, which is kept under 2^53 so every float64
-operation is exact.  The trailing update itself is a rank-B matrix product,
-so the bulk of the work runs at BLAS speed.
+The rank kernel is recursive Gaussian elimination over F_p in the style of
+FFLAS-FFPACK (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size
+prime fields", ACM TOMS 35(3), 2008, arXiv:cs/0601133; the column recursion
+follows Dumas, Pernet & Sultan, "Simultaneous computation of the row and
+column rank profiles", ISSAC 2013, arXiv:1301.4438).  On columns [c0, c1)
+and rows r.. it
 
-Two implementations of the hot kernel exist: a numba @njit one (default when
-numba is importable) and a pure-numpy one.  Selection: the FATPOINTS_BACKEND
-environment variable ("numba", "numpy", or "auto").  benchmarks/bench_rank.py
-compares the two.
+1. eliminates the left half recursively (row swaps move whole rows, the
+   multipliers are stored in the pivot columns),
+2. solves the k1 pivot rows of the right half against the unit-lower L11
+   taken from those pivot columns (a recursive TRSM),
+3. updates the rows below with one GEMM, C -= L21 @ U12, and
+4. recurses on the right half from row r + k1.
+
+Columns narrower than a base width are eliminated one column at a time, on a
+transposed copy so that every column is contiguous.  Nearly all flops run in
+the GEMMs of steps 2 and 3, at BLAS speed.
+
+Entries are integer-valued float64 and reductions mod p are delayed: an
+operand of a product (a pivot row, a multiplier, a solved U row, a column
+scanned for its pivot) is reduced into [0, p) when it is produced, and every
+other entry only counts the products it has absorbed since its last
+reduction.  With the budget B = _safe_block(p) = floor((2^53 - p) / p^2),
+a region is reduced before its count would exceed B, and every GEMM is split
+along its inner dimension at B.  So every entry keeps
+
+    |entry| < B * p^2 + p <= 2^53,
+
+and every float64 operation is exact.  B is 8 794 443 at p = 32003 and
+821 213 at p = 104729, more than any matrix width of the degree sweep, so at
+the ladder primes only operands are ever reduced.  Primes above about
+9.5e7 have B < 1 and fall back to an int64 elimination.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-
-try:
-    import numba
-    from numba import prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via FATPOINTS_BACKEND=numpy
-    numba = None
-    prange = range
-    HAVE_NUMBA = False
-
-BACKEND_ENV = "FATPOINTS_BACKEND"
 
 DEFAULT_PRIME = 32003
 # Escalation ladder for retry attempts; all > 40 so no derivative
 # coefficient of the systems in scope vanishes spuriously.
 PRIME_LADDER = (32003, 65537, 104729)
 
-DEFAULT_BLOCK = 256
-
 # float64 holds integers exactly up to 2**53.
 _EXACT_LIMIT = float(2**53)
+
+# Widest column range eliminated column by column; wider ranges recurse.
+_BASE_WIDTH = 32
+# Below this many entries one np.remainder call beats the floor-based
+# reduction, whose cost is mostly per-call overhead on short vectors.
+_SHORT_REDUCE = 256
+# Entries per chunk when _prepare validates and reduces its input.
+_PREPARE_CHUNK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -103,227 +116,132 @@ class FieldPrime:
         return pow(a, self.p - 2, self.p)
 
 
-def active_backend() -> str:
-    """Resolve the rank-kernel backend from FATPOINTS_BACKEND."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("FATPOINTS_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown {BACKEND_ENV} value {choice!r}")
+def _safe_block(p: int) -> int:
+    """Most products an entry may absorb between reductions: B*p*p + p <= 2**53."""
+    return (2**53 - p) // (p * p)
 
 
-def _safe_block(p: int, block: int) -> int:
-    """Largest block size keeping block*p*p + p below the float64 exact range."""
-    cap = (2**53 - p) // (p * p)
-    return min(block, cap)
+def _reduce(x: np.ndarray, fp: float):
+    """In-place exact reduction of integer-valued float64 data into [0, p)."""
+    if x.size < _SHORT_REDUCE:
+        np.remainder(x, fp, out=x)
+        return
+    q = x * (1.0 / fp)
+    np.floor(q, out=q)
+    q *= fp
+    x -= q  # now in [-p, 2p): the rounded quotient can be off by one
+    x[x < 0.0] += fp
+    x[x >= fp] -= fp
 
 
-# ---------------------------------------------------------------------------
-# numba kernel (compiled twice: serial for rank, parallel for rank_blocked)
-# ---------------------------------------------------------------------------
+def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
+    """a[rows, piv]: a view when the pivot columns are contiguous, else a copy."""
+    if piv[-1] - piv[0] + 1 == len(piv):
+        return a[rows, piv[0]:piv[-1] + 1]
+    return a[rows][:, piv]
 
-if HAVE_NUMBA:
 
-    @numba.njit(numba.int64(numba.int64, numba.int64), cache=True, nogil=True)
-    def _modinv64(x, p):
-        acc = 1
-        base = x % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                acc = acc * base % p
-            base = base * base % p
-            e >>= 1
+class _Elimination:
+    """One recursive elimination of a reduced float64 matrix, in place.
+
+    Every method that takes `acc` receives the number of products the region
+    it updates has absorbed since its last reduction, and the methods that
+    keep updating a region return its new count.
+    """
+
+    def __init__(self, a: np.ndarray, p: int, budget: int):
+        self.a = a
+        self.p = p
+        self.fp = float(p)
+        self.budget = budget
+        self.width = min(_BASE_WIDTH, budget)
+
+    def rank(self) -> int:
+        return len(self._eliminate(0, 0, self.a.shape[1], 0))
+
+    def _gemm_sub(self, c: np.ndarray, lo: np.ndarray, up: np.ndarray, acc: int) -> int:
+        """c -= lo @ up with reduced operands, split along the inner dimension."""
+        k = lo.shape[1]
+        s = 0
+        while s < k:
+            if acc >= self.budget:
+                _reduce(c, self.fp)
+                acc = 0
+            t = min(k, s + self.budget - acc)
+            c -= lo[:, s:t] @ up[s:t]
+            acc += t - s
+            s = t
         return acc
 
+    def _trsm(self, lo: np.ndarray, x: np.ndarray, acc: int):
+        """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x."""
+        k = x.shape[0]
+        if k > self.width:
+            t = k // 2
+            self._trsm(lo[:t, :t], x[:t], acc)
+            acc = self._gemm_sub(x[t:], lo[t:, :t], x[:t], acc)
+            self._trsm(lo[t:, t:], x[t:], acc)
+            return
+        if acc + k - 1 > self.budget:
+            _reduce(x, self.fp)
+        _reduce(x[0], self.fp)
+        for i in range(1, k):
+            x[i] -= lo[i, :i] @ x[:i]
+            _reduce(x[i], self.fp)
 
-def _blocked_rank_impl(a, p, block):  # pragma: no cover - compiled by numba
-    m, n = a.shape
-    fp = float(p)
-    invp = 1.0 / fp
-    piv = np.empty(block, np.int64)
-    r = 0
-    c0 = 0
-    while c0 < n and r < m:
-        c1 = min(c0 + block, n)
+    def _panel(self, r: int, c0: int, c1: int, acc: int) -> list[int]:
+        """Column-by-column elimination of a[r:, c0:c1]; returns the pivot columns."""
+        a, p, fp = self.a, self.p, self.fp
+        m = a.shape[0]
+        t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
+        w = c1 - c0
+        if acc + w - 1 > self.budget:
+            _reduce(t, fp)
+        piv: list[int] = []
         k = 0
-        for j in range(c0, c1):
-            # Lazy-reduce column j on the active rows, track first nonzero.
-            pr = -1
-            for i in range(r + k, m):
-                v = a[i, j]
-                q = np.floor(v * invp)
-                v -= q * fp
-                if v < 0.0:
-                    v += fp
-                elif v >= fp:
-                    v -= fp
-                a[i, j] = v
-                if pr < 0 and v != 0.0:
-                    pr = i
-            if pr < 0:
+        for jj in range(w):
+            col = t[jj, k:]
+            _reduce(col, fp)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
                 continue
-            rr = r + k
-            if pr != rr:
-                for t in range(n):
-                    tmp = a[rr, t]
-                    a[rr, t] = a[pr, t]
-                    a[pr, t] = tmp
-            # Pivot row must be reduced before it sources updates.
-            for t in range(j + 1, c1):
-                v = a[rr, t]
-                q = np.floor(v * invp)
-                v -= q * fp
-                if v < 0.0:
-                    v += fp
-                elif v >= fp:
-                    v -= fp
-                a[rr, t] = v
-            inv = float(_modinv64(np.int64(a[rr, j]), p))
-            for i in prange(rr + 1, m):
-                f = a[i, j] * inv
-                q = np.floor(f * invp)
-                f -= q * fp
-                if f < 0.0:
-                    f += fp
-                elif f >= fp:
-                    f -= fp
-                a[i, j] = f
-                if f != 0.0:
-                    for t in range(j + 1, c1):
-                        a[i, t] -= f * a[rr, t]
-            piv[k] = j
+            i = k + int(nz[0])
+            if i != k:
+                t[:, [k, i]] = t[:, [i, k]]
+                a[[r + k, r + i]] = a[[r + i, r + k]]  # a[r:, c0:c1] is rewritten below
+            piv.append(c0 + jj)
             k += 1
             if r + k == m:
                 break
-        if k > 0 and c1 < n:
-            # Pivot rows catch up on the trailing columns sequentially.
-            for t in range(1, k):
-                row = r + t
-                for s in range(t):
-                    f = a[row, piv[s]]
-                    if f != 0.0:
-                        src = r + s
-                        for c in range(c1, n):
-                            a[row, c] -= f * a[src, c]
-                for c in range(c1, n):
-                    v = a[row, c]
-                    q = np.floor(v * invp)
-                    v -= q * fp
-                    if v < 0.0:
-                        v += fp
-                    elif v >= fp:
-                        v -= fp
-                    a[row, c] = v
-            # Rank-k trailing update through BLAS, then one reduction pass.
-            nb = m - r - k
-            if nb > 0:
-                trail = n - c1
-                u = np.ascontiguousarray(a[r:r + k, c1:n])
-                lo = np.empty((nb, k), np.float64)
-                for i in range(nb):
-                    for s in range(k):
-                        lo[i, s] = a[r + k + i, piv[s]]
-                tile = 512
-                i0 = 0
-                while i0 < nb:
-                    i1 = min(i0 + tile, nb)
-                    prod = np.dot(lo[i0:i1], u)
-                    for i in prange(i1 - i0):
-                        row = r + k + i0 + i
-                        for c in range(trail):
-                            v = a[row, c1 + c] - prod[i, c]
-                            q = np.floor(v * invp)
-                            v -= q * fp
-                            if v < 0.0:
-                                v += fp
-                            elif v >= fp:
-                                v -= fp
-                            a[row, c1 + c] = v
-                    i0 = i1
-        r += k
-        c0 = c1
-    return r
+            f = t[jj, k:]  # multipliers, stored in the pivot column
+            f *= float(pow(int(t[jj, k - 1]), -1, p))
+            _reduce(f, fp)
+            if jj + 1 < w:
+                prow = t[jj + 1:, k - 1]
+                _reduce(prow, fp)
+                t[jj + 1:, k:] -= prow[:, None] * f
+        a[r:, c0:c1] = t.T
+        return piv
 
-
-_NUMBA_KERNELS: dict = {}
-
-
-def _numba_kernel(parallel: bool):
-    fn = _NUMBA_KERNELS.get(parallel)
-    if fn is None:
-        fn = numba.njit(cache=True, nogil=True, parallel=parallel)(_blocked_rank_impl)
-        _NUMBA_KERNELS[parallel] = fn
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback (same blocked algorithm, vectorized row operations)
-# ---------------------------------------------------------------------------
-
-def _reduce_chunk(a: np.ndarray, fp: float):
-    """In-place exact reduction of integer-valued float64 data into [0, p)."""
-    q = np.floor(a * (1.0 / fp))
-    q *= fp
-    a -= q
-    np.add(a, fp, out=a, where=a < 0.0)
-    np.subtract(a, fp, out=a, where=a >= fp)
-
-
-def _numpy_blocked_rank(a: np.ndarray, p: int, block: int) -> int:
-    m, n = a.shape
-    fp = float(p)
-    r = 0
-    c0 = 0
-    while c0 < n and r < m:
-        c1 = min(c0 + block, n)
-        piv: list[int] = []
-        for j in range(c0, c1):
-            rr = r + len(piv)
-            col = a[rr:, j]
-            _reduce_chunk(col, fp)
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = rr + int(nz[0])
-            if i != rr:
-                a[[rr, i]] = a[[i, rr]]
-            if j + 1 < c1:
-                _reduce_chunk(a[rr, j + 1:c1], fp)
-            inv = float(pow(int(a[rr, j]), -1, p))
-            below = a[rr + 1:, j]
-            if below.size:
-                f = below * inv
-                _reduce_chunk(f, fp)
-                a[rr + 1:, j] = f
-                if j + 1 < c1:
-                    a[rr + 1:, j + 1:c1] -= f[:, None] * a[rr, j + 1:c1]
-            piv.append(j)
-            if rr + 1 == m:
-                break
-        k = len(piv)
-        if k and c1 < n:
-            cols = np.asarray(piv, dtype=np.int64)
-            for t in range(1, k):
-                row = r + t
-                mults = a[row, cols[:t]]
-                if np.any(mults):
-                    a[row, c1:] -= mults @ a[r:row, c1:]
-                    _reduce_chunk(a[row, c1:], fp)
-            nb = m - r - k
-            if nb > 0:
-                lo = np.ascontiguousarray(a[r + k:, cols])
-                if np.any(lo):
-                    a[r + k:, c1:] -= lo @ a[r:r + k, c1:]
-                    _reduce_chunk(a[r + k:, c1:], fp)
-        r += k
-        c0 = c1
-    return r
+    def _eliminate(self, r: int, c0: int, c1: int, acc: int) -> list[int]:
+        """Eliminate a[r:, c0:c1]; pivots land on rows r, r+1, ...; returns their columns."""
+        a = self.a
+        m = a.shape[0]
+        if r == m:
+            return []
+        if c1 - c0 <= self.width:
+            return self._panel(r, c0, c1, acc)
+        blocks = -(-(c1 - c0) // self.width)
+        h = c0 + (blocks // 2) * self.width
+        piv = self._eliminate(r, c0, h, acc)
+        k1 = len(piv)
+        if k1:
+            top = a[r:r + k1, h:c1]
+            self._trsm(_pivot_block(a, slice(r, r + k1), piv), top, acc)
+            if r + k1 < m:
+                lo = _pivot_block(a, slice(r + k1, m), piv)
+                acc = self._gemm_sub(a[r + k1:, h:c1], lo, top, acc)
+        return piv + self._eliminate(r + k1, h, c1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +275,12 @@ def _int64_rank(a: np.ndarray, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
+    """Validate mat and return it reduced into [0, p) as float64.
+
+    One pass over chunks of rows, with no temporary larger than a chunk.
+    With overwrite=True a float64 C-contiguous input is reduced in place,
+    and rows before a rejected chunk are then already reduced.
+    """
     if p >= 2**31:
         raise ValueError(f"modulus must be below 2**31, got {p}")
     if not is_prime(p):
@@ -364,63 +288,53 @@ def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if np.issubdtype(a.dtype, np.floating):
-        work = np.array(a, dtype=np.float64, copy=not (overwrite and a.dtype == np.float64 and a.flags.c_contiguous))
-        if work.size:
-            if not np.isfinite(work).all():
-                raise ValueError("matrix entries must be finite")
-            if np.abs(work).max() >= _EXACT_LIMIT:
-                raise ValueError("float entries exceed the exact integer range of float64")
-            if (work != np.floor(work)).any():
-                raise ValueError("float entries must be integer-valued")
-        _reduce_chunk(work, float(p))
-        return work
-    work = np.array(a, dtype=np.int64, copy=True)
-    np.mod(work, p, out=work)
-    return work.astype(np.float64)
+    floating = np.issubdtype(a.dtype, np.floating)
+    if floating and overwrite and a.dtype == np.float64 and a.flags.c_contiguous:
+        work = a
+    else:
+        work = np.empty(a.shape, dtype=np.float64)
+    fp = float(p)
+    step = max(1, _PREPARE_CHUNK // max(1, a.shape[1]))
+    for i in range(0, a.shape[0], step):
+        if not floating:
+            work[i:i + step] = np.mod(a[i:i + step].astype(np.int64), p)
+            continue
+        chunk = work[i:i + step]
+        if work is not a:
+            chunk[...] = a[i:i + step]
+        if not np.isfinite(chunk).all():
+            raise ValueError("matrix entries must be finite")
+        big = max(chunk.max(initial=0.0), -chunk.min(initial=0.0))
+        if big >= _EXACT_LIMIT:
+            raise ValueError("float entries exceed the exact integer range of float64")
+        if (np.floor(chunk) != chunk).any():
+            raise ValueError("float entries must be integer-valued")
+        if big + fp > _EXACT_LIMIT:  # _reduce's q * p could leave the exact range
+            np.remainder(chunk, fp, out=chunk)
+        else:
+            _reduce(chunk, fp)
+    return work
 
 
-def rank(mat, p: int = DEFAULT_PRIME, block: int = DEFAULT_BLOCK, *, overwrite: bool = False) -> int:
+def rank(mat, p: int = DEFAULT_PRIME, block: Optional[int] = None, *,
+         overwrite: bool = False) -> int:
     """Exact rank of a matrix over F_p.
 
     Entries are reduced mod p on entry; any integer dtype (or integer-valued
-    float64) is accepted.  With overwrite=True a float64 C-contiguous input
-    is consumed in place.
+    float) is accepted.  block is the most products an entry absorbs between
+    reductions; it is capped by, and defaults to, the float64 budget
+    _safe_block(p).  With overwrite=True a float64 C-contiguous input is
+    consumed in place.
     """
+    if block is not None and block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     a = _prepare(mat, p, overwrite)
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    blk = _safe_block(p, block)
-    if blk < 1:
-        work = a.astype(np.int64)
-        np.mod(work, p, out=work)
-        return _int64_rank(work, p)
-    if active_backend() == "numba":
-        return int(_numba_kernel(False)(a, p, blk))
-    return _numpy_blocked_rank(a, p, blk)
-
-
-def rank_blocked(mat, p: int = DEFAULT_PRIME, threads: int = 1,
-                 block: int = DEFAULT_BLOCK, *, overwrite: bool = False) -> int:
-    """rank() with row updates spread across numba worker threads.
-
-    Result is identical to rank() for every input; threads only changes the
-    schedule.  On the numpy backend the thread count is ignored (BLAS keeps
-    its own threading).
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    a = _prepare(mat, p, overwrite)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    blk = _safe_block(p, block)
-    if blk < 1:
-        work = a.astype(np.int64)
-        np.mod(work, p, out=work)
-        return _int64_rank(work, p)
-    if active_backend() == "numba":
-        numba.set_num_threads(max(1, min(threads, numba.config.NUMBA_NUM_THREADS)))
-        return int(_numba_kernel(True)(a, p, blk))
-    return _numpy_blocked_rank(a, p, blk)
+    budget = _safe_block(p)
+    if budget < 1:
+        return _int64_rank(a.astype(np.int64), p)
+    if block is not None:
+        budget = min(block, budget)
+    return _Elimination(a, p, budget).rank()

@@ -99,12 +99,16 @@ def test_resume_is_idempotent(tmp_path):
 def test_resume_after_truncated_line(tmp_path):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
-    with open(out, "a") as fh:
-        fh.write('{"case": [14, 1, 0,')  # killed mid-write
-    store = ResultStore.load(out)
-    assert len(store) == 3
+    text = out.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    out.write_text(text[: last + (len(text) - last) // 2])  # killed mid-write
+    assert len(ResultStore.load(out)) == 2
     summary = run_campaign(_tiny_config(out, resume=True))
-    assert summary["computed"] == 0
+    assert summary["computed"] == 1
+    assert len(ResultStore.load(out)) == 3
+    report = verify_log(out)
+    assert report.total == 3 and not report.corrupt and report.ok
+    assert run_campaign(_tiny_config(out, resume=True))["computed"] == 0
 
 
 def test_shard_certificates_match_unsharded_seeds(tmp_path):

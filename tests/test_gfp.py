@@ -3,15 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fatpoints import gfp
 from fatpoints.gfp import (
     DEFAULT_PRIME,
     FieldPrime,
-    active_backend,
+    _reduce,
+    _safe_block,
     is_prime,
     next_ladder_prime,
     rank,
-    rank_blocked,
 )
 
 from _oracles import rank_mod_p_reference, rank_rational_reference
@@ -61,6 +60,20 @@ def test_ladder():
     assert next_ladder_prime(32003) == 65537
     assert next_ladder_prime(65537) == 104729
     assert next_ladder_prime(104729) == 104729
+
+
+@pytest.mark.parametrize("size", [100, 5000])
+def test_reduce_is_exact_next_to_multiples_of_p(size):
+    # the rounded quotient is off by one only for values within a few units
+    # of a multiple of p, close to 2**53
+    rng = np.random.default_rng(size)
+    for p in (2, 3, 32003, 104729, 20000003, 2**31 - 1):
+        q = rng.integers(2**52 // p, 2**53 // p, size)
+        vals = q * p + rng.integers(-2, 3, size)
+        vals = np.where(np.abs(vals) < 2**53, vals, 0) * rng.choice([-1, 1], size)
+        x = vals.astype(np.float64)
+        _reduce(x, float(p))
+        assert (x == vals % p).all()
 
 
 def test_rank_basics():
@@ -132,9 +145,7 @@ def test_rank_blocked_exhaustive_tiny():
             cells = shape[0] * shape[1]
             for values in itertools.product(range(p), repeat=cells):
                 a = np.array(values, dtype=np.int64).reshape(shape)
-                expected = rank_mod_p_reference(a, p)
-                assert rank(a, p) == expected
-                assert rank_blocked(a, p, threads=2) == expected
+                assert rank(a, p) == rank_mod_p_reference(a, p)
 
 
 def test_rank_blocked_equals_rank_random():
@@ -146,47 +157,72 @@ def test_rank_blocked_equals_rank_random():
         if trial % 3 == 0:
             k = int(rng.integers(0, min(m, n) + 1))
             a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
-        r = rank(a, P)
-        assert rank_blocked(a, P, threads=4) == r
-        assert rank_blocked(a, P, threads=1) == r
-    with pytest.raises(ValueError):
-        rank_blocked(np.eye(2), P, threads=0)
+        assert rank(a, P) == rank_mod_p_reference(a, P)
 
 
-def _backend_mats():
+def test_backends_agree():
     rng = np.random.default_rng(31)
-    return [rng.integers(0, P, (int(rng.integers(1, 120)), int(rng.integers(1, 120)))) for _ in range(12)]
+    mats = [rng.integers(0, P, (int(rng.integers(1, 120)), int(rng.integers(1, 120)))) for _ in range(12)]
+    assert [rank(a, P) for a in mats] == [rank_mod_p_reference(a, P) for a in mats]
 
 
-def test_backends_agree(monkeypatch):
-    # numpy path and backend selection; holds with or without numba
-    mats = _backend_mats()
-    expected = [rank_mod_p_reference(a, P) for a in mats]
-    monkeypatch.setenv("FATPOINTS_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    assert [rank(a, P) for a in mats] == expected
-    assert [rank_blocked(a, P, threads=2) for a in mats] == expected
-    monkeypatch.setenv("FATPOINTS_BACKEND", "auto")
-    assert active_backend() == ("numba" if gfp.HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("FATPOINTS_BACKEND", "bogus")
+@pytest.mark.parametrize("kind", ["zero", "duplicate"])
+@pytest.mark.parametrize("shape", [(40, 130), (130, 130), (200, 97)])
+def test_rank_pivot_skips_at_recursion_splits(kind, shape):
+    # The recursion splits columns at multiples of 32: zero or repeated
+    # columns 31-33 and 63-65 skip pivots right at the splits, so the pivot
+    # blocks stop being contiguous.
+    a = np.random.default_rng(shape[0] * shape[1]).integers(0, P, shape)
+    for c in (31, 32, 33, 63, 64, 65):
+        a[:, c] = 0 if kind == "zero" else a[:, c - 31]
+    expected = rank_mod_p_reference(a, P)
+    assert rank(a, P) == expected
+    assert rank(a.T, P) == expected
+
+
+@pytest.mark.parametrize("block", [1, 8, 33])
+def test_rank_small_block_reduces_within_budget(block):
+    # At the ladder primes the budget exceeds every width, so only a small
+    # block exercises the inner-dimension split of the GEMMs and the
+    # reductions of accumulating regions.
+    rng = np.random.default_rng(block)
+    for m, n, k in ((240, 300, 170), (310, 260, 260), (150, 280, 90)):
+        a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
+        a[:, 64] = a[:, 3]
+        expected = rank_mod_p_reference(a, P)
+        assert rank(a, P, block=block) == expected
+        assert rank(a.T.copy(), P, block=block) == expected
     with pytest.raises(ValueError):
-        active_backend()
-    # an explicit numba request is refused, not downgraded, without numba
-    monkeypatch.setattr(gfp, "HAVE_NUMBA", False)
-    monkeypatch.setenv("FATPOINTS_BACKEND", "numba")
-    with pytest.raises(RuntimeError):
-        active_backend()
+        rank(a, P, block=0)
 
 
-def test_numba_backend_agrees(monkeypatch):
-    pytest.importorskip("numba")
-    mats = _backend_mats()
-    monkeypatch.setenv("FATPOINTS_BACKEND", "numpy")
-    numpy_ranks = [rank(a, P) for a in mats]
-    monkeypatch.setenv("FATPOINTS_BACKEND", "numba")
-    assert active_backend() == "numba"
-    assert [rank(a, P) for a in mats] == numpy_ranks
-    assert [rank_blocked(a, P, threads=2) for a in mats] == numpy_ranks
+@pytest.mark.parametrize("p", [20000003, 90000049])
+def test_rank_budget_below_base_width(p):
+    # budgets 22 and 1: the column-by-column width is clamped to the budget
+    assert _safe_block(p) in (22, 1)
+    rng = np.random.default_rng(p)
+    for m, n, k in ((90, 100, 100), (100, 80, 55), (70, 130, 40)):
+        a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+        assert rank(a, p) == rank_mod_p_reference(a, p)
+
+
+@pytest.mark.parametrize("p", [20000003, 90000049])
+def test_rank_worst_case_magnitudes(p):
+    # a = L @ U, where U has rank 70 and the off-diagonal entries of the
+    # unit-lower L's first 70 rows and U's first 100 columns are all p - 2:
+    # the products the elimination forms there are (p-2)^2, odd and about
+    # the most the budget allows for.  The other entries are random, so that
+    # a missed reduction, which breaks float64 exactness, raises the rank.
+    n, r = 130, 70
+    rng = np.random.default_rng(p)
+    lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    lo[r:, :r] = rng.integers(0, p, (n - r, r))
+    up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
+    up[:r, 100:] = rng.integers(0, p, (r, n - 100))
+    up[r:] = 0
+    a = (lo @ up) % p
+    assert rank(a, p) == r
+    assert rank(a.T, p) == r
 
 
 def test_large_modulus_falls_back_exactly():
@@ -206,3 +242,26 @@ def test_float_input_validation():
         rank(np.array([[0.5, 1.0], [0.0, 1.0]]), P)
     with pytest.raises(ValueError):
         rank(np.array([[np.inf, 1.0], [0.0, 1.0]]), P)
+    # input is checked chunk by chunk: a bad entry in the last rows is found
+    wide = np.zeros((60, 3000))
+    for bad in (np.nan, -np.inf, 0.5, 2.0**53):
+        wide[-1, -1] = bad
+        with pytest.raises(ValueError):
+            rank(wide, P)
+        with pytest.raises(ValueError):
+            rank(wide.copy(), P, overwrite=True)
+    wide[-1, -1] = -(2.0**52)
+    assert rank(wide, P) == 1
+
+
+def test_rank_reduces_entries_next_to_float_limit():
+    # two lifts of the same residues, one within p of -2**53, where the
+    # quotient times p no longer fits the exact range of float64
+    p = 2**31 - 1
+    q = 2**53 // p
+    r = np.random.default_rng(1).integers(p - (2**53 - q * p) + 1, p, 300)
+    vals = np.array([r - q * p, r - (q + 1) * p])
+    a = vals.astype(np.float64)
+    assert np.abs(a).max() < 2**53 and (a == vals).all()
+    assert rank(a, p) == 1
+    assert rank(-a, p) == 1

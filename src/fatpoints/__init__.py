@@ -8,7 +8,6 @@ degree sweeps.
 from ._version import __version__
 from .model import (
     CaseSignature,
-    DimensionReport,
     SystemSpec,
     binomial,
     conditions_count,
@@ -21,7 +20,6 @@ from .monomials import derivative_coefficient, derivative_orders, monomial_basis
 from .gfp import (
     DEFAULT_PRIME,
     PRIME_LADDER,
-    FieldPrime,
     is_prime,
     rank,
 )
@@ -33,27 +31,23 @@ from .interpolation import (
     rational_oracle,
     reduce_fundamental,
     replay_certificate,
-    report_from_certificate,
-    sample_points,
 )
 from .enumeration import (
-    QPolicy,
-    WindowSpec,
     algorithm_a_cases,
     algorithm_b_cases,
     count_algorithm_a,
     count_algorithm_b,
-    in_window,
+    q_values,
+    window,
 )
 from .reduction import (
-    CATALOGUE,
     ClosureReport,
     DeduceResult,
     GlueRule,
     KnownResults,
     closure_audit,
     deduce,
-    glue_reduce,
+    glue,
     validate_glue_rule,
 )
 from .campaign import (
@@ -68,7 +62,6 @@ from .campaign import (
 __all__ = [
     "__version__",
     "CaseSignature",
-    "DimensionReport",
     "SystemSpec",
     "binomial",
     "conditions_count",
@@ -81,7 +74,6 @@ __all__ = [
     "monomial_basis",
     "DEFAULT_PRIME",
     "PRIME_LADDER",
-    "FieldPrime",
     "is_prime",
     "rank",
     "Certificate",
@@ -91,23 +83,19 @@ __all__ = [
     "rational_oracle",
     "reduce_fundamental",
     "replay_certificate",
-    "report_from_certificate",
-    "sample_points",
-    "QPolicy",
-    "WindowSpec",
     "algorithm_a_cases",
     "algorithm_b_cases",
     "count_algorithm_a",
     "count_algorithm_b",
-    "in_window",
-    "CATALOGUE",
+    "q_values",
+    "window",
     "ClosureReport",
     "DeduceResult",
     "GlueRule",
     "KnownResults",
     "closure_audit",
     "deduce",
-    "glue_reduce",
+    "glue",
     "validate_glue_rule",
     "CampaignConfig",
     "ResultStore",

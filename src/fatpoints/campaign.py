@@ -2,7 +2,8 @@
 
 The result log is JSON-lines: a header record first, then one record per
 case, appended as cases finish.  Append-only writing keeps the log usable
-after a crash (a partial trailing line is cut off on resume); sharded runs
+after a crash (a partial trailing line is cut off on resume), and a resume
+refuses a log whose header names another config; sharded runs
 on separate machines produce disjoint logs whose concatenation equals the
 unsharded log up to ordering.
 """
@@ -39,7 +40,6 @@ class CampaignConfig:
 
     degrees: tuple[int, int]
     out: Path
-    primes: tuple[int, ...] = PRIME_LADDER
     base_seed: int = 0
     max_attempts: int = 3
     threads: Optional[int] = None
@@ -54,8 +54,6 @@ class CampaignConfig:
         i, n = self.shard
         if not 1 <= i <= n:
             raise ValueError(f"shard must satisfy 1 <= i <= n, got {i}/{n}")
-        if not self.primes or any(p <= 40 for p in self.primes):
-            raise ValueError("prime ladder must be nonempty with every prime > 40")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.out = Path(self.out)
@@ -66,7 +64,8 @@ class CampaignConfig:
     def digest_fields(self) -> dict:
         return {
             "degrees": list(self.degrees),
-            "primes": list(self.primes),
+            # every run starts at PRIME_LADDER[0] and escalates along it
+            "primes": list(PRIME_LADDER),
             "base_seed": self.base_seed,
             "max_attempts": self.max_attempts,
             "shard": list(self.shard),
@@ -172,6 +171,29 @@ class ResultStore:
         return store
 
 
+def _check_header(path: Path, config: CampaignConfig):
+    """Refuse to resume a log whose header is missing or names another config.
+
+    A log holding nothing but a partial first line is a crash before the
+    header was complete; it is left for _trim_partial_line to cut.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    if not first.endswith(b"\n"):
+        return
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or not header.get("header"):
+        raise ValueError(f"{path} has no header line; refusing to resume into it")
+    if header.get("digest") != config.digest():
+        raise ValueError(
+            f"{path} was written under another config (digest {header.get('digest')},"
+            f" this run's is {config.digest()}); refusing to resume into it"
+        )
+
+
 def _trim_partial_line(path: Path):
     """Cut the file after its last newline, dropping a killed writer's partial line.
 
@@ -202,6 +224,7 @@ def run_campaign(config: CampaignConfig) -> dict:
     if out.exists() and out.stat().st_size > 0:
         if not config.resume:
             raise FileExistsError(f"{out} exists; pass resume to continue into it")
+        _check_header(out, config)
         _trim_partial_line(out)
     if out.exists() and out.stat().st_size > 0:
         done = ResultStore.load(out)
@@ -231,7 +254,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         try:
             cert = check_case(
                 case.to_system(),
-                prime=config.primes[0],
+                prime=PRIME_LADDER[0],
                 seed=seed,
                 max_attempts=config.max_attempts,
                 fundamental=config.fundamental,

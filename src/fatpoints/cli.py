@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,15 +18,8 @@ from .campaign import CampaignConfig, ResultStore, run_campaign, status, verify_
 from .enumeration import count_cases, export_csv, iter_cases
 from .gfp import DEFAULT_PRIME
 from .interpolation import check_case
-from .model import (
-    DimensionReport,
-    SystemSpec,
-    VERDICT_NON_SPECIAL,
-    parse_mults,
-)
+from .model import SystemSpec, VERDICT_NON_SPECIAL, edim, parse_mults, vdim
 from .reduction import closure_audit
-
-THREADS_ENV = "FATPOINTS_THREADS"
 
 
 def _eprint(*args):
@@ -58,13 +50,12 @@ def _echo_config(name: str, args):
 
 def _cmd_vdim(args) -> int:
     spec = _system_from_args(args)
-    report = DimensionReport.for_system(spec)
-    _eprint(f"{spec}: N={report.N} S={report.S} vdim={report.vdim} edim={report.edim}")
+    N, S, v, e = spec.n_monomials, spec.conditions_total, vdim(spec), edim(spec)
+    _eprint(f"{spec}: N={N} S={S} vdim={v} edim={e}")
     if args.json:
-        print(json.dumps({"spec": spec.to_text(), "N": report.N, "S": report.S,
-                          "vdim": report.vdim, "edim": report.edim}))
+        print(json.dumps({"spec": spec.to_text(), "N": N, "S": S, "vdim": v, "edim": e}))
     else:
-        print(report.vdim)
+        print(v)
     return 0
 
 
@@ -118,15 +109,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    threads = args.threads
-    if threads is None and os.environ.get(THREADS_ENV):
-        threads = int(os.environ[THREADS_ENV])
     config = CampaignConfig(
         degrees=_parse_degrees(args.degrees),
         out=Path(args.out),
         base_seed=args.seed,
         max_attempts=args.attempts,
-        threads=threads,
+        threads=args.threads,
         shard=_parse_shard(args.shard),
         resume=args.resume,
         fundamental=not args.no_fundamental,

@@ -1,122 +1,91 @@
 """Case enumeration: which systems must be rank-checked per degree.
 
 Only condition totals S inside the window N-4 < S < N+20 need a direct rank
-check; everything else follows by monotonicity.  The plain enumeration
-(algorithm A) walks all (x, y, z) inside the window with the loop bounds
-x <= ceil(N/20), y <= ceil(N/10), z <= ceil(N/4); the bounds genuinely
-truncate a handful of window cases and are required to reproduce the
-published case counts (6816 for d=14, 2294011 for d=40).  The glued
-enumeration (algorithm B) adds 10-points and cuts the residual to z <= 4,
-with 2x+y <= 21 once the 10-point count is free (d >= 22).
+check; everything else follows by monotonicity.  `window(N)` is the one
+definition of that band and `q_values(d)` the one definition of how many
+10-points a degree admits; the enumerators, glueing, deduction and the
+closure audit all read these two functions.
+
+The plain enumeration (algorithm A) walks all (x, y, z) inside the window
+with the loop bounds x <= ceil(N/20), y <= ceil(N/10), z <= ceil(N/4); the
+bounds genuinely truncate a handful of window cases and are required to
+reproduce the published case counts (6816 for d=14, 2294011 for d=40).  The
+glued enumeration (algorithm B) adds 10-points and cuts the residual to
+z <= 4, with 2x+y <= 21 once the 10-point count is free (d >= 22).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .model import CaseSignature, binomial
 
-# Number of 10-points per degree when it cannot float freely.
-FIXED_Q = {13: 1, 14: 1, 15: 1, 16: 1, 17: 1, 18: 1, 19: 5, 20: 7, 21: 8}
-
 B_DEGREE_MIN = 13
 B_DEGREE_MAX = 40
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """The band of condition totals that gets checked directly."""
-
-    N: int
-
-    @property
-    def lower(self) -> int:
-        return self.N - 4
-
-    @property
-    def upper(self) -> int:
-        return self.N + 20
-
-    def admits(self, S: int) -> bool:
-        return self.lower < S < self.upper
-
-    @classmethod
-    def for_degree(cls, d: int) -> "WindowSpec":
-        return cls(binomial(d + 3, 3))
+def window(N: int) -> range:
+    """The condition totals checked directly: N-4 < S < N+20 (both strict)."""
+    return range(N - 3, N + 20)
 
 
-def in_window(S: int, N: int) -> bool:
-    """True iff N-4 < S < N+20 (both strict)."""
-    return N - 4 < S < N + 20
+def q_values(d: int) -> range:
+    """The 10-point counts degree d admits.
+
+    Fixed for 13 <= d <= 21, free in [0, ceil(N/220)] from d = 22 on, and 0
+    below 13.  Glueing never makes more than the largest of them.
+    """
+    fixed = {13: 1, 14: 1, 15: 1, 16: 1, 17: 1, 18: 1, 19: 5, 20: 7, 21: 8}
+    if d in fixed:
+        return range(fixed[d], fixed[d] + 1)
+    if d >= 22:
+        return range(0, math.ceil(binomial(d + 3, 3) / 220) + 1)
+    return range(0, 1)
 
 
-@dataclass(frozen=True)
-class QPolicy:
-    """How many 10-points a degree admits."""
+def _algorithm_a_rows(d: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per x of algorithm A: its y values and the inclusive z range of each.
 
-    mode: str  # "fixed" or "free"
-    fixed_q: Optional[int] = None
-
-    @classmethod
-    def for_degree(cls, d: int) -> "QPolicy":
-        if d in FIXED_Q:
-            return cls("fixed", FIXED_Q[d])
-        if d >= 22:
-            return cls("free")
-        return cls("fixed", 0)
-
-    def q_values(self, N: int) -> range:
-        if self.mode == "fixed":
-            return range(self.fixed_q, self.fixed_q + 1)
-        return range(0, math.ceil(N / 220) + 1)
-
-
-def algorithm_a_cases(d: int) -> Iterator[CaseSignature]:
-    """All (x, y, z) window cases with q = 0, ascending lexicographic."""
+    A z range with zlo > zhi is empty.
+    """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     N = binomial(d + 3, 3)
-    lo, hi = N - 3, N + 19
+    w = window(N)
+    lo, hi = w[0], w[-1]
     xmax = math.ceil(N / 20)
     ymax = math.ceil(N / 10)
     zmax = math.ceil(N / 4)
-    for x in range(min(xmax, hi // 20) + 1):
-        bx = 20 * x
-        for y in range(min(ymax, (hi - bx) // 10) + 1):
-            base = bx + 10 * y
-            zlo = max(0, -((base - lo) // 4))
-            zhi = min(zmax, (hi - base) // 4)
-            for z in range(zlo, zhi + 1):
-                yield CaseSignature(d, 0, x, y, z)
-
-
-def count_algorithm_a(d: int) -> int:
-    """Window case count for algorithm A without materializing cases."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    N = binomial(d + 3, 3)
-    lo, hi = N - 3, N + 19
-    xmax = math.ceil(N / 20)
-    ymax = math.ceil(N / 10)
-    zmax = math.ceil(N / 4)
-    total = 0
     for x in range(min(xmax, hi // 20) + 1):
         bx = 20 * x
         y = np.arange(min(ymax, (hi - bx) // 10) + 1, dtype=np.int64)
         base = bx + 10 * y
         zlo = np.maximum(0, -((base - lo) // 4))
         zhi = np.minimum(zmax, (hi - base) // 4)
-        total += int(np.maximum(0, zhi - zlo + 1).sum())
-    return total
+        yield x, y, zlo, zhi
+
+
+def algorithm_a_cases(d: int) -> Iterator[CaseSignature]:
+    """All (x, y, z) window cases with q = 0, ascending lexicographic."""
+    for x, ys, zlo, zhi in _algorithm_a_rows(d):
+        for y, z_first, z_last in zip(ys.tolist(), zlo.tolist(), zhi.tolist()):
+            for z in range(z_first, z_last + 1):
+                yield CaseSignature(d, 0, x, y, z)
+
+
+def count_algorithm_a(d: int) -> int:
+    """Window case count for algorithm A without materializing cases."""
+    return sum(
+        int(np.maximum(0, zhi - zlo + 1).sum()) for _, _, zlo, zhi in _algorithm_a_rows(d)
+    )
 
 
 def algorithm_b_cases(d: int) -> list[CaseSignature]:
-    """Window cases after glueing: z <= 4, q per policy, 2x+y <= 21 for d >= 22.
+    """Window cases after glueing: z <= 4, q per q_values, 2x+y <= 21 for d >= 22.
 
     Ascending (q, x, y, z) lexicographic, so positions are stable case
     indices for sharding and seeds.
@@ -124,10 +93,10 @@ def algorithm_b_cases(d: int) -> list[CaseSignature]:
     if not B_DEGREE_MIN <= d <= B_DEGREE_MAX:
         raise ValueError(f"degree must be in [{B_DEGREE_MIN}, {B_DEGREE_MAX}], got {d}")
     N = binomial(d + 3, 3)
-    lo, hi = N - 3, N + 19
-    policy = QPolicy.for_degree(d)
+    w = window(N)
+    hi = w[-1]
     out: list[CaseSignature] = []
-    for q in policy.q_values(N):
+    for q in q_values(d):
         bq = 220 * q
         if bq > hi:
             break
@@ -141,7 +110,7 @@ def algorithm_b_cases(d: int) -> list[CaseSignature]:
                 base = bx + 10 * y
                 for z in range(0, 5):
                     S = base + 4 * z
-                    if lo <= S <= hi:
+                    if S in w:
                         case = CaseSignature(d, q, x, y, z)
                         assert case.conditions_total == S
                         assert -20 <= N - S - 1 <= 3, "case escaped the vdim band"

@@ -36,7 +36,6 @@ the ladder primes only operands are ever reduced.  Primes above about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,42 +77,6 @@ def next_ladder_prime(p: int) -> int:
         if q > p:
             return q
     return p
-
-
-@dataclass(frozen=True)
-class FieldPrime:
-    """A prime modulus for certificate-grade computations (40 < p < 2**31)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not 40 < self.p < 2**31:
-            raise ValueError(f"prime must satisfy 40 < p < 2**31, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def _check(self, *vals: int):
-        for v in vals:
-            if not 0 <= v < self.p:
-                raise ValueError(f"operand {v} outside [0, {self.p})")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
 
 
 def _safe_block(p: int) -> int:

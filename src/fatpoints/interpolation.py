@@ -23,17 +23,15 @@ import numpy as np
 
 from .gfp import DEFAULT_PRIME, next_ladder_prime, rank
 from .model import (
-    DimensionReport,
     SystemSpec,
     VERDICT_INCONCLUSIVE,
     VERDICT_NON_SPECIAL,
-    VERDICT_SPECIAL_SUSPECTED,
     conditions_count,
     parse_system,
 )
 from .monomials import derivative_orders, monomial_basis
 
-# Refuse to assemble anything whose float64 working copy would exceed this.
+# Refuse to sample points for a matrix whose float64 copy would exceed this.
 MEMORY_LIMIT_BYTES = 16 * 2**30
 
 DEFAULT_MAX_ATTEMPTS = 3
@@ -51,7 +49,7 @@ def _projective_key(coords, p: int) -> tuple:
     return tuple(int(c) * inv % p for c in coords)
 
 
-def _coordinate_point(slot: int, p: int) -> np.ndarray:
+def _coordinate_point(slot: int) -> np.ndarray:
     pt = np.zeros(4, dtype=np.int64)
     pt[slot] = 1
     return pt
@@ -78,13 +76,6 @@ def _sample_distinct(count: int, prime: int, seed: int, avoid=()) -> np.ndarray:
                 f"could not sample {count} distinct points mod {prime}; prime too small"
             )
     return out
-
-
-def sample_points(spec: SystemSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> np.ndarray:
-    """One random point per entry of spec.points(), as an (r, 4) int64 array."""
-    if prime <= 40:
-        raise ValueError(f"prime must exceed 40, got {prime}")
-    return _sample_distinct(spec.r, prime, seed)
 
 
 def _chart_tables(mult: int, degree: int, affine: np.ndarray, p: int) -> list[np.ndarray]:
@@ -136,15 +127,7 @@ def build_matrix(
         raise ValueError("charts must give one chart index per point")
     if basis is None:
         basis = monomial_basis(d)
-    ncols = basis.shape[0]
-    total_rows = spec.conditions_total
-    estimate = total_rows * ncols * 8
-    if estimate > MEMORY_LIMIT_BYTES:
-        raise MatrixTooLargeError(
-            f"{total_rows} x {ncols} matrix needs about {estimate / 2**30:.1f} GiB"
-        )
-
-    out = np.empty((total_rows, ncols), dtype=np.float64)
+    out = np.empty((spec.conditions_total, basis.shape[0]), dtype=np.float64)
     row = 0
     for idx, m in enumerate(mults):
         pt = points[idx] % prime
@@ -294,7 +277,7 @@ def _run_one(
         keep = np.ones(basis.shape[0], dtype=bool)
         keep[deleted] = False
         basis = basis[keep]
-        avoid = [_coordinate_point(slot, prime) for slot in range(len(assignment))]
+        avoid = [_coordinate_point(slot) for slot in range(len(assignment))]
         n_deleted = len(deleted)
     else:
         residual = spec
@@ -375,21 +358,6 @@ def replay_certificate(cert: Certificate) -> int:
     """Regenerate the recorded attempt and return the recomputed rank."""
     spec = parse_system(cert.spec)
     return _run_one(spec, cert.prime, cert.seed, list(cert.fundamental_assignment))
-
-
-def report_from_certificate(cert: Certificate) -> DimensionReport:
-    """Dimension bookkeeping for a finished check.
-
-    An inconclusive certificate witnessed a persistent rank deficit, which is
-    evidence (not proof) of speciality, hence "special_suspected".
-    """
-    spec = parse_system(cert.spec)
-    verdict = (
-        VERDICT_NON_SPECIAL
-        if cert.verdict == VERDICT_NON_SPECIAL
-        else VERDICT_SPECIAL_SUSPECTED
-    )
-    return DimensionReport.for_system(spec).with_rank(cert.rank, verdict)
 
 
 # ---------------------------------------------------------------------------

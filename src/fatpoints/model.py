@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 
 def binomial(n: int, k: int) -> int:
@@ -181,39 +181,4 @@ class CaseSignature:
 
 
 VERDICT_NON_SPECIAL = "non_special"
-VERDICT_SPECIAL_SUSPECTED = "special_suspected"
 VERDICT_INCONCLUSIVE = "inconclusive"
-VERDICT_NOT_CHECKED = "not_checked"
-
-
-@dataclass
-class DimensionReport:
-    """Dimension bookkeeping for one system, before or after a rank check."""
-
-    N: int
-    S: int
-    vdim: int
-    edim: int
-    rank: Optional[int] = None
-    dim: Optional[int] = None
-    verdict: str = VERDICT_NOT_CHECKED
-
-    @classmethod
-    def for_system(cls, spec: SystemSpec) -> "DimensionReport":
-        return cls(
-            N=spec.n_monomials,
-            S=spec.conditions_total,
-            vdim=vdim(spec),
-            edim=edim(spec),
-        )
-
-    def with_rank(self, rank: int, verdict: str) -> "DimensionReport":
-        dim = self.N - 1 - rank
-        if dim < self.edim:
-            raise ValueError(
-                f"rank {rank} gives dim {dim} below expected dimension {self.edim}"
-            )
-        return DimensionReport(
-            N=self.N, S=self.S, vdim=self.vdim, edim=self.edim,
-            rank=rank, dim=dim, verdict=verdict,
-        )

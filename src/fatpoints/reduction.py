@@ -11,13 +11,12 @@ of one degree decide every (x, y, z) signature of that degree.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .enumeration import FIXED_Q, WindowSpec, in_window
+from .enumeration import q_values, window
 from .model import (
     CaseSignature,
     SystemSpec,
@@ -73,19 +72,6 @@ class GlueRule:
 
 RULE_2x5_TO_4 = GlueRule(3, pattern=((2, 5),))
 RULE_43_TO_10 = GlueRule(9, constraint_total=22)
-RULE_43_TO_14 = GlueRule(13, constraint_total=56)
-RULE_43_TO_15 = GlueRule(14, constraint_total=68)
-RULE_43_TO_18 = GlueRule(17, constraint_total=114)
-RULE_43_TO_20 = GlueRule(19, constraint_total=154)
-
-CATALOGUE = (
-    RULE_2x5_TO_4,
-    RULE_43_TO_10,
-    RULE_43_TO_14,
-    RULE_43_TO_15,
-    RULE_43_TO_18,
-    RULE_43_TO_20,
-)
 
 
 class KnownResults:
@@ -104,10 +90,6 @@ class KnownResults:
 
     def add_system(self, spec: SystemSpec):
         self._systems.add(spec)
-
-    def mark_degree_complete(self, d: int):
-        """Record a finished campaign degree, unlocking rules based on it."""
-        self.add_range(d, d)
 
     def covers_degree(self, d: int) -> bool:
         return any(lo <= d and (hi is None or d <= hi) for lo, hi in self._ranges)
@@ -167,66 +149,6 @@ def validate_glue_rule(rule: GlueRule, known: KnownResults) -> bool:
     )
 
 
-def default_q_limit(d: int) -> int:
-    if d in FIXED_Q:
-        return FIXED_Q[d]
-    if d >= 22:
-        return math.ceil(binomial(d + 3, 3) / 220)
-    return 0
-
-
-def _glue_trace(
-    spec: SystemSpec, max_q: int
-) -> tuple[SystemSpec, list[dict]]:
-    counts = spec.as_dict()
-    bad = set(counts) - {1, 2, 3, 4}
-    if bad:
-        raise ValueError(f"glueing expects multiplicities <= 4, got {sorted(bad)}")
-    x = counts.get(4, 0)
-    y = counts.get(3, 0)
-    z = counts.get(2, 0)
-    q = 0
-    steps: list[dict] = []
-    t2 = z // 5
-    if t2:
-        z -= 5 * t2
-        x += t2
-        steps.append({"op": "glue", "rule": RULE_2x5_TO_4.label(), "times": t2})
-    while q < max_q:
-        a = min(x, 11)
-        b = 22 - 2 * a
-        if b > y:
-            break
-        x -= a
-        y -= b
-        q += 1
-        steps.append({"op": "glue", "rule": "4^a,3^b->10", "a": a, "b": b})
-    # simple points take no part in any rule and ride along unchanged
-    return SystemSpec(
-        spec.degree, {10: q, 4: x, 3: y, 2: z, 1: counts.get(1, 0)}
-    ), steps
-
-
-def glue_reduce(
-    spec: SystemSpec,
-    rules: Sequence[GlueRule] = CATALOGUE,
-    limits: Optional[dict[int, int]] = None,
-) -> SystemSpec:
-    """Apply 2^5->4 until z <= 4, then 4^a,3^b->10 greedily (4-points first).
-
-    The 10-point count stays within limits (default: the per-degree policy of
-    the enumeration).  Virtual dimension is unchanged by construction.
-    """
-    if RULE_2x5_TO_4 not in rules or RULE_43_TO_10 not in rules:
-        raise ValueError("glue_reduce needs the 2^5->4 and 4^a,3^b->10 rules")
-    if limits is None:
-        max_q = default_q_limit(spec.degree)
-    else:
-        max_q = limits.get(spec.degree, default_q_limit(spec.degree))
-    glued, _ = _glue_trace(spec, max_q)
-    return glued
-
-
 @dataclass
 class DeduceResult:
     """Proof chain for one target system, or a recorded failure."""
@@ -270,6 +192,39 @@ def _glue_steps(t2: int, q: int, total_a: int) -> list[dict]:
             }
         )
     return steps
+
+
+def glue(spec: SystemSpec) -> tuple[SystemSpec, list[dict]]:
+    """Apply 2^5->4 until z <= 4, then 4^a,3^b->10 greedily (4-points first).
+
+    The 10-point count stops at the largest that q_values admits for the
+    degree.  Returns the glued system, whose virtual dimension equals the
+    input's by construction, and the glue steps taken.
+    """
+    counts = spec.as_dict()
+    bad = set(counts) - {1, 2, 3, 4}
+    if bad:
+        raise ValueError(f"glueing expects multiplicities <= 4, got {sorted(bad)}")
+    x = counts.get(4, 0)
+    y = counts.get(3, 0)
+    z = counts.get(2, 0)
+    t2 = z // 5
+    z -= 5 * t2
+    x += t2
+    q_max = q_values(spec.degree)[-1]
+    q = total_a = 0
+    while q < q_max:
+        a = min(x, 11)
+        b = 22 - 2 * a
+        if b > y:
+            break
+        x -= a
+        y -= b
+        q += 1
+        total_a += a
+    # simple points take no part in any rule and ride along unchanged
+    glued = SystemSpec(spec.degree, {10: q, 4: x, 3: y, 2: z, 1: counts.get(1, 0)})
+    return glued, _glue_steps(t2, q, total_a)
 
 
 def _chain_to_empty(x: int, y: int, z: int, table: np.ndarray, d: int, N: int):
@@ -383,10 +338,10 @@ def deduce(
     S = target.conditions_total
     table = _table if _table is not None else _degree_table(store, d)
 
-    glued, glue_steps = _glue_trace(target, default_q_limit(d))
+    glued, glue_steps = glue(target)
     sig = CaseSignature.from_system(glued)
     vec = np.array([sig.q, sig.x, sig.y, sig.z], dtype=np.int64)
-    if in_window(S, N) and table.size:
+    if S in window(N) and table.size:
         hit = (table[:, :4] == vec).all(axis=1) & (table[:, 5] == 1)
         if hit.any():
             glue_steps.append({"op": "window_case", "case": [d, *map(int, vec)], "S": S})
@@ -431,11 +386,11 @@ def closure_audit(
     overrides the bound (smaller values make quick partial audits).
     """
     known = known if known is not None else default_known()
-    window = WindowSpec.for_degree(d)
-    N = window.N
-    bound = s_limit if s_limit is not None else (
-        N + conditions_count(4) + (window.upper - window.lower)
-    )
+    N = binomial(d + 3, 3)
+    w = window(N)
+    # span of the open window: from the excluded w.start - 1 to the excluded w.stop
+    span = w.stop - (w.start - 1)
+    bound = s_limit if s_limit is not None else N + conditions_count(4) + span
     table = _degree_table(store, d)
     gaps: list[tuple[int, int, int]] = []
     checked = 0

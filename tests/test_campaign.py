@@ -33,7 +33,7 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", shard=(5, 4))
     with pytest.raises(ValueError):
-        CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", primes=(7,))
+        CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", max_attempts=0)
     digest = CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl").digest()
     assert len(digest) == 16
 
@@ -109,6 +109,29 @@ def test_resume_after_truncated_line(tmp_path):
     report = verify_log(out)
     assert report.total == 3 and not report.corrupt and report.ok
     assert run_campaign(_tiny_config(out, resume=True))["computed"] == 0
+
+
+def test_resume_refuses_a_log_of_another_config(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    before = out.read_bytes()
+    other = _tiny_config(out, shard=(6, 87), base_seed=999, max_attempts=1,
+                         fundamental=False, resume=True)
+    with pytest.raises(ValueError, match="another config"):
+        run_campaign(other)
+    assert out.read_bytes() == before
+
+    headless = tmp_path / "headless.jsonl"
+    headless.write_bytes(before[before.index(b"\n") + 1:])
+    with pytest.raises(ValueError, match="no header"):
+        run_campaign(_tiny_config(headless, resume=True))
+    assert headless.read_bytes() == before[before.index(b"\n") + 1:]
+
+    # a run killed while writing its header left no records: resume starts afresh
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(before[: before.index(b"\n") // 2])
+    assert run_campaign(_tiny_config(cut, resume=True))["computed"] == 3
+    assert json.loads(cut.read_text().splitlines()[0])["digest"] == _tiny_config(cut).digest()
 
 
 def test_shard_certificates_match_unsharded_seeds(tmp_path):

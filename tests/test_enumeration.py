@@ -4,15 +4,13 @@ import time
 import pytest
 
 from fatpoints.enumeration import (
-    FIXED_Q,
-    QPolicy,
-    WindowSpec,
     algorithm_a_cases,
     algorithm_b_cases,
     count_algorithm_a,
     count_algorithm_b,
     export_csv,
-    in_window,
+    q_values,
+    window,
 )
 from fatpoints.model import binomial, vdim
 
@@ -20,27 +18,27 @@ from _oracles import glued_cases_bruteforce, window_cases_bruteforce
 
 
 def test_in_window_boundaries():
-    assert in_window(677, 680)
-    assert not in_window(676, 680)
-    assert not in_window(700, 680)
-    assert in_window(699, 680)
-    assert not in_window(680 - 4, 680)
+    assert 677 in window(680)
+    assert 676 not in window(680)
+    assert 700 not in window(680)
+    assert 699 in window(680)
+    assert 680 - 4 not in window(680)
 
 
 def test_window_spec():
-    w = WindowSpec.for_degree(14)
-    assert (w.N, w.lower, w.upper) == (680, 676, 700)
-    assert w.admits(677) and w.admits(699)
-    assert not w.admits(676) and not w.admits(700)
+    w = window(binomial(17, 3))
+    # the open band (N-4, N+20) for d=14
+    assert (binomial(17, 3), w[0] - 1, w[-1] + 1) == (680, 676, 700)
+    assert 677 in w and 699 in w
+    assert 676 not in w and 700 not in w
 
 
 def test_qpolicy():
-    assert QPolicy.for_degree(14) == QPolicy("fixed", 1)
-    assert QPolicy.for_degree(19).fixed_q == 5
-    assert QPolicy.for_degree(20).fixed_q == 7
-    assert QPolicy.for_degree(21).fixed_q == 8
-    assert QPolicy.for_degree(22).mode == "free"
-    assert list(QPolicy.for_degree(22).q_values(binomial(25, 3))) == list(range(12))
+    assert q_values(14) == range(1, 2)
+    assert list(q_values(19)) == [5]
+    assert list(q_values(20)) == [7]
+    assert list(q_values(21)) == [8]
+    assert list(q_values(22)) == list(range(12))
 
 
 def test_algorithm_a_counts_published():
@@ -81,7 +79,7 @@ def test_algorithm_a_materialized_matches_count():
     N = 680
     for c in cases[::97]:
         assert c.q == 0
-        assert in_window(c.conditions_total, N)
+        assert c.conditions_total in window(N)
 
 
 def test_algorithm_a_d1_includes_single_double_point():
@@ -121,14 +119,14 @@ def test_algorithm_b_constraints():
         assert cases == sorted(cases, key=lambda c: (c.q, c.x, c.y, c.z))
         for c in cases:
             S = c.conditions_total
-            assert in_window(S, N)
+            assert S in window(N)
             assert N - 3 <= S <= N + 19  # nearly-square
             assert -20 <= vdim(c.to_system()) <= 3
             assert c.z <= 4
             if d >= 22:
                 assert 2 * c.x + c.y <= 21
             else:
-                assert c.q == FIXED_Q[d]
+                assert [c.q] == list(q_values(d))
 
 
 def test_algorithm_b_matches_bruteforce_more_degrees():

@@ -5,7 +5,6 @@ import pytest
 
 from fatpoints.gfp import (
     DEFAULT_PRIME,
-    FieldPrime,
     _reduce,
     _safe_block,
     is_prime,
@@ -21,33 +20,6 @@ P = DEFAULT_PRIME
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(32003) and is_prime(65537)
     assert not is_prime(1) and not is_prime(32001) and not is_prime(65536)
-
-
-def test_field_prime_validation():
-    FieldPrime(32003)
-    with pytest.raises(ValueError):
-        FieldPrime(32001)  # composite
-    with pytest.raises(ValueError):
-        FieldPrime(37)  # too small: derivative coefficients could vanish
-    with pytest.raises(ValueError):
-        FieldPrime(2**31 + 11)
-
-
-def test_field_ops():
-    f = FieldPrime(32003)
-    assert f.add(32000, 5) == 2
-    assert f.sub(3, 5) == 32001
-    assert f.mul(1000, 1000) == 1000 * 1000 % 32003
-    assert f.inv(1) == 1
-    g = FieldPrime(104729)
-    for a in (1, 2, 3, 57, 104728):
-        assert g.mul(a, g.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-    with pytest.raises(ValueError):
-        f.add(-1, 3)
-    with pytest.raises(ValueError):
-        f.mul(32003, 1)
 
 
 def test_inverse_small_prime_brute_force():

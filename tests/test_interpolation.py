@@ -7,13 +7,12 @@ from fatpoints.gfp import DEFAULT_PRIME, rank
 from fatpoints.interpolation import (
     Certificate,
     MatrixTooLargeError,
+    _sample_distinct,
     build_matrix,
     check_case,
     rational_oracle,
     reduce_fundamental,
     replay_certificate,
-    report_from_certificate,
-    sample_points,
 )
 from fatpoints.model import SystemSpec, conditions_count, edim
 
@@ -24,11 +23,11 @@ P = DEFAULT_PRIME
 
 def test_sample_points_deterministic_and_distinct():
     spec = SystemSpec(5, {2: 5, 3: 2})
-    a = sample_points(spec, P, seed=42)
-    b = sample_points(spec, P, seed=42)
+    a = _sample_distinct(spec.r, P, 42)
+    b = _sample_distinct(spec.r, P, 42)
     assert (a == b).all()
     assert a.shape == (7, 4)
-    c = sample_points(spec, P, seed=43)
+    c = _sample_distinct(spec.r, P, 43)
     assert (a != c).any()
     keys = set()
     for row in a:
@@ -36,14 +35,12 @@ def test_sample_points_deterministic_and_distinct():
         inv = pow(lead, -1, P)
         keys.add(tuple(int(v) * inv % P for v in row))
     assert len(keys) == 7
-    assert sample_points(SystemSpec(4, {}), P, seed=1).shape == (0, 4)
-    with pytest.raises(ValueError):
-        sample_points(spec, 37, seed=1)
+    assert _sample_distinct(0, P, 1).shape == (0, 4)
 
 
 def test_build_matrix_shapes_and_plane_case():
     spec = SystemSpec(1, {2: 1})
-    pts = sample_points(spec, P, seed=3)
+    pts = _sample_distinct(spec.r, P, 3)
     mat = build_matrix(spec, pts, P)
     assert mat.shape == (4, 4)
     assert rank(mat, P) == 4  # no plane is singular: the system is empty
@@ -52,7 +49,7 @@ def test_build_matrix_shapes_and_plane_case():
 def test_build_matrix_simple_points_independent():
     for d, r in ((2, 7), (3, 11), (4, 20)):
         spec = SystemSpec(d, {1: r})
-        pts = sample_points(spec, P, seed=d)
+        pts = _sample_distinct(spec.r, P, d)
         mat = build_matrix(spec, pts, P)
         assert mat.shape == (r, spec.n_monomials)
         assert rank(mat, P) == r
@@ -62,7 +59,7 @@ def test_build_matrix_two_double_points_on_quadrics():
     # quadrics singular at 2 points: the pairs of planes through the line,
     # dimension 2 > expected 1, so rank sticks at 7
     spec = SystemSpec(2, {2: 2})
-    pts = sample_points(spec, P, seed=11)
+    pts = _sample_distinct(spec.r, P, 11)
     mat = build_matrix(spec, pts, P)
     assert mat.shape == (8, 10)
     assert rank(mat, P) == 7
@@ -71,7 +68,7 @@ def test_build_matrix_two_double_points_on_quadrics():
 
 def test_build_matrix_rejects_small_prime():
     spec = SystemSpec(14, {2: 1})
-    pts = sample_points(spec, P, seed=1)
+    pts = _sample_distinct(spec.r, P, 1)
     with pytest.raises(ValueError):
         build_matrix(spec, pts, 13)
 
@@ -203,17 +200,6 @@ def test_reported_dim_never_below_edim():
 def test_memory_guard():
     with pytest.raises(MatrixTooLargeError):
         check_case(SystemSpec(40, {2: 200000}), max_attempts=1)
-
-
-def test_report_from_certificate():
-    good = check_case(SystemSpec(3, {2: 5}), seed=1)
-    report = report_from_certificate(good)
-    assert report.verdict == "non_special"
-    assert (report.rank, report.dim, report.edim) == (20, -1, -1)
-    bad = check_case(SystemSpec(2, {2: 2}), seed=1)
-    report = report_from_certificate(bad)
-    assert report.verdict == "special_suspected"
-    assert report.dim == 2 > report.edim == 1
 
 
 def test_rational_oracle_examples():

@@ -4,7 +4,6 @@ import pytest
 
 from fatpoints.model import (
     CaseSignature,
-    DimensionReport,
     SystemSpec,
     binomial,
     conditions_count,
@@ -126,14 +125,3 @@ def test_case_signature_roundtrip():
         CaseSignature.from_system(SystemSpec(14, {5: 1}))
     with pytest.raises(ValueError):
         CaseSignature(14, -1, 0, 0, 0)
-
-
-def test_dimension_report():
-    spec = SystemSpec(3, {2: 5})
-    report = DimensionReport.for_system(spec)
-    assert (report.N, report.S, report.vdim, report.edim) == (20, 20, -1, -1)
-    assert report.verdict == "not_checked"
-    done = report.with_rank(20, "non_special")
-    assert done.dim == -1
-    with pytest.raises(ValueError):
-        report.with_rank(21, "non_special")  # dim below edim is impossible

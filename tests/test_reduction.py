@@ -3,24 +3,25 @@ import random
 
 import pytest
 
+from fatpoints.enumeration import algorithm_b_cases, q_values, window
 from fatpoints.interpolation import check_case, rational_oracle
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
 from fatpoints.reduction import (
-    CATALOGUE,
     RULE_2x5_TO_4,
     RULE_43_TO_10,
-    RULE_43_TO_14,
-    RULE_43_TO_15,
-    RULE_43_TO_18,
-    RULE_43_TO_20,
     GlueRule,
     KnownResults,
     closure_audit,
     deduce,
-    default_q_limit,
-    glue_reduce,
+    glue,
     validate_glue_rule,
 )
+
+# 4^a,3^b -> m rules on base degrees 13, 14, 17 and 19 (2a+b = 56, 68, 114, 154)
+RULE_43_TO_14 = GlueRule(13, constraint_total=56)
+RULE_43_TO_15 = GlueRule(14, constraint_total=68)
+RULE_43_TO_18 = GlueRule(17, constraint_total=114)
+RULE_43_TO_20 = GlueRule(19, constraint_total=154)
 
 
 class FakeStore:
@@ -39,8 +40,9 @@ def _known():
 
 def test_catalogue_identities():
     # consumed conditions match the new point's conditions for every rule
-    assert len(CATALOGUE) == 6
-    targets = [rule.target for rule in CATALOGUE]
+    rules = (RULE_2x5_TO_4, RULE_43_TO_10, RULE_43_TO_14, RULE_43_TO_15,
+             RULE_43_TO_18, RULE_43_TO_20)
+    targets = [rule.target for rule in rules]
     assert targets == [4, 10, 14, 15, 18, 20]
     for rule, total in ((RULE_43_TO_10, 22), (RULE_43_TO_14, 56),
                         (RULE_43_TO_15, 68), (RULE_43_TO_18, 114),
@@ -71,7 +73,7 @@ def test_known_results_registry():
     assert not known.knows(SystemSpec(3, {2: 4}))
     assert known.knows(SystemSpec(11, {4: 3, 2: 7}))
     assert not known.knows(SystemSpec(11, {5: 1}))
-    known.mark_degree_complete(14)
+    known.add_range(14, 14)
     assert known.covers_degree(14)
 
 
@@ -88,10 +90,10 @@ def test_validate_glue_rules():
     assert not validate_glue_rule(RULE_43_TO_15, known)  # needs d=14 campaign
     assert not validate_glue_rule(RULE_43_TO_18, known)
     assert not validate_glue_rule(RULE_43_TO_20, known)
-    known.mark_degree_complete(14)
+    known.add_range(14, 14)
     assert validate_glue_rule(RULE_43_TO_15, known)
-    known.mark_degree_complete(17)
-    known.mark_degree_complete(19)
+    known.add_range(17, 17)
+    known.add_range(19, 19)
     assert validate_glue_rule(RULE_43_TO_18, known)
     assert validate_glue_rule(RULE_43_TO_20, known)
     empty = KnownResults()
@@ -103,19 +105,22 @@ def test_validate_glue_rules():
 
 
 def test_glue_reduce_examples():
-    assert glue_reduce(SystemSpec(30, {2: 9})) == SystemSpec(30, {4: 1, 2: 4})
-    assert glue_reduce(SystemSpec(22, {4: 11})) == SystemSpec(22, {10: 1})
+    assert glue(SystemSpec(30, {2: 9})) == (
+        SystemSpec(30, {4: 1, 2: 4}),
+        [{"op": "glue", "rule": "2^5->4", "times": 1}],
+    )
+    assert glue(SystemSpec(22, {4: 11})) == (
+        SystemSpec(22, {10: 1}),
+        [{"op": "glue", "rule": "4^a,3^b->10", "times": 1, "total_a": 11, "total_b": 0}],
+    )
     # simple points ride along untouched
-    assert glue_reduce(SystemSpec(22, {4: 11, 1: 3})) == SystemSpec(22, {10: 1, 1: 3})
+    assert glue(SystemSpec(22, {4: 11, 1: 3}))[0] == SystemSpec(22, {10: 1, 1: 3})
     # q capped by the fixed policy for d=14
-    assert glue_reduce(SystemSpec(14, {4: 30})) == SystemSpec(14, {10: 1, 4: 19})
-    assert glue_reduce(SystemSpec(14, {4: 30}), limits={14: 0}) == SystemSpec(14, {4: 30})
+    assert glue(SystemSpec(14, {4: 30}))[0] == SystemSpec(14, {10: 1, 4: 19})
     # consuming 4-points first: a maximal
-    assert glue_reduce(SystemSpec(25, {4: 5, 3: 30})) == SystemSpec(25, {10: 1, 3: 18})
+    assert glue(SystemSpec(25, {4: 5, 3: 30}))[0] == SystemSpec(25, {10: 1, 3: 18})
     with pytest.raises(ValueError):
-        glue_reduce(SystemSpec(22, {5: 1}))
-    with pytest.raises(ValueError):
-        glue_reduce(SystemSpec(22, {2: 5}), rules=(RULE_2x5_TO_4,))
+        glue(SystemSpec(22, {5: 1}))
 
 
 def test_glue_reduce_residual_constraints_for_free_degrees():
@@ -124,12 +129,12 @@ def test_glue_reduce_residual_constraints_for_free_degrees():
         d = rng.randrange(22, 41)
         spec = SystemSpec(d, {4: rng.randrange(0, 80), 3: rng.randrange(0, 80),
                               2: rng.randrange(0, 80)})
-        glued = glue_reduce(spec)
+        glued, _ = glue(spec)
         counts = glued.as_dict()
         x, y, z = counts.get(4, 0), counts.get(3, 0), counts.get(2, 0)
         assert z <= 4
         assert 2 * x + y <= 21
-        assert counts.get(10, 0) <= default_q_limit(d)
+        assert counts.get(10, 0) <= max(q_values(d))
 
 
 def test_glue_reduce_preserves_vdim():
@@ -138,7 +143,7 @@ def test_glue_reduce_preserves_vdim():
         d = rng.randrange(13, 41)
         spec = SystemSpec(d, {4: rng.randrange(0, 120), 3: rng.randrange(0, 120),
                               2: rng.randrange(0, 120), 1: rng.randrange(0, 3)})
-        assert vdim(glue_reduce(spec)) == vdim(spec)
+        assert vdim(glue(spec)[0]) == vdim(spec)
 
 
 def test_deduce_window_self_hit():
@@ -149,6 +154,9 @@ def test_deduce_window_self_hit():
     assert result.ok
     assert result.steps[-1]["op"] == "window_case"
     assert result.steps[-1]["case"] == [14, 1, 23, 0, 0]
+    # the same aggregated 10-glue step as the add- and remove-points chains
+    assert result.steps[0] == {"op": "glue", "rule": "4^a,3^b->10", "times": 1,
+                               "total_a": 11, "total_b": 0}
     json.loads(result.to_json())
 
 
@@ -251,3 +259,25 @@ def test_closure_audit_partial_store():
     report = closure_audit(13, store, known=known, s_limit=600)
     assert report.targets_checked > len(report.gaps)  # some targets now deduce
     assert not report.ok  # but one case cannot close a whole degree
+
+
+@pytest.mark.parametrize("d, targets", [(13, 4698), (14, 6825), (19, 33657), (22, 74298)])
+def test_window_targets_glue_onto_algorithm_b_cases(d, targets):
+    # The window and the 10-point policy must agree: every target whose S is
+    # in the window glues onto a case the enumeration hands to the campaign.
+    cases = {c.key() for c in algorithm_b_cases(d)}
+    w = window(binomial(d + 3, 3))
+    hi = w[-1]
+    seen = 0
+    misses = []
+    for x in range(hi // 20 + 1):
+        for y in range((hi - 20 * x) // 10 + 1):
+            for z in range((hi - 20 * x - 10 * y) // 4 + 1):
+                if 20 * x + 10 * y + 4 * z not in w:
+                    continue
+                seen += 1
+                glued, _ = glue(SystemSpec(d, {4: x, 3: y, 2: z}))
+                if CaseSignature.from_system(glued).key() not in cases:
+                    misses.append((x, y, z))
+    assert seen == targets
+    assert misses == []

@@ -105,7 +105,7 @@ class CertRecord:
 
 
 def _scan_lines(path) -> Iterator[tuple[int, Optional[dict], str]]:
-    """Yield (lineno, parsed record or None, error message) per log line."""
+    """Yield (lineno, parsed record or header or None, error message) per log line."""
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -116,9 +116,7 @@ def _scan_lines(path) -> Iterator[tuple[int, Optional[dict], str]]:
             except json.JSONDecodeError as exc:
                 yield lineno, None, f"unparseable JSON: {exc}"
                 continue
-            if data.get("header"):
-                continue
-            if "case" not in data:
+            if "case" not in data and not data.get("header"):
                 yield lineno, None, "record missing 'case'"
                 continue
             yield lineno, data, ""
@@ -167,7 +165,8 @@ class ResultStore:
                 if pos == len(entries) - 1:
                     continue  # partial trailing write from a killed run
                 raise ValueError(f"{path}:{lineno}: {err}")
-            store.add(CertRecord.from_dict(data))
+            if not data.get("header"):
+                store.add(CertRecord.from_dict(data))
         return store
 
 
@@ -320,20 +319,43 @@ class VerifyReport:
         }
 
 
+def _schedule_problems(record: CertRecord, config: Optional[dict]) -> list[str]:
+    """Where a record's seed and prime differ from the ones its header's config assigns."""
+    cert = record.cert
+    try:
+        max_attempts = int(config["max_attempts"])
+        seed = int(config["base_seed"]) + record.index * max_attempts + cert.attempts - 1
+    except (KeyError, TypeError, ValueError):
+        return ["no header config above the record"]
+    escalated = max_attempts > 1 and cert.attempts == max_attempts
+    prime = PRIME_LADDER[1 if escalated else 0]
+    problems = []
+    if cert.seed != seed:
+        problems.append(f"seed {cert.seed} is not the header's {seed}")
+    if cert.prime != prime:
+        problems.append(f"prime {cert.prime} is not the header's {prime}")
+    return problems
+
+
 def verify_log(path, full: bool = False) -> VerifyReport:
     """Validate a result log and replay certificates against fresh ranks.
 
     Every record is checked structurally (N, S recomputed from the system,
     verdict consistent with the recorded rank, case identity matching the
-    spec, no duplicates).  Ranks are recomputed for every record with
-    full=True, else for a deterministic evenly-spaced sample.
+    spec, seed and prime the ones the nearest header above assigns, no
+    duplicates).  Ranks are recomputed for every record with full=True, else
+    for a deterministic evenly-spaced sample.
     """
     report = VerifyReport()
     seen: set[tuple] = set()
-    records: list[tuple[int, CertRecord]] = []
+    records: list[tuple[int, CertRecord, Optional[dict]]] = []
+    config = None
     for lineno, data, err in _scan_lines(path):
         if err:
             report.corrupt.append({"line": lineno, "error": err})
+            continue
+        if data.get("header"):
+            config = data.get("config")
             continue
         try:
             record = CertRecord.from_dict(data)
@@ -345,11 +367,11 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             report.corrupt.append({"line": lineno, "error": f"duplicate case {key}"})
             continue
         seen.add(key)
-        records.append((lineno, record))
+        records.append((lineno, record, config))
     report.total = len(records)
 
     checkable = []
-    for lineno, record in records:
+    for lineno, record, config in records:
         if record.cert is None:
             continue
         cert = record.cert
@@ -368,6 +390,7 @@ def verify_log(path, full: bool = False) -> VerifyReport:
         maximal = cert.rank == min(cert.N, cert.S)
         if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
             problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
+        problems += _schedule_problems(record, config)
         if problems:
             report.structural.append({"line": lineno, "error": "; ".join(problems)})
             continue

@@ -196,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="rank-check one system")
     p.add_argument("-d", "--degree", type=int, required=True)
     p.add_argument("--mults", default="")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                   help="prime modulus; a matrix is checked only if"
+                        " min(rows, columns) * p^2 + p <= 2^53")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=3)
     p.add_argument("--fundamental", action="store_true",

@@ -20,23 +20,21 @@ the GEMMs of steps 2 and 3, at BLAS speed.
 
 Entries are integer-valued float64 and reductions mod p are delayed: an
 operand of a product (a pivot row, a multiplier, a solved U row, a column
-scanned for its pivot) is reduced into [0, p) when it is produced, and every
-other entry only counts the products it has absorbed since its last
-reduction.  With the budget B = _safe_block(p) = floor((2^53 - p) / p^2),
-a region is reduced before its count would exceed B, and every GEMM is split
-along its inner dimension at B.  So every entry keeps
+scanned for its pivot) is reduced into [0, p) when it is produced, and no
+other entry is ever reduced.  An entry absorbs at most one product per
+pivot, and a product of two reduced operands is below p^2, so every entry
+of an m x n matrix keeps
 
-    |entry| < B * p^2 + p <= 2^53,
+    |entry| < min(m, n) * p^2 + p.
 
-and every float64 operation is exact.  B is 8 794 443 at p = 32003 and
-821 213 at p = 104729, more than any matrix width of the degree sweep, so at
-the ladder primes only operands are ever reduced.  Primes above about
-9.5e7 have B < 1 and fall back to an int64 elimination.
+rank therefore admits a matrix only when min(m, n) <= _safe_block(p) =
+floor((2^53 - p) / p^2); then the bound is at most 2^53 and every float64
+operation is exact.  _safe_block is 8 794 443 at p = 32003 and 821 213 at
+p = 104729, more than any matrix width of the degree sweep; primes above
+about 9.5e7 admit no non-empty matrix.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -80,7 +78,7 @@ def next_ladder_prime(p: int) -> int:
 
 
 def _safe_block(p: int) -> int:
-    """Most products an entry may absorb between reductions: B*p*p + p <= 2**53."""
+    """Widest min(rows, columns) that p admits: B*p*p + p <= 2**53."""
     return (2**53 - p) // (p * p)
 
 
@@ -105,61 +103,36 @@ def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
 
 
 class _Elimination:
-    """One recursive elimination of a reduced float64 matrix, in place.
+    """One recursive elimination of a reduced float64 matrix, in place."""
 
-    Every method that takes `acc` receives the number of products the region
-    it updates has absorbed since its last reduction, and the methods that
-    keep updating a region return its new count.
-    """
-
-    def __init__(self, a: np.ndarray, p: int, budget: int):
+    def __init__(self, a: np.ndarray, p: int):
         self.a = a
         self.p = p
         self.fp = float(p)
-        self.budget = budget
-        self.width = min(_BASE_WIDTH, budget)
 
     def rank(self) -> int:
-        return len(self._eliminate(0, 0, self.a.shape[1], 0))
+        return len(self._eliminate(0, 0, self.a.shape[1]))
 
-    def _gemm_sub(self, c: np.ndarray, lo: np.ndarray, up: np.ndarray, acc: int) -> int:
-        """c -= lo @ up with reduced operands, split along the inner dimension."""
-        k = lo.shape[1]
-        s = 0
-        while s < k:
-            if acc >= self.budget:
-                _reduce(c, self.fp)
-                acc = 0
-            t = min(k, s + self.budget - acc)
-            c -= lo[:, s:t] @ up[s:t]
-            acc += t - s
-            s = t
-        return acc
-
-    def _trsm(self, lo: np.ndarray, x: np.ndarray, acc: int):
+    def _trsm(self, lo: np.ndarray, x: np.ndarray):
         """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x."""
         k = x.shape[0]
-        if k > self.width:
+        if k > _BASE_WIDTH:
             t = k // 2
-            self._trsm(lo[:t, :t], x[:t], acc)
-            acc = self._gemm_sub(x[t:], lo[t:, :t], x[:t], acc)
-            self._trsm(lo[t:, t:], x[t:], acc)
+            self._trsm(lo[:t, :t], x[:t])
+            x[t:] -= lo[t:, :t] @ x[:t]
+            self._trsm(lo[t:, t:], x[t:])
             return
-        if acc + k - 1 > self.budget:
-            _reduce(x, self.fp)
         _reduce(x[0], self.fp)
         for i in range(1, k):
             x[i] -= lo[i, :i] @ x[:i]
             _reduce(x[i], self.fp)
 
-    def _panel(self, r: int, c0: int, c1: int, acc: int) -> list[int]:
+    def _panel(self, r: int, c0: int, c1: int) -> list[int]:
         """Column-by-column elimination of a[r:, c0:c1]; returns the pivot columns."""
         a, p, fp = self.a, self.p, self.fp
         m = a.shape[0]
         t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
         w = c1 - c0
-        if acc + w - 1 > self.budget:
-            _reduce(t, fp)
         piv: list[int] = []
         k = 0
         for jj in range(w):
@@ -186,51 +159,24 @@ class _Elimination:
         a[r:, c0:c1] = t.T
         return piv
 
-    def _eliminate(self, r: int, c0: int, c1: int, acc: int) -> list[int]:
+    def _eliminate(self, r: int, c0: int, c1: int) -> list[int]:
         """Eliminate a[r:, c0:c1]; pivots land on rows r, r+1, ...; returns their columns."""
         a = self.a
         m = a.shape[0]
         if r == m:
             return []
-        if c1 - c0 <= self.width:
-            return self._panel(r, c0, c1, acc)
-        blocks = -(-(c1 - c0) // self.width)
-        h = c0 + (blocks // 2) * self.width
-        piv = self._eliminate(r, c0, h, acc)
+        if c1 - c0 <= _BASE_WIDTH:
+            return self._panel(r, c0, c1)
+        blocks = -(-(c1 - c0) // _BASE_WIDTH)
+        h = c0 + (blocks // 2) * _BASE_WIDTH
+        piv = self._eliminate(r, c0, h)
         k1 = len(piv)
         if k1:
             top = a[r:r + k1, h:c1]
-            self._trsm(_pivot_block(a, slice(r, r + k1), piv), top, acc)
+            self._trsm(_pivot_block(a, slice(r, r + k1), piv), top)
             if r + k1 < m:
-                lo = _pivot_block(a, slice(r + k1, m), piv)
-                acc = self._gemm_sub(a[r + k1:, h:c1], lo, top, acc)
-        return piv + self._eliminate(r + k1, h, c1, acc)
-
-
-# ---------------------------------------------------------------------------
-# wide-modulus fallback: plain int64 elimination with per-step reduction
-# (used when p is too large for the float64 delayed-reduction bounds)
-# ---------------------------------------------------------------------------
-
-def _int64_rank(a: np.ndarray, p: int) -> int:
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        below = a[r + 1:, c]
-        if below.size:
-            f = below * inv % p
-            a[r + 1:, c:] = (a[r + 1:, c:] - f[:, None] * a[r, c:]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+                a[r + k1:, h:c1] -= _pivot_block(a, slice(r + k1, m), piv) @ top
+        return piv + self._eliminate(r + k1, h, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +225,23 @@ def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
     return work
 
 
-def rank(mat, p: int = DEFAULT_PRIME, block: Optional[int] = None, *,
-         overwrite: bool = False) -> int:
+def rank(mat, p: int = DEFAULT_PRIME, *, overwrite: bool = False) -> int:
     """Exact rank of a matrix over F_p.
 
     Entries are reduced mod p on entry; any integer dtype (or integer-valued
-    float) is accepted.  block is the most products an entry absorbs between
-    reductions; it is capped by, and defaults to, the float64 budget
-    _safe_block(p).  With overwrite=True a float64 C-contiguous input is
-    consumed in place.
+    float) is accepted.  An m x n matrix is refused unless
+    min(m, n) * p^2 + p <= 2^53, the bound under which float64 elimination
+    is exact.  With overwrite=True a float64 C-contiguous input is consumed
+    in place.
     """
-    if block is not None and block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
     a = _prepare(mat, p, overwrite)
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    budget = _safe_block(p)
-    if budget < 1:
-        return _int64_rank(a.astype(np.int64), p)
-    if block is not None:
-        budget = min(block, budget)
-    return _Elimination(a, p, budget).rank()
+    widest = _safe_block(p)
+    if min(m, n) > widest:
+        raise ValueError(
+            f"a {m} x {n} matrix is too wide for exact float64 elimination:"
+            f" p = {p} admits min(rows, columns) <= {widest}"
+        )
+    return _Elimination(a, p).rank()

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -300,7 +300,7 @@ def check_case(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    fundamental: Union[bool, Sequence[int]] = False,
+    fundamental: bool = False,
 ) -> Certificate:
     """Rank-check one system and certify it.
 
@@ -310,14 +310,7 @@ def check_case(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    if fundamental is True:
-        assignment = _greedy_assignment(spec)
-    elif fundamental is False or fundamental is None:
-        assignment = []
-    else:
-        expansion = spec.points()
-        assignment = [(int(i), expansion[int(i)]) for i in fundamental]
-        # validated in full by reduce_fundamental below
+    assignment = _greedy_assignment(spec) if fundamental else []
 
     n = spec.n_monomials
     s = spec.conditions_total

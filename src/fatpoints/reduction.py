@@ -100,23 +100,22 @@ class KnownResults:
         return set(spec.as_dict()) <= {2, 3, 4} and self.covers_degree(spec.degree)
 
     @classmethod
-    def bootstrap(cls, verify: bool = True) -> "KnownResults":
+    def bootstrap(cls) -> "KnownResults":
         """Seed with the cited theorems (9 <= d <= 13 and d >= 41).
 
-        The 2^5 -> 4 base system L(3; 2^5) predates those ranges; with
-        verify=True its non-specialty is established here by a direct rank
-        check before being admitted.
+        The 2^5 -> 4 base system L(3; 2^5) predates those ranges; its
+        non-specialty is established here by a direct rank check before
+        being admitted.
         """
+        from .interpolation import check_case
+
         known = cls()
         known.add_range(9, 13)
         known.add_range(41, None)
         base = SystemSpec(3, {2: 5})
-        if verify:
-            from .interpolation import check_case
-
-            cert = check_case(base)
-            if cert.verdict != VERDICT_NON_SPECIAL or vdim(base) != -1:
-                raise RuntimeError("bootstrap rank check of L(3; 2^5) failed")
+        cert = check_case(base)
+        if cert.verdict != VERDICT_NON_SPECIAL or vdim(base) != -1:
+            raise RuntimeError("bootstrap rank check of L(3; 2^5) failed")
         known.add_system(base)
         return known
 
@@ -127,7 +126,7 @@ _default_known: Optional[KnownResults] = None
 def default_known() -> KnownResults:
     global _default_known
     if _default_known is None:
-        _default_known = KnownResults.bootstrap(verify=True)
+        _default_known = KnownResults.bootstrap()
     return _default_known
 
 

@@ -203,6 +203,37 @@ def test_verify_log_clean_and_faulty(tmp_path):
     assert any("duplicate" in c["error"] for c in rep.corrupt)
 
 
+def test_verify_checks_seed_and_prime_against_header(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["seed"] == 7 + record["index"] * 3 + record["attempts"] - 1
+    for name, bad in (
+        ("seed", dict(record, seed=record["seed"] + 1000)),
+        # a prime that rank refuses is reported, not replayed
+        ("prime", dict(record, prime=2**31 - 1)),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(bad)] + lines[2:]) + "\n")
+        rep = verify_log(path, full=True)
+        assert len(rep.structural) == 1 and rep.replayed == 2, rep.to_dict()
+        assert rep.structural[0]["line"] == 2 and name in rep.structural[0]["error"]
+
+    # without a header, no record has a seed and prime to be checked against
+    (tmp_path / "headless.jsonl").write_text("\n".join(lines[1:]) + "\n")
+    rep = verify_log(tmp_path / "headless.jsonl", full=True)
+    assert len(rep.structural) == 3 and rep.replayed == 0
+
+    # a concatenation of shard logs checks each record against its own header
+    other = tmp_path / "other.jsonl"
+    run_campaign(_tiny_config(other, shard=(6, 87), base_seed=11))
+    both = tmp_path / "both.jsonl"
+    both.write_text(out.read_text() + other.read_text())
+    rep = verify_log(both, full=True)
+    assert rep.ok and rep.replayed == 6, rep.to_dict()
+
+
 def test_verify_empty_log(tmp_path):
     out = tmp_path / "empty.jsonl"
     out.write_text('{"header": true}\n')

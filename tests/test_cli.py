@@ -59,6 +59,13 @@ def test_check_json_certificate(capsys):
     assert cert["fundamental_assignment"] == [[0, 2]]
 
 
+def test_check_refuses_a_prime_too_large_for_float64(capsys):
+    assert main(["check", "-d", "14", "--mults", "4^10", "--prime", "2147483647"]) == 2
+    assert "admits min(rows, columns) <= 0" in capsys.readouterr().err
+    assert main(["check", "-d", "14", "--mults", "4^10", "--prime", "65537"]) == 0
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

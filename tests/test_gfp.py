@@ -73,7 +73,6 @@ def test_rank_against_reference_random():
         k = int(rng.integers(0, min(m, n) + 1))
         a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
         expected = rank_mod_p_reference(a, P)
-        assert rank(a, P, block=8) == expected
         assert rank(a, P) == expected
 
 
@@ -152,60 +151,57 @@ def test_rank_pivot_skips_at_recursion_splits(kind, shape):
     assert rank(a.T, P) == expected
 
 
-@pytest.mark.parametrize("block", [1, 8, 33])
-def test_rank_small_block_reduces_within_budget(block):
-    # At the ladder primes the budget exceeds every width, so only a small
-    # block exercises the inner-dimension split of the GEMMs and the
-    # reductions of accumulating regions.
-    rng = np.random.default_rng(block)
-    for m, n, k in ((240, 300, 170), (310, 260, 260), (150, 280, 90)):
-        a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
-        a[:, 64] = a[:, 3]
-        expected = rank_mod_p_reference(a, P)
-        assert rank(a, P, block=block) == expected
-        assert rank(a.T.copy(), P, block=block) == expected
-    with pytest.raises(ValueError):
-        rank(a, P, block=0)
-
-
-@pytest.mark.parametrize("p", [20000003, 90000049])
-def test_rank_budget_below_base_width(p):
-    # budgets 22 and 1: the column-by-column width is clamped to the budget
-    assert _safe_block(p) in (22, 1)
+def test_rank_refuses_exactly_beyond_the_float64_bound():
+    # p admits min(m, n) <= _safe_block(p): 22 at 20000003, 1 at 90000049,
+    # and no non-empty matrix from about 9.5e7 on
+    p = 20000003
+    assert _safe_block(p) == 22
     rng = np.random.default_rng(p)
-    for m, n, k in ((90, 100, 100), (100, 80, 55), (70, 130, 40)):
-        a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
-        assert rank(a, p) == rank_mod_p_reference(a, p)
+    for m, n in ((22, 40), (40, 22)):
+        for k in (17, 22):
+            a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+            assert rank(a, p) == rank_mod_p_reference(a, p) == k
+    for shape in ((23, 40), (40, 23)):
+        with pytest.raises(ValueError, match="admits min"):
+            rank(rng.integers(0, p, shape), p)
+    p = 90000049
+    assert _safe_block(p) == 1
+    assert rank(np.arange(5).reshape(1, 5), p) == rank(np.arange(5).reshape(5, 1), p) == 1
+    with pytest.raises(ValueError, match="<= 1"):
+        rank(np.eye(2), p)
+    for p in (2**31 - 1, 2**31 + 11):
+        with pytest.raises(ValueError):
+            rank(np.eye(2), p)
 
 
-@pytest.mark.parametrize("p", [20000003, 90000049])
-def test_rank_worst_case_magnitudes(p):
+def test_rank_worst_case_magnitudes():
     # a = L @ U, where U has rank 70 and the off-diagonal entries of the
     # unit-lower L's first 70 rows and U's first 100 columns are all p - 2:
-    # the products the elimination forms there are (p-2)^2, odd and about
-    # the most the budget allows for.  The other entries are random, so that
-    # a missed reduction, which breaks float64 exactness, raises the rank.
+    # the products the elimination forms there are (p-2)^2, odd and as large
+    # as the prime allows.  The other entries are random, so that a loss of
+    # float64 exactness raises the rank.
     n, r = 130, 70
-    rng = np.random.default_rng(p)
-    lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
-    lo[r:, :r] = rng.integers(0, p, (n - r, r))
-    up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
-    up[:r, 100:] = rng.integers(0, p, (r, n - 100))
-    up[r:] = 0
-    a = (lo @ up) % p
+
+    def worst(p):
+        rng = np.random.default_rng(p)
+        lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+        lo[r:, :r] = rng.integers(0, p, (n - r, r))
+        up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
+        up[:r, 100:] = rng.integers(0, p, (r, n - 100))
+        up[r:] = 0
+        return (lo @ up) % p
+
+    p = 8323823  # the largest prime admitted for 130 columns; 8323831 is next
+    assert _safe_block(p) >= n > _safe_block(8323831)
+    a = worst(p)
     assert rank(a, p) == r
     assert rank(a.T, p) == r
-
-
-def test_large_modulus_falls_back_exactly():
-    # 2^31 - 1 is prime and far beyond the float64 delayed-reduction bound
-    p = 2**31 - 1
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        a = rng.integers(0, p, (15, 18))
-        assert rank(a, p) == rank_mod_p_reference(a, p)
+    # the largest prime admitted for 65 columns: float64 elimination of this
+    # matrix is no longer exact there, so it must be refused
+    p = 11771657
+    assert n // 2 == _safe_block(p)
     with pytest.raises(ValueError):
-        rank(np.eye(2), 2**31 + 11)
+        rank(worst(p), p)
 
 
 def test_float_input_validation():
@@ -228,8 +224,10 @@ def test_float_input_validation():
 
 def test_rank_reduces_entries_next_to_float_limit():
     # two lifts of the same residues, one within p of -2**53, where the
-    # quotient times p no longer fits the exact range of float64
-    p = 2**31 - 1
+    # quotient times p no longer fits the exact range of float64, at the
+    # largest prime admitted for two rows
+    p = 67108859
+    assert _safe_block(p) >= 2 > _safe_block(67108879)  # the next prime
     q = 2**53 // p
     r = np.random.default_rng(1).integers(p - (2**53 - q * p) + 1, p, 300)
     vals = np.array([r - q * p, r - (q + 1) * p])

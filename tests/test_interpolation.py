@@ -111,7 +111,7 @@ def test_reduce_fundamental_rejects_overlap():
 def test_fundamental_verdict_equivalence():
     spec = SystemSpec(3, {2: 5})
     plain = check_case(spec, seed=5)
-    reduced = check_case(spec, seed=5, fundamental=[0])
+    reduced = check_case(spec, seed=5, fundamental=True)
     assert plain.verdict == reduced.verdict == "non_special"
     assert plain.rank == reduced.rank == 20
     four = check_case(SystemSpec(8, {2: 12}), seed=5, fundamental=True)

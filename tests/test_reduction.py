@@ -35,7 +35,7 @@ class FakeStore:
 
 
 def _known():
-    return KnownResults.bootstrap(verify=False)
+    return KnownResults.bootstrap()
 
 
 def test_catalogue_identities():
@@ -78,7 +78,7 @@ def test_known_results_registry():
 
 
 def test_bootstrap_verifies_base_system():
-    known = KnownResults.bootstrap(verify=True)
+    known = KnownResults.bootstrap()
     assert known.knows(SystemSpec(3, {2: 5}))
 
 

@@ -151,57 +151,61 @@ def test_rank_pivot_skips_at_recursion_splits(kind, shape):
     assert rank(a.T, P) == expected
 
 
-def test_rank_refuses_exactly_beyond_the_float64_bound():
-    # p admits min(m, n) <= _safe_block(p): 22 at 20000003, 1 at 90000049,
-    # and no non-empty matrix from about 9.5e7 on
-    p = 20000003
-    assert _safe_block(p) == 22
+@pytest.mark.parametrize("p", [20000003, 90000049])
+def test_rank_budget_below_base_width(p):
+    # budgets 22 and 1, below the recursion's base width: rank admits
+    # min(m, n) up to the budget and refuses one more
+    w = _safe_block(p)
+    assert w == {20000003: 22, 90000049: 1}[p]
     rng = np.random.default_rng(p)
-    for m, n in ((22, 40), (40, 22)):
-        for k in (17, 22):
+    for m, n in ((w, 40), (40, w)):
+        for k in sorted({min(17, w), w}):
             a = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
             assert rank(a, p) == rank_mod_p_reference(a, p) == k
-    for shape in ((23, 40), (40, 23)):
-        with pytest.raises(ValueError, match="admits min"):
+    for shape in ((w + 1, 40), (40, w + 1)):
+        with pytest.raises(ValueError, match=f"admits min\\(rows, columns\\) <= {w}$"):
             rank(rng.integers(0, p, shape), p)
-    p = 90000049
-    assert _safe_block(p) == 1
-    assert rank(np.arange(5).reshape(1, 5), p) == rank(np.arange(5).reshape(5, 1), p) == 1
-    with pytest.raises(ValueError, match="<= 1"):
-        rank(np.eye(2), p)
+
+
+def test_large_modulus_falls_back_exactly():
+    # 2^31 - 1 is prime, and its budget is 0: rank stays exact by refusing
+    # every non-empty matrix; 2^31 + 11 is beyond the moduli rank accepts
+    p = 2**31 - 1
+    assert _safe_block(p) == 0
+    rng = np.random.default_rng(77)
+    for shape in ((15, 18), (1, 5), (5, 1)):
+        with pytest.raises(ValueError, match="<= 0"):
+            rank(rng.integers(0, p, shape), p)
     for p in (2**31 - 1, 2**31 + 11):
         with pytest.raises(ValueError):
             rank(np.eye(2), p)
 
 
-def test_rank_worst_case_magnitudes():
+# 8323823 is the largest prime admitted for 130 columns, 11771657 the
+# largest admitted for 65; 20000003 and 90000049 admit 22 and 1
+@pytest.mark.parametrize("p", [8323823, 11771657, 20000003, 90000049])
+def test_rank_worst_case_magnitudes(p):
     # a = L @ U, where U has rank 70 and the off-diagonal entries of the
     # unit-lower L's first 70 rows and U's first 100 columns are all p - 2:
     # the products the elimination forms there are (p-2)^2, odd and as large
     # as the prime allows.  The other entries are random, so that a loss of
-    # float64 exactness raises the rank.
+    # float64 exactness raises the rank.  Where p admits fewer than 130
+    # columns, a is refused and its widest admitted slices are checked.
     n, r = 130, 70
-
-    def worst(p):
-        rng = np.random.default_rng(p)
-        lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
-        lo[r:, :r] = rng.integers(0, p, (n - r, r))
-        up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
-        up[:r, 100:] = rng.integers(0, p, (r, n - 100))
-        up[r:] = 0
-        return (lo @ up) % p
-
-    p = 8323823  # the largest prime admitted for 130 columns; 8323831 is next
-    assert _safe_block(p) >= n > _safe_block(8323831)
-    a = worst(p)
-    assert rank(a, p) == r
-    assert rank(a.T, p) == r
-    # the largest prime admitted for 65 columns: float64 elimination of this
-    # matrix is no longer exact there, so it must be refused
-    p = 11771657
-    assert n // 2 == _safe_block(p)
-    with pytest.raises(ValueError):
-        rank(worst(p), p)
+    assert _safe_block(8323823) >= n > _safe_block(8323831)  # the next prime
+    assert _safe_block(11771657) == n // 2
+    rng = np.random.default_rng(p)
+    lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    lo[r:, :r] = rng.integers(0, p, (n - r, r))
+    up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
+    up[:r, 100:] = rng.integers(0, p, (r, n - 100))
+    up[r:] = 0
+    a = (lo @ up) % p
+    w = min(n, _safe_block(p))
+    assert rank(a[:w], p) == rank(a.T[:w], p) == min(w, r)
+    if w < n:
+        with pytest.raises(ValueError):
+            rank(a, p)
 
 
 def test_float_input_validation():

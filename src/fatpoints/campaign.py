@@ -6,6 +6,19 @@ after a crash (a partial trailing line is cut off on resume), and a resume
 refuses a log whose header names another config; sharded runs
 on separate machines produce disjoint logs whose concatenation equals the
 unsharded log up to ordering.
+
+Cases run by family: the cases of one (q, x, y) inside a shard.  Their
+systems differ only in the number z of 2-points, which come last, so at one
+seed each case's matrix is a leading row block of the largest one's, and
+one elimination gives every rank (interpolation.check_family).  check_case
+then retries any case that fell short.  Attempt 1
+of every case of a family uses the family seed, base_seed + first *
+max_attempts, where first is the lowest index of its (q, x, y) in
+algorithm_b_cases(d); it does not depend on the shard.  A case short of
+maximal rank is retried alone under the per-case rule: attempt a uses
+base_seed + index * max_attempts + a - 1.  Headers say which rule their
+records follow ("seed_rule"); headers without the field, written before
+families, follow the per-case rule for every attempt.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ import numpy as np
 from ._version import __version__
 from .enumeration import algorithm_b_cases
 from .gfp import PRIME_LADDER
-from .interpolation import Certificate, check_case, replay_certificate
+from .interpolation import Certificate, check_case, check_family, replay_certificate
 from .model import (
     CaseSignature,
     VERDICT_INCONCLUSIVE,
@@ -32,6 +45,7 @@ from .model import (
 )
 
 VERDICT_ERROR = "error"
+SEED_RULE = "family"
 
 
 @dataclass
@@ -70,6 +84,7 @@ class CampaignConfig:
             "max_attempts": self.max_attempts,
             "shard": list(self.shard),
             "fundamental": self.fundamental,
+            "seed_rule": SEED_RULE,
         }
 
     def digest(self) -> str:
@@ -135,10 +150,16 @@ class ResultStore:
         return tuple(key) in self._records
 
     def add(self, record: CertRecord):
+        """Index record; it replaces an earlier record of its case only if that is an error."""
         key = record.case.key()
-        if key in self._records:
+        if key in self._records and self._records[key].cert is not None:
             raise ValueError(f"duplicate record for case {key}")
         self._records[key] = record
+
+    def finished(self, key) -> bool:
+        """Whether the case has a record other than an error, which a resume retries."""
+        rec = self._records.get(tuple(key))
+        return rec is not None and rec.cert is not None
 
     def records(self) -> list[CertRecord]:
         return list(self._records.values())
@@ -156,7 +177,9 @@ class ResultStore:
     def load(cls, path) -> "ResultStore":
         """Strict load: raises on corrupt interior lines or duplicates.
 
-        A truncated final line (crash artifact) is tolerated and ignored.
+        A truncated final line (crash artifact) is tolerated and ignored.  A
+        later record of a case is no duplicate while every earlier one is an
+        error record; the latest then wins.
         """
         store = cls()
         entries = list(_scan_lines(path))
@@ -210,12 +233,40 @@ def _shard_indices(n_cases: int, shard: tuple[int, int]) -> list[int]:
     return [idx for idx in range(n_cases) if idx % n == i - 1]
 
 
+def _family_firsts(cases: list[CaseSignature]) -> dict[tuple[int, int, int], int]:
+    """Lowest case index of each (q, x, y) family."""
+    first: dict[tuple[int, int, int], int] = {}
+    for idx, case in enumerate(cases):
+        first.setdefault((case.q, case.x, case.y), idx)
+    return first
+
+
+def _families(
+    cases: list[CaseSignature], todo: list[tuple[int, CaseSignature]]
+) -> list[tuple[int, list[tuple[int, CaseSignature]]]]:
+    """todo grouped by (q, x, y), largest head first.
+
+    Each family comes with the lowest index of its (q, x, y) in cases, and
+    its members are in ascending z, so the last one is the head.
+    """
+    firsts = _family_firsts(cases)
+    groups: dict[tuple[int, int, int], list[tuple[int, CaseSignature]]] = {}
+    for idx, case in todo:
+        groups.setdefault((case.q, case.x, case.y), []).append((idx, case))
+    families = [(firsts[qxy], sorted(group, key=lambda pair: pair[1].z))
+                for qxy, group in groups.items()]
+    families.sort(key=lambda fam: (-fam[1][-1][1].conditions_total, fam[0]))
+    return families
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     """Sweep every degree in range, appending certificates to the log.
 
-    Within a degree the largest matrices start first to limit tail latency.
-    Returns a summary with per-degree counts; any inconclusive or failed case
-    is surfaced there and must be treated as a red flag.
+    Within a degree the families with the largest heads start first to limit
+    tail latency, and a family's records are appended when it finishes.  A
+    case whose only records are errors is computed again.  Returns a summary
+    with per-degree counts; any inconclusive or failed case is surfaced there
+    and must be treated as a red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -248,46 +299,54 @@ def run_campaign(config: CampaignConfig) -> dict:
         "shard": list(config.shard),
     }
 
-    def run_one(idx: int, case: CaseSignature) -> CertRecord:
-        seed = config.base_seed + idx * config.max_attempts
+    def run_family(first: int, family: list[tuple[int, CaseSignature]]) -> list[CertRecord]:
         try:
-            cert = check_case(
-                case.to_system(),
+            specs = [case.to_system() for _, case in family]
+            tried = check_family(
+                specs,
                 prime=PRIME_LADDER[0],
-                seed=seed,
-                max_attempts=config.max_attempts,
+                seed=config.base_seed + first * config.max_attempts,
                 fundamental=config.fundamental,
             )
-            return CertRecord(case, idx, cert)
+            return [
+                CertRecord(case, idx, check_case(
+                    spec,
+                    prime=PRIME_LADDER[0],
+                    seed=config.base_seed + idx * config.max_attempts,
+                    max_attempts=config.max_attempts,
+                    fundamental=config.fundamental,
+                    first=cert,
+                ))
+                for (idx, case), spec, cert in zip(family, specs, tried)
+            ]
         except MemoryError as exc:  # pragma: no cover - depends on host RAM
-            return CertRecord(case, idx, None, f"out of memory: {exc}")
+            error = f"out of memory: {exc}"
         except Exception as exc:
-            return CertRecord(case, idx, None, f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+        return [CertRecord(case, idx, None, error) for idx, case in family]
 
     with open(out, "a") as fh:
         for d in range(lo, hi + 1):
             cases = algorithm_b_cases(d)
             mine = _shard_indices(len(cases), config.shard)
-            todo = [
-                (idx, cases[idx])
-                for idx in mine
-                if cases[idx].key() not in done
-            ]
-            # biggest condition totals first
-            todo.sort(key=lambda pair: (-pair[1].conditions_total, pair[0]))
+            todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
             stats = {"expected": len(mine), "done": len(mine) - len(todo),
                      VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
             for case, _, verdict in done.cases(d):
-                stats[verdict] = stats.get(verdict, 0) + 1
+                if verdict != VERDICT_ERROR:  # errors are in todo and counted when redone
+                    stats[verdict] = stats.get(verdict, 0) + 1
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(run_one, idx, case): idx for idx, case in todo}
+                futures = [
+                    pool.submit(run_family, first, family)
+                    for first, family in _families(cases, todo)
+                ]
                 for fut in as_completed(futures):
-                    record = fut.result()
-                    fh.write(record.to_line() + "\n")
+                    for record in fut.result():
+                        fh.write(record.to_line() + "\n")
+                        done.add(record)
+                        stats[record.verdict] = stats.get(record.verdict, 0) + 1
+                        summary["computed"] += 1
                     fh.flush()
-                    done.add(record)
-                    stats[record.verdict] = stats.get(record.verdict, 0) + 1
-                    summary["computed"] += 1
             stats["done"] = stats[VERDICT_NON_SPECIAL] + stats[VERDICT_INCONCLUSIVE] + stats[VERDICT_ERROR]
             summary["degrees"][d] = stats
             summary["inconclusive"] += stats[VERDICT_INCONCLUSIVE]
@@ -319,14 +378,40 @@ class VerifyReport:
         }
 
 
-def _schedule_problems(record: CertRecord, config: Optional[dict]) -> list[str]:
-    """Where a record's seed and prime differ from the ones its header's config assigns."""
+def _family_first(case: CaseSignature, cache: dict) -> Optional[int]:
+    """Lowest index of case's (q, x, y) in algorithm_b_cases, or None if it is no such case."""
+    d = case.degree
+    if d not in cache:
+        try:
+            cases = algorithm_b_cases(d)
+        except ValueError:
+            cases = []
+        cache[d] = (_family_firsts(cases), {c.key() for c in cases})
+    firsts, keys = cache[d]
+    return firsts[(case.q, case.x, case.y)] if case.key() in keys else None
+
+
+def _schedule_problems(record: CertRecord, config: Optional[dict], firsts: dict) -> list[str]:
+    """Where a record's seed and prime differ from the ones its header's config assigns.
+
+    firsts caches _family_first per degree.
+    """
     cert = record.cert
     try:
         max_attempts = int(config["max_attempts"])
-        seed = int(config["base_seed"]) + record.index * max_attempts + cert.attempts - 1
+        base = int(config["base_seed"])
+        rule = config.get("seed_rule", "per_case")
     except (KeyError, TypeError, ValueError):
         return ["no header config above the record"]
+    if rule not in ("per_case", SEED_RULE):
+        return [f"unknown seed rule {rule!r} in the header"]
+    if rule == SEED_RULE and cert.attempts == 1:
+        first = _family_first(record.case, firsts)
+        if first is None:
+            return ["not an algorithm-B case, so it has no family seed"]
+        seed = base + first * max_attempts
+    else:
+        seed = base + record.index * max_attempts + cert.attempts - 1
     escalated = max_attempts > 1 and cert.attempts == max_attempts
     prime = PRIME_LADDER[1 if escalated else 0]
     problems = []
@@ -343,12 +428,14 @@ def verify_log(path, full: bool = False) -> VerifyReport:
     Every record is checked structurally (N, S recomputed from the system,
     verdict consistent with the recorded rank, case identity matching the
     spec, seed and prime the ones the nearest header above assigns, no
-    duplicates).  Ranks are recomputed for every record with full=True, else
-    for a deterministic evenly-spaced sample.
+    duplicates).  A later record of a case is no duplicate while every
+    earlier one is an error record, and the latest is the one checked.
+    Ranks are recomputed for every record with full=True, else for a
+    deterministic evenly-spaced sample.  A replay ranks the record's own
+    matrix, never a family's.
     """
     report = VerifyReport()
-    seen: set[tuple] = set()
-    records: list[tuple[int, CertRecord, Optional[dict]]] = []
+    latest: dict[tuple, tuple[int, CertRecord, Optional[dict]]] = {}
     config = None
     for lineno, data, err in _scan_lines(path):
         if err:
@@ -363,14 +450,15 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             report.corrupt.append({"line": lineno, "error": f"bad record: {exc}"})
             continue
         key = record.case.key()
-        if key in seen:
+        if key in latest and latest[key][1].cert is not None:
             report.corrupt.append({"line": lineno, "error": f"duplicate case {key}"})
             continue
-        seen.add(key)
-        records.append((lineno, record, config))
+        latest[key] = (lineno, record, config)
+    records = sorted(latest.values(), key=lambda entry: entry[0])
     report.total = len(records)
 
     checkable = []
+    firsts: dict = {}
     for lineno, record, config in records:
         if record.cert is None:
             continue
@@ -390,7 +478,7 @@ def verify_log(path, full: bool = False) -> VerifyReport:
         maximal = cert.rank == min(cert.N, cert.S)
         if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
             problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
-        problems += _schedule_problems(record, config)
+        problems += _schedule_problems(record, config, firsts)
         if problems:
             report.structural.append({"line": lineno, "error": "; ".join(problems)})
             continue

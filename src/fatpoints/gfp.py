@@ -32,9 +32,18 @@ floor((2^53 - p) / p^2); then the bound is at most 2^53 and every float64
 operation is exact.  _safe_block is 8 794 443 at p = 32003 and 821 213 at
 p = 104729, more than any matrix width of the degree sweep; primes above
 about 9.5e7 admit no non-empty matrix.
+
+The pivot columns come out in increasing order and form the column rank
+profile: column j is a pivot exactly when it is not in the span of the
+columns before it.  So the one elimination also gives the rank of every
+leading column block, mat[:, :k], as the number of pivots below k.  On the
+transpose of a matrix these are the ranks of its leading row blocks.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,8 +119,9 @@ class _Elimination:
         self.p = p
         self.fp = float(p)
 
-    def rank(self) -> int:
-        return len(self._eliminate(0, 0, self.a.shape[1]))
+    def profile(self) -> list[int]:
+        """The column rank profile, ascending."""
+        return self._eliminate(0, 0, self.a.shape[1])
 
     def _trsm(self, lo: np.ndarray, x: np.ndarray):
         """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x."""
@@ -225,7 +235,13 @@ def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
     return work
 
 
-def rank(mat, p: int = DEFAULT_PRIME, *, overwrite: bool = False) -> int:
+def rank(
+    mat,
+    p: int = DEFAULT_PRIME,
+    *,
+    overwrite: bool = False,
+    leading: Optional[Sequence[int]] = None,
+):
     """Exact rank of a matrix over F_p.
 
     Entries are reduced mod p on entry; any integer dtype (or integer-valued
@@ -233,15 +249,26 @@ def rank(mat, p: int = DEFAULT_PRIME, *, overwrite: bool = False) -> int:
     min(m, n) * p^2 + p <= 2^53, the bound under which float64 elimination
     is exact.  With overwrite=True a float64 C-contiguous input is consumed
     in place.
+
+    With leading, a sequence of column counts k, the result is instead the
+    list of ranks of mat[:, :k], read off the column rank profile of the
+    same single elimination.
     """
     a = _prepare(mat, p, overwrite)
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    widest = _safe_block(p)
-    if min(m, n) > widest:
-        raise ValueError(
-            f"a {m} x {n} matrix is too wide for exact float64 elimination:"
-            f" p = {p} admits min(rows, columns) <= {widest}"
-        )
-    return _Elimination(a, p).rank()
+    if leading is not None:
+        leading = [int(k) for k in leading]
+        if any(not 0 <= k <= n for k in leading):
+            raise ValueError(f"leading column counts must lie in [0, {n}], got {leading}")
+    piv: list[int] = []
+    if m and n:
+        widest = _safe_block(p)
+        if min(m, n) > widest:
+            raise ValueError(
+                f"a {m} x {n} matrix is too wide for exact float64 elimination:"
+                f" p = {p} admits min(rows, columns) <= {widest}"
+            )
+        piv = _Elimination(a, p).profile()
+    if leading is None:
+        return len(piv)
+    return [bisect_left(piv, k) for k in leading]

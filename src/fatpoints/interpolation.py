@@ -8,6 +8,16 @@ speciality and yields the verdict "inconclusive" after retries.
 Every check is replayable: the certificate records the prime, the seed and
 the fundamental-point assignment, and regenerating the matrix from those
 reproduces the identical rank.
+
+Systems that differ only in trailing points share one elimination (a
+family).  Points are listed in descending multiplicity and drawn one by one
+from one seeded generator, and row block j of a matrix belongs to point j.
+So at the same prime, seed and fundamental assignment, a system whose
+expanded point list is a prefix of another's has as its matrix the leading
+row block of the other's matrix.  The matrix is built transposed, its
+elimination yields the column rank profile, and the rank of every leading
+row block follows by counting pivots (gfp.rank's leading).  A replay never
+relies on this: it rebuilds the one system's own matrix and ranks it.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -111,7 +121,9 @@ def build_matrix(
 
     Row block j holds the conditions of point j (derivative orders up to its
     multiplicity minus one, in the fixed order of derivative_orders), columns
-    follow monomial_basis(d).  Entries are reduced residues stored as float64.
+    follow monomial_basis(d).  Entries are reduced residues stored as float64
+    in Fortran order, so the transpose is a C-contiguous array that
+    rank(..., overwrite=True) consumes without a copy.
     Each point is dehomogenized in the chart of its first nonzero coordinate
     unless charts overrides the choice.  A basis subset may be passed to
     restrict columns (fundamental-point reduction).
@@ -127,7 +139,7 @@ def build_matrix(
         raise ValueError("charts must give one chart index per point")
     if basis is None:
         basis = monomial_basis(d)
-    out = np.empty((spec.conditions_total, basis.shape[0]), dtype=np.float64)
+    out = np.empty((spec.conditions_total, basis.shape[0]), dtype=np.float64, order="F")
     row = 0
     for idx, m in enumerate(mults):
         pt = points[idx] % prime
@@ -263,13 +275,13 @@ class Certificate:
         )
 
 
-def _run_one(
+def _transposed_matrix(
     spec: SystemSpec,
     prime: int,
     seed: int,
     assignment: FundamentalAssignment,
-) -> int:
-    """Rank of the (possibly reduced) matrix, reported against the full system."""
+) -> tuple[np.ndarray, int]:
+    """(columns x conditions) matrix of spec's residual system, and the columns deleted."""
     d = spec.degree
     if assignment:
         deleted, residual = reduce_fundamental(spec, assignment)
@@ -291,8 +303,93 @@ def _run_one(
             f"{nrows} x {ncols} matrix needs about {nrows * ncols * 8 / 2**30:.1f} GiB"
         )
     pts = _sample_distinct(residual.r, prime, seed, avoid=avoid)
-    mat = build_matrix(residual, pts, prime, basis=basis)
+    return build_matrix(residual, pts, prime, basis=basis).T, n_deleted
+
+
+def _run_one(
+    spec: SystemSpec,
+    prime: int,
+    seed: int,
+    assignment: FundamentalAssignment,
+) -> int:
+    """Rank of spec's own (possibly reduced) matrix, reported against the full system."""
+    mat, n_deleted = _transposed_matrix(spec, prime, seed, assignment)
     return rank(mat, prime, overwrite=True) + n_deleted
+
+
+def _run_family(
+    head: SystemSpec,
+    members: Sequence[SystemSpec],
+    prime: int,
+    seed: int,
+    assignment: FundamentalAssignment,
+) -> list[int]:
+    """Ranks of the members, each a leading row block of head's matrix, from one elimination."""
+    mat, n_deleted = _transposed_matrix(head, prime, seed, assignment)
+    pinned = sum(conditions_count(m) for _, m in assignment)
+    rows = [member.conditions_total - pinned for member in members]
+    return [r + n_deleted for r in rank(mat, prime, overwrite=True, leading=rows)]
+
+
+def _certificate(
+    spec: SystemSpec,
+    prime: int,
+    seed: int,
+    assignment: FundamentalAssignment,
+    got_rank: int,
+    attempts: int,
+    elapsed_ms: int,
+) -> Certificate:
+    maximal = got_rank == min(spec.n_monomials, spec.conditions_total)
+    return Certificate(
+        spec=spec.to_text(),
+        prime=prime,
+        seed=seed,
+        fundamental_assignment=assignment,
+        N=spec.n_monomials,
+        S=spec.conditions_total,
+        rank=got_rank,
+        verdict=VERDICT_NON_SPECIAL if maximal else VERDICT_INCONCLUSIVE,
+        attempts=attempts,
+        elapsed_ms=elapsed_ms,
+    )
+
+
+def check_family(
+    specs: Sequence[SystemSpec],
+    prime: int = DEFAULT_PRIME,
+    seed: int = 0,
+    fundamental: bool = False,
+) -> list[Certificate]:
+    """Attempt 1 of the rank checks of systems that share their leading points.
+
+    The system with the most points is the head.  Every system whose point
+    list is a prefix of the head's and whose fundamental assignment equals
+    the head's gets its rank from the head's one elimination; any other runs
+    alone at the same seed.  Each certificate's elapsed_ms is the wall time
+    of the whole family.  check_case continues from these certificates.
+    """
+    assignments = [_greedy_assignment(spec) if fundamental else [] for spec in specs]
+    head = max(range(len(specs)), key=lambda i: len(specs[i].points()))
+    head_points = specs[head].points()
+    members = [
+        i for i, spec in enumerate(specs)
+        if spec.degree == specs[head].degree
+        and spec.points() == head_points[: spec.r]
+        and assignments[i] == assignments[head]
+    ]
+    t0 = time.perf_counter()
+    got = dict(zip(members, _run_family(
+        specs[head], [specs[i] for i in members], prime, seed, assignments[head]
+    )))
+    for i, spec in enumerate(specs):
+        if i not in got:
+            got[i] = _run_one(spec, prime, seed, assignments[i])
+    elapsed = int((time.perf_counter() - t0) * 1000)
+    return [
+        _certificate(spec, prime, seed, assignments[i], got[i], 1, elapsed)
+        for i, spec in enumerate(specs)
+    ]
 
 
 def check_case(
@@ -301,50 +398,32 @@ def check_case(
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     fundamental: bool = False,
+    first: Optional[Certificate] = None,
 ) -> Certificate:
     """Rank-check one system and certify it.
 
-    Retries with fresh seeds on a rank deficit; the final attempt escalates
-    to the next prime in the ladder.  Verdict "non_special" means a maximal
-    rank was witnessed; "inconclusive" means every attempt fell short.
+    Attempt 1 is a family of one (check_family at seed), or first, spec's
+    certificate from a family's attempt 1, when given.  On a rank deficit
+    the system is retried alone: attempt a uses seed + a - 1, and the final
+    attempt escalates to the next prime in the ladder.  Verdict
+    "non_special" means a maximal rank was witnessed; "inconclusive" means
+    every attempt fell short.  elapsed_ms includes first's.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    assignment = _greedy_assignment(spec) if fundamental else []
-
-    n = spec.n_monomials
-    s = spec.conditions_total
-    target = min(n, s)
+    if first is not None and first.spec != spec.to_text():
+        raise ValueError(f"certificate of {first.spec!r} given for {spec.to_text()!r}")
+    spent_ms = first.elapsed_ms if first is not None else 0
     t0 = time.perf_counter()
-    got_rank = -1
-    used_prime = prime
-    used_seed = seed
-    attempts_done = 0
-    for attempt in range(max_attempts):
-        used_prime = (
-            next_ladder_prime(prime)
-            if max_attempts > 1 and attempt == max_attempts - 1
-            else prime
-        )
-        used_seed = seed + attempt
+    cert = first if first is not None else check_family([spec], prime, seed, fundamental)[0]
+    while cert.verdict != VERDICT_NON_SPECIAL and cert.attempts < max_attempts:
+        attempt = cert.attempts + 1
+        used_prime = next_ladder_prime(prime) if attempt == max_attempts else prime
+        used_seed = seed + attempt - 1
+        assignment = cert.fundamental_assignment
         got_rank = _run_one(spec, used_prime, used_seed, assignment)
-        attempts_done = attempt + 1
-        if got_rank == target:
-            break
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    verdict = VERDICT_NON_SPECIAL if got_rank == target else VERDICT_INCONCLUSIVE
-    return Certificate(
-        spec=spec.to_text(),
-        prime=used_prime,
-        seed=used_seed,
-        fundamental_assignment=assignment,
-        N=n,
-        S=s,
-        rank=got_rank,
-        verdict=verdict,
-        attempts=attempts_done,
-        elapsed_ms=elapsed,
-    )
+        cert = _certificate(spec, used_prime, used_seed, assignment, got_rank, attempt, 0)
+    return replace(cert, elapsed_ms=spent_ms + int((time.perf_counter() - t0) * 1000))
 
 
 def replay_certificate(cert: Certificate) -> int:

@@ -6,16 +6,20 @@ change between releases.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .model import binomial, conditions_count
 
 
+@lru_cache(maxsize=None)
 def monomial_basis(d: int) -> np.ndarray:
     """All exponent vectors (a0,a1,a2,a3) with a0+a1+a2+a3 = d.
 
     Returned as an (N, 4) int64 array, N = C(d+3, 3), in descending
-    lexicographic order on (a0, a1, a2, a3).
+    lexicographic order on (a0, a1, a2, a3).  The array is built once per
+    degree and shared, so it is read-only.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
@@ -26,6 +30,7 @@ def monomial_basis(d: int) -> np.ndarray:
                 rows.append((a0, a1, a2, d - a0 - a1 - a2))
     out = np.array(rows, dtype=np.int64).reshape(-1, 4)
     assert out.shape[0] == binomial(d + 3, 3)
+    out.setflags(write=False)
     return out
 
 

@@ -151,6 +151,54 @@ def test_rank_pivot_skips_at_recursion_splits(kind, shape):
     assert rank(a.T, P) == expected
 
 
+def _leading_counts(n: int, rng) -> list[int]:
+    """0, n, both sides of every recursion split and a few random column counts."""
+    ks = {0, n} | {k for c in range(32, n, 32) for k in (c - 1, c, c + 1)}
+    ks |= {int(k) for k in rng.integers(0, n + 1, 4)}
+    return sorted(k for k in ks if 0 <= k <= n)
+
+
+@pytest.mark.parametrize("shape", [(60, 60), (150, 70), (70, 150), (97, 200)])
+@pytest.mark.parametrize("kind", ["random", "deficient"])
+def test_leading_ranks_from_one_elimination(shape, kind):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + len(kind))
+    m, n = shape
+    if kind == "random":
+        a = rng.integers(0, P, shape)
+    else:
+        k = min(m, n) // 2
+        a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
+    ks = _leading_counts(n, rng)
+    got = rank(a.astype(np.float64), P, leading=ks)
+    assert got == [rank_mod_p_reference(a[:, :k], P) for k in ks]
+    assert rank(a, P) == got[-1]
+
+
+@pytest.mark.parametrize("kind", ["zero", "duplicate"])
+@pytest.mark.parametrize("shape", [(40, 130), (130, 130), (200, 97)])
+def test_leading_ranks_at_recursion_splits(kind, shape):
+    a = np.random.default_rng(shape[0] + shape[1]).integers(0, P, shape)
+    for c in (31, 32, 33, 63, 64, 65):
+        a[:, c] = 0 if kind == "zero" else a[:, c - 31]
+    ks = [30, 31, 32, 33, 34, 62, 63, 64, 65, 66, shape[1]]
+    got = rank(a, P, leading=ks)
+    assert got == [rank_mod_p_reference(a[:, :k], P) for k in ks]
+    # on the transpose, the same elimination gives the ranks of leading row blocks
+    rows = [k for k in ks if k <= shape[0]]
+    assert rank(np.ascontiguousarray(a.T), P, leading=rows) == [
+        rank_mod_p_reference(a[:k], P) for k in rows
+    ]
+
+
+def test_leading_rejects_out_of_range_counts():
+    a = np.eye(3)
+    assert rank(a, P, leading=[]) == []
+    assert rank(np.zeros((0, 4)), P, leading=[0, 4]) == [0, 0]
+    for bad in ([-1], [4]):
+        with pytest.raises(ValueError, match="leading"):
+            rank(a, P, leading=bad)
+
+
 @pytest.mark.parametrize("p", [20000003, 90000049])
 def test_rank_budget_below_base_width(p):
     # budgets 22 and 1, below the recursion's base width: rank admits

@@ -3,13 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from fatpoints import interpolation
+from fatpoints.enumeration import algorithm_b_cases
 from fatpoints.gfp import DEFAULT_PRIME, rank
 from fatpoints.interpolation import (
     Certificate,
     MatrixTooLargeError,
+    _run_one,
     _sample_distinct,
     build_matrix,
     check_case,
+    check_family,
     rational_oracle,
     reduce_fundamental,
     replay_certificate,
@@ -228,3 +232,72 @@ def test_prime_field_dimension_matches_rational_oracle_sample():
         spec = SystemSpec(d, counts)
         cert = check_case(spec, seed=rng.randrange(10**6))
         assert cert.N - 1 - cert.rank == rational_oracle(spec, seed=rng.randrange(10**6))
+
+
+def _families(d: int) -> list[list[SystemSpec]]:
+    groups: dict = {}
+    for case in algorithm_b_cases(d):
+        groups.setdefault((case.q, case.x, case.y), []).append(case.to_system())
+    return list(groups.values())
+
+
+def _counting_rank(monkeypatch) -> list:
+    calls = []
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return rank(mat, *args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d, picks", [(14, (0, 1, 35, 70)), (18, (40,))])
+def test_family_ranks_equal_per_case_runs(d, picks, monkeypatch):
+    # p = 17 leaves the small members short at d = 14, so the prefix counts
+    # are checked below the maximal rank too
+    families = _families(d)
+    for i in picks:
+        specs = families[i]
+        assert len(specs) >= 3
+        for prime in (P, 17) if d == 14 else (P,):
+            calls = _counting_rank(monkeypatch)
+            certs = check_family(specs, prime=prime, seed=100 + i, fundamental=True)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            for spec, cert in zip(specs, certs):
+                assert (cert.seed, cert.prime, cert.attempts) == (100 + i, prime, 1)
+                assert cert.rank == _run_one(spec, prime, cert.seed, cert.fundamental_assignment)
+
+
+def test_family_members_that_are_no_prefix_run_alone(monkeypatch):
+    # at d = 8 the greedy assignment of 2 double points differs from that of 6
+    head = SystemSpec(8, {2: 6})
+    fewer = SystemSpec(8, {2: 2})
+    other = SystemSpec(8, {3: 1, 2: 1})
+    calls = _counting_rank(monkeypatch)
+    certs = check_family([fewer, head, other], seed=9, fundamental=True)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for spec, cert in zip((fewer, head, other), certs):
+        alone = check_case(spec, seed=9, fundamental=True)
+        assert cert.to_dict() | {"elapsed_ms": 0} == alone.to_dict() | {"elapsed_ms": 0}
+
+
+def test_short_family_members_retry_at_their_own_seeds():
+    # p = 17 leaves the smaller members of this d = 14 family short at seed 5
+    specs = _families(14)[0]
+    tried = check_family(specs, prime=17, seed=5, fundamental=True)
+    assert tried[0].verdict == "inconclusive" and tried[-1].verdict == "non_special"
+    for spec, cert, retry in zip(specs, tried, (40, 50, 60)):
+        final = check_case(spec, prime=17, seed=retry, max_attempts=3, fundamental=True,
+                           first=cert)
+        if cert.verdict == "non_special":
+            assert final.to_dict() == cert.to_dict() | {"elapsed_ms": final.elapsed_ms}
+            continue
+        assert final.attempts > 1 and final.seed == retry + final.attempts - 1
+        assert final.prime == (32003 if final.attempts == 3 else 17)
+        assert final.elapsed_ms >= cert.elapsed_ms
+        assert replay_certificate(final) == final.rank
+    with pytest.raises(ValueError, match="given for"):
+        check_case(specs[1], prime=17, seed=5, first=tried[0])

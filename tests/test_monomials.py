@@ -40,6 +40,19 @@ def test_basis_order_stable_and_lex_descending():
     assert rows == again
 
 
+def test_basis_is_cached_and_read_only():
+    for d in range(15):
+        basis = monomial_basis(d)
+        assert monomial_basis(d) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1
+        fresh = [(a0, a1, a2, d - a0 - a1 - a2)
+                 for a0 in range(d, -1, -1)
+                 for a1 in range(d - a0, -1, -1)
+                 for a2 in range(d - a0 - a1, -1, -1)]
+        assert basis.tolist() == [list(row) for row in fresh]
+
+
 def test_derivative_orders_counts():
     assert derivative_orders(1).tolist() == [[0, 0, 0, 0]]
     assert derivative_orders(2).shape == (4, 4)

@@ -1,11 +1,14 @@
 """Campaign orchestration: run the case sweeps, persist and replay certificates.
 
 The result log is JSON-lines: a header record first, then one record per
-case, appended as cases finish.  Append-only writing keeps the log usable
-after a crash (a partial trailing line is cut off on resume), and a resume
-refuses a log whose header names another config; sharded runs
-on separate machines produce disjoint logs whose concatenation equals the
-unsharded log up to ordering.
+case, appended family by family in the order the families run.  Append-only
+writing keeps the log usable after a crash (a partial trailing line is cut
+off on resume), and a resume refuses a log whose header names another
+config; sharded runs on separate machines produce disjoint logs whose
+concatenation equals the unsharded log up to ordering.
+
+A campaign runs one family at a time, so the rank kernel has every BLAS
+thread and one family's matrix is resident at most; shard splits the work.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -25,8 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -56,10 +57,8 @@ class CampaignConfig:
     out: Path
     base_seed: int = 0
     max_attempts: int = 3
-    threads: Optional[int] = None
     shard: tuple[int, int] = (1, 1)
     resume: bool = False
-    fundamental: bool = True
 
     def __post_init__(self):
         lo, hi = self.degrees
@@ -70,10 +69,13 @@ class CampaignConfig:
             raise ValueError(f"shard must satisfy 1 <= i <= n, got {i}/{n}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         self.out = Path(self.out)
 
     def effective_threads(self) -> int:
-        return self.threads if self.threads else (os.cpu_count() or 1)
+        """Families in flight at once, always 1; the benchmark tracer reads it."""
+        return 1
 
     def digest_fields(self) -> dict:
         return {
@@ -83,7 +85,7 @@ class CampaignConfig:
             "base_seed": self.base_seed,
             "max_attempts": self.max_attempts,
             "shard": list(self.shard),
-            "fundamental": self.fundamental,
+            "fundamental": True,  # always on; kept so digests match older logs
             "seed_rule": SEED_RULE,
         }
 
@@ -262,11 +264,12 @@ def _families(
 def run_campaign(config: CampaignConfig) -> dict:
     """Sweep every degree in range, appending certificates to the log.
 
-    Within a degree the families with the largest heads start first to limit
-    tail latency, and a family's records are appended when it finishes.  A
-    case whose only records are errors is computed again.  Returns a summary
-    with per-degree counts; any inconclusive or failed case is surfaced there
-    and must be treated as a red flag.
+    Within a degree the families run one after another, largest head first,
+    and each family's records are appended and flushed when it finishes, so
+    a log's records are in family order.  A case whose only records are
+    errors is computed again.  Returns a summary with per-degree counts; any
+    inconclusive or failed case is surfaced there and must be treated as a
+    red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -290,7 +293,6 @@ def run_campaign(config: CampaignConfig) -> dict:
             fh.write(json.dumps(header) + "\n")
 
     lo, hi = config.degrees
-    threads = config.effective_threads()
     summary = {
         "degrees": {},
         "computed": 0,
@@ -306,7 +308,7 @@ def run_campaign(config: CampaignConfig) -> dict:
                 specs,
                 prime=PRIME_LADDER[0],
                 seed=config.base_seed + first * config.max_attempts,
-                fundamental=config.fundamental,
+                fundamental=True,
             )
             return [
                 CertRecord(case, idx, check_case(
@@ -314,7 +316,7 @@ def run_campaign(config: CampaignConfig) -> dict:
                     prime=PRIME_LADDER[0],
                     seed=config.base_seed + idx * config.max_attempts,
                     max_attempts=config.max_attempts,
-                    fundamental=config.fundamental,
+                    fundamental=True,
                     first=cert,
                 ))
                 for (idx, case), spec, cert in zip(family, specs, tried)
@@ -335,18 +337,13 @@ def run_campaign(config: CampaignConfig) -> dict:
             for case, _, verdict in done.cases(d):
                 if verdict != VERDICT_ERROR:  # errors are in todo and counted when redone
                     stats[verdict] = stats.get(verdict, 0) + 1
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(run_family, first, family)
-                    for first, family in _families(cases, todo)
-                ]
-                for fut in as_completed(futures):
-                    for record in fut.result():
-                        fh.write(record.to_line() + "\n")
-                        done.add(record)
-                        stats[record.verdict] = stats.get(record.verdict, 0) + 1
-                        summary["computed"] += 1
-                    fh.flush()
+            for first, family in _families(cases, todo):
+                for record in run_family(first, family):
+                    fh.write(record.to_line() + "\n")
+                    done.add(record)
+                    stats[record.verdict] = stats.get(record.verdict, 0) + 1
+                    summary["computed"] += 1
+                fh.flush()
             stats["done"] = stats[VERDICT_NON_SPECIAL] + stats[VERDICT_INCONCLUSIVE] + stats[VERDICT_ERROR]
             summary["degrees"][d] = stats
             summary["inconclusive"] += stats[VERDICT_INCONCLUSIVE]

@@ -114,10 +114,8 @@ def _cmd_campaign(args) -> int:
         out=Path(args.out),
         base_seed=args.seed,
         max_attempts=args.attempts,
-        threads=args.threads,
         shard=_parse_shard(args.shard),
         resume=args.resume,
-        fundamental=not args.no_fundamental,
     )
     summary = run_campaign(config)
     for d, stats in summary["degrees"].items():
@@ -210,11 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", default="1/1", metavar="I/N")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--threads", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=3)
-    p.add_argument("--no-fundamental", action="store_true",
-                   help="disable the coordinate-point reduction")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("verify", help="replay a result log")

@@ -52,6 +52,8 @@ def test_config_validation(tmp_path):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", shard=(5, 4))
     with pytest.raises(ValueError):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", max_attempts=0)
+    with pytest.raises(ValueError, match="base_seed"):
+        CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", base_seed=-1)
     digest = CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl").digest()
     assert len(digest) == 16
 
@@ -65,17 +67,15 @@ def test_sharding_is_a_partition():
 
 
 def test_run_campaign_and_log_shape(tmp_path, monkeypatch):
-    # The log is written in completion order, which depends on timing once
-    # families overlap; the schedule is observed where each family starts.
     started = []
 
     def recording_check_family(specs, *args, **kwargs):
-        started.append(max(spec.conditions_total for spec in specs))
+        started.append(list(specs))
         return check_family(specs, *args, **kwargs)
 
     monkeypatch.setattr(campaign, "check_family", recording_check_family)
     out = tmp_path / "log.jsonl"
-    summary = run_campaign(_tiny_config(out, threads=1))
+    summary = run_campaign(_tiny_config(out))
     stats = summary["degrees"][14]
     assert stats["expected"] == 3
     assert stats["non_special"] == 3
@@ -91,9 +91,12 @@ def test_run_campaign_and_log_shape(tmp_path, monkeypatch):
     assert len(records) == 3
     expected_keys = {tuple(algorithm_b_cases(14)[i].key()) for i in _shard_indices(261, SHARD)}
     assert {tuple(r["case"]) for r in records} == expected_keys
-    # three families of one; the biggest heads started first
+    # three families of one; the biggest heads started first, and the log
+    # holds the records in the order their families started
     assert len(started) == 3
-    assert started == sorted(started, reverse=True)
+    heads = [max(spec.conditions_total for spec in family) for family in started]
+    assert heads == sorted(heads, reverse=True)
+    assert [r["spec"] for r in records] == [spec.to_text() for family in started for spec in family]
 
 
 def test_refuses_to_clobber_existing_log(tmp_path):
@@ -133,8 +136,7 @@ def test_resume_refuses_a_log_of_another_config(tmp_path):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
     before = out.read_bytes()
-    other = _tiny_config(out, shard=(6, 87), base_seed=999, max_attempts=1,
-                         fundamental=False, resume=True)
+    other = _tiny_config(out, shard=(6, 87), base_seed=999, max_attempts=1, resume=True)
     with pytest.raises(ValueError, match="another config"):
         run_campaign(other)
     assert out.read_bytes() == before
@@ -153,19 +155,15 @@ def test_resume_refuses_a_log_of_another_config(tmp_path):
 
 
 def test_shard_certificates_match_unsharded_seeds(tmp_path):
-    # same base seed: a sharded run must produce byte-identical certificates
+    # same base seed: a sharded run must produce identical logs, line for line
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"
     run_campaign(_tiny_config(out_a))
     run_campaign(_tiny_config(out_b))
     strip = lambda lines: [
-        {k: v for k, v in json.loads(l).items() if k != "elapsed_ms"}
-        for l in lines
-        if not json.loads(l).get("header")
+        {k: v for k, v in json.loads(l).items() if k != "elapsed_ms"} for l in lines
     ]
-    a = sorted(strip(out_a.read_text().splitlines()), key=lambda r: r["index"])
-    b = sorted(strip(out_b.read_text().splitlines()), key=lambda r: r["index"])
-    assert a == b
+    assert strip(out_a.read_text().splitlines()) == strip(out_b.read_text().splitlines())
 
 
 def test_store_duplicate_detection():

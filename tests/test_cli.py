@@ -107,6 +107,14 @@ def test_campaign_refuses_existing_log(capsys, tmp_path):
     assert "exists" in capsys.readouterr().err
 
 
+def test_campaign_refuses_a_negative_seed_before_writing(capsys, tmp_path):
+    out = tmp_path / "log.jsonl"
+    args = ["campaign", "--degrees", "14", "--shard", "1/40", "--out", str(out), "--seed", "-1"]
+    assert main(args) == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_echoed(capsys):
     main(["vdim", "-d", "3", "--mults", "2^5"])
     err = capsys.readouterr().err

@@ -284,6 +284,31 @@ def test_family_members_that_are_no_prefix_run_alone(monkeypatch):
         assert cert.to_dict() | {"elapsed_ms": 0} == alone.to_dict() | {"elapsed_ms": 0}
 
 
+def test_only_six_members_of_the_sweep_run_alone():
+    # check_family's run-alone branch: members whose points are no prefix of
+    # their head's, or whose fundamental assignment differs from it
+    alone = []
+    families = 0
+    for d in range(13, 41):
+        for specs in _families(d):
+            families += d >= 14
+            head = max(specs, key=lambda spec: len(spec.points()))
+            for spec in specs:
+                if (spec.points() != head.points()[: spec.r]
+                        or interpolation._greedy_assignment(spec)
+                        != interpolation._greedy_assignment(head)):
+                    alone.append(spec.to_text())
+    assert alone == [
+        "13; 10^1,4^16,3^2",
+        "13; 10^1,4^17",
+        "13; 10^1,4^17,2^1",
+        "13; 10^1,4^17,2^2",
+        "13; 10^1,4^17,3^1",
+        "13; 10^1,4^17,3^1,2^1",
+    ]
+    assert families == 1246
+
+
 def test_short_family_members_retry_at_their_own_seeds():
     # p = 17 leaves the smaller members of this d = 14 family short at seed 5
     specs = _families(14)[0]

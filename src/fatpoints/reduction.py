@@ -193,6 +193,27 @@ def _glue_steps(t2: int, q: int, total_a: int) -> list[dict]:
     return steps
 
 
+def _glue_counts(x, y, z, q_max):
+    """The greedy glueing of (x, y, z), for ints and int arrays alike.
+
+    2^5->4 runs t2 = z // 5 times.  4^a,3^b->10 with a = min(x, 11) then
+    runs at most q_max times: on eleven 4-points while they last, then once
+    on the a < 11 left and 22 - 2a 3-points if there are that many, then on
+    22 3-points at a time.  Returns (t2, q, total_a, x, y, z) after glueing.
+    """
+    t2 = z // 5
+    x = x + t2
+    q = np.minimum(q_max, x // 11)
+    x = x - 11 * q
+    mixed = (q < q_max) & (22 - 2 * x <= y)  # 0 or 1 per target
+    total_a = 11 * q + mixed * x
+    y = y - mixed * (22 - 2 * x)
+    x = x - mixed * x
+    q = q + mixed
+    k = mixed * np.minimum(q_max - q, y // 22)
+    return t2, q + k, total_a, x, y - 22 * k, z - 5 * t2
+
+
 def glue(spec: SystemSpec) -> tuple[SystemSpec, list[dict]]:
     """Apply 2^5->4 until z <= 4, then 4^a,3^b->10 greedily (4-points first).
 
@@ -204,23 +225,8 @@ def glue(spec: SystemSpec) -> tuple[SystemSpec, list[dict]]:
     bad = set(counts) - {1, 2, 3, 4}
     if bad:
         raise ValueError(f"glueing expects multiplicities <= 4, got {sorted(bad)}")
-    x = counts.get(4, 0)
-    y = counts.get(3, 0)
-    z = counts.get(2, 0)
-    t2 = z // 5
-    z -= 5 * t2
-    x += t2
-    q_max = q_values(spec.degree)[-1]
-    q = total_a = 0
-    while q < q_max:
-        a = min(x, 11)
-        b = 22 - 2 * a
-        if b > y:
-            break
-        x -= a
-        y -= b
-        q += 1
-        total_a += a
+    t2, q, total_a, x, y, z = map(int, _glue_counts(
+        counts.get(4, 0), counts.get(3, 0), counts.get(2, 0), q_values(spec.degree)[-1]))
     # simple points take no part in any rule and ride along unchanged
     glued = SystemSpec(spec.degree, {10: q, 4: x, 3: y, 2: z, 1: counts.get(1, 0)})
     return glued, _glue_steps(t2, q, total_a)
@@ -310,7 +316,6 @@ def deduce(
     target: SystemSpec,
     store,
     known: Optional[KnownResults] = None,
-    _table: Optional[np.ndarray] = None,
 ) -> DeduceResult:
     """Derive non-specialty of target from the window certificates.
 
@@ -335,7 +340,7 @@ def deduce(
     z = counts.get(2, 0)
     N = binomial(d + 3, 3)
     S = target.conditions_total
-    table = _table if _table is not None else _degree_table(store, d)
+    table = _degree_table(store, d)
 
     glued, glue_steps = glue(target)
     sig = CaseSignature.from_system(glued)
@@ -372,6 +377,13 @@ class ClosureReport:
         return not self.gaps
 
 
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the integer ranges [lo, lo + counts): (owning range index, value)."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(int(counts.sum())) - starts[owner] + lo[owner]
+
+
 def closure_audit(
     d: int,
     store,
@@ -383,6 +395,27 @@ def closure_audit(
     Audited up to S <= N + 20 + window span; beyond that removing 4-points
     re-enters the audited band, so deduction is monotone-trivial.  s_limit
     overrides the bound (smaller values make quick partial audits).
+
+    Each target's verdict is deduce's, in closed form per (x, y) pair with
+    base = 20x + 10y.  Over the non_special rows (q_c, x_c, y_c, z_c, S_c):
+    - independent chain (rows with S_c <= N): with
+      hi_a = min(11 q_c, (y_c + 22 q_c - y) // 2) and K = hi_a + x_c - x,
+      a row with hi_a >= 0 and K >= 0 proves every z <= z_c + 5K, capped
+      where S passes N: good z form a prefix;
+    - empty chain (rows with S_c >= N): with
+      lo_a = max(0, ceil((y_c + 22 q_c - y) / 2)) and
+      t2_lo = max(0, lo_a + x_c - x), a row with lo_a <= 11 q_c and
+      t2_lo <= 11 q_c + x_c proves every z >= z_c + 5 t2_lo, from where S
+      reaches N: good z form a suffix;
+    - window hit: a z between the two whose S is in the window is good if
+      its glueing is a row's case.
+    When every row's S_c is its case's condition total, a window hit is a
+    chain that adds and removes nothing and no chain crosses S = N, so the
+    caps at N and the window hits decide targets only for rows whose
+    recorded S_c differs; deduce trusts the recorded S_c, and so does this.
+    Both glue rules are validated once; if one fails, every target is a gap.
+    The work is O(#pairs x #rows) numpy, one row at a time, and the memory
+    O(#pairs + #gaps).
     """
     known = known if known is not None else default_known()
     N = binomial(d + 3, 3)
@@ -390,17 +423,47 @@ def closure_audit(
     # span of the open window: from the excluded w.start - 1 to the excluded w.stop
     span = w.stop - (w.start - 1)
     bound = s_limit if s_limit is not None else N + conditions_count(4) + span
+    # every (x, y) with 20x + 10y <= bound, in the order the gaps are listed
+    xs = np.arange(max(0, bound // 20 + 1), dtype=np.int64)
+    x, y = _ranges(np.zeros_like(xs), (bound - 20 * xs) // 10 + 1)
+    base = 20 * x + 10 * y
+    zmax = (bound - base) // 4
+    # good z: [0, z_indep], [z_empty, zmax] and the window hits between them
+    z_indep = np.full_like(base, -1)
+    z_empty = zmax + 1
     table = _degree_table(store, d)
-    gaps: list[tuple[int, int, int]] = []
-    checked = 0
-    for x in range(bound // 20 + 1):
-        bx = 20 * x
-        for y in range((bound - bx) // 10 + 1):
-            base = bx + 10 * y
-            for z in range((bound - base) // 4 + 1):
-                target = SystemSpec(d, {4: x, 3: y, 2: z})
-                result = deduce(target, store, known=known, _table=table)
-                checked += 1
-                if not result.ok:
-                    gaps.append((x, y, z))
-    return ClosureReport(d, checked, gaps)
+    table = table[table[:, 5] == 1]
+    if not all(validate_glue_rule(rule, known) for rule in (RULE_2x5_TO_4, RULE_43_TO_10)):
+        table = table[:0]
+    for qc, xc, yc, zc, sc, _ in table.tolist():
+        if sc <= N:
+            hi_a = np.minimum(11 * qc, (yc + 22 * qc - y) // 2)
+            k = hi_a + xc - x
+            reach = np.where((hi_a >= 0) & (k >= 0), zc + 5 * k, -1)
+            np.maximum(z_indep, reach, out=z_indep)
+        if sc >= N:
+            lo_a = np.maximum(0, _ceil_div(yc + 22 * qc - y, 2))
+            t2_lo = np.maximum(0, lo_a + xc - x)
+            reach = np.where((lo_a <= 11 * qc) & (t2_lo <= 11 * qc + xc), zc + 5 * t2_lo,
+                             z_empty)
+            np.minimum(z_empty, reach, out=z_empty)
+    z_indep = np.minimum(z_indep, (N - base) // 4)
+    z_empty = np.maximum(z_empty, _ceil_div(N - base, 4))
+    lo = np.maximum(z_indep + 1, 0)
+    pair, z = _ranges(lo, np.maximum(np.minimum(z_empty, zmax + 1) - lo, 0))
+    S = base[pair] + 4 * z
+    inside = np.nonzero((S >= w.start) & (S < w.stop))[0]
+    if inside.size and table.size:
+        # a case of the window has every coordinate below N // 4 + 6
+        dims = (N // 220 + 6,) + (N // 4 + 6,) * 3
+        keys = table[:, :4]
+        keys = keys[((keys >= 0) & (keys < dims)).all(axis=1)]
+        _, q, _, gx, gy, gz = _glue_counts(x[pair[inside]], y[pair[inside]], z[inside],
+                                           q_values(d)[-1])
+        hit = np.isin(np.ravel_multi_index((q, gx, gy, gz), dims),
+                      np.ravel_multi_index(keys.T, dims))
+        keep = np.ones(z.shape, dtype=bool)
+        keep[inside[hit]] = False
+        pair, z = pair[keep], z[keep]
+    gaps = list(zip(x[pair].tolist(), y[pair].tolist(), z.tolist()))
+    return ClosureReport(d, int((zmax + 1).sum()), gaps)

@@ -1,8 +1,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+import fatpoints.reduction as reduction
 from fatpoints.enumeration import algorithm_b_cases, q_values, window
 from fatpoints.interpolation import check_case, rational_oracle
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
@@ -281,3 +283,165 @@ def test_window_targets_glue_onto_algorithm_b_cases(d, targets):
                     misses.append((x, y, z))
     assert seen == targets
     assert misses == []
+
+
+def _store(d, keep=1.0, seed=0, flip=0.0, mirror=0.0):
+    """Algorithm-B cases of d kept with probability keep, some flipped to inconclusive.
+
+    With probability mirror a record's S reads 2N - S, as in a log whose
+    certificates disagree with their cases; deduce trusts the record's S.
+    """
+    N = binomial(d + 3, 3)
+    rng = random.Random(seed)
+    rows = []
+    for case in algorithm_b_cases(d):
+        if rng.random() < keep:
+            verdict = "inconclusive" if rng.random() < flip else "non_special"
+            S = case.conditions_total
+            rows.append((case, 2 * N - S if rng.random() < mirror else S, verdict))
+    return FakeStore(rows)
+
+
+def _targets(d, s_limit=None):
+    """Every (x, y, z) the audit covers, in its order: S <= N + 44 unless s_limit."""
+    bound = s_limit if s_limit is not None else binomial(d + 3, 3) + 44
+    for x in range(bound // 20 + 1):
+        for y in range((bound - 20 * x) // 10 + 1):
+            for z in range((bound - 20 * x - 10 * y) // 4 + 1):
+                yield x, y, z
+
+
+def _target_count(d):
+    bound = binomial(d + 3, 3) + 44
+    total = 0
+    for rest in range(bound, -1, -20):
+        y = np.arange(rest // 10 + 1)
+        total += int(((rest - 10 * y) // 4 + 1).sum())
+    return total
+
+
+def _deduces(d, target, store, known):
+    x, y, z = target
+    return deduce(SystemSpec(d, {4: x, 3: y, 2: z}), store, known=known).ok
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """The audit's (targets_checked, gaps) from one deduce call per target.
+
+    Each store's table is built once rather than once per deduce call, which
+    saves time only: deduce reads the same rows.
+    """
+    tables = {}
+    build = reduction._degree_table
+
+    def table_once(store, d):
+        if (id(store), d) not in tables:
+            tables[id(store), d] = build(store, d)
+        return tables[id(store), d]
+
+    monkeypatch.setattr(reduction, "_degree_table", table_once)
+
+    def run(d, store, known, s_limit=None):
+        targets = list(_targets(d, s_limit))
+        return len(targets), [t for t in targets if not _deduces(d, t, store, known)]
+
+    return run
+
+
+def test_closure_audit_equals_deduce_on_a_complete_table(oracle):
+    known = _known()
+    store = _store(14)
+    report = closure_audit(14, store, known=known)
+    assert (report.targets_checked, report.gaps) == oracle(14, store, known) == (85100, [])
+
+
+# With every record's S equal to its case's, a window hit is also a chain of
+# no added or removed points, and the chains never pass S = N; the mirrored
+# store is the one where the window hits and the caps at N decide targets.
+@pytest.mark.parametrize("d, keep, seed, s_limit, mirror", [
+    (13, 0.5, 1, None, 0.0),
+    (14, 0.7, 4, 700, 0.0),
+    (13, 0.8, 5, 580, 0.3),
+])
+def test_closure_audit_equals_deduce_on_thinned_tables(oracle, d, keep, seed, s_limit, mirror):
+    known = _known()
+    store = _store(d, keep, seed, flip=0.1, mirror=mirror)
+    assert any(verdict == "inconclusive" for _, _, verdict in store.rows)
+    report = closure_audit(d, store, known=known, s_limit=s_limit)
+    assert report.gaps
+    assert (report.targets_checked, report.gaps) == oracle(d, store, known, s_limit)
+
+
+def test_closure_audit_without_validated_rules_lists_every_target(oracle):
+    store = _store(14)
+    report = closure_audit(14, store, known=KnownResults())
+    assert report.targets_checked == 85100
+    assert report.gaps == list(_targets(14))
+    small = closure_audit(14, store, known=KnownResults(), s_limit=300)
+    assert (small.targets_checked, small.gaps) == oracle(14, store, KnownResults(), 300)
+
+
+def _boundary_targets(d, store, rng, pairs=40, rows=6):
+    """Targets at the edges of each chain's z range, for random (x, y) and rows.
+
+    The z where the independent chain of a row stops (z_c + 5K), where the
+    empty chain starts (z_c + 5 t2_lo) and where S crosses N, each with a
+    neighbour on the other side.
+    """
+    N = binomial(d + 3, 3)
+    bound = N + 44
+    cases = [case for case, _, _ in store.rows]
+    out = []
+    for _ in range(pairs):
+        x = rng.randrange(bound // 20 + 1)
+        y = rng.randrange((bound - 20 * x) // 10 + 1)
+        base = 20 * x + 10 * y
+        zs = [(N - base) // 4, (N - base) // 4 + 1]
+        for c in rng.sample(cases, min(rows, len(cases))):
+            hi_a = min(11 * c.q, (c.y + 22 * c.q - y) // 2)
+            lo_a = max(0, -((y - c.y - 22 * c.q) // 2))
+            t2_lo = max(0, lo_a + c.x - x)
+            zs += [c.z + 5 * (hi_a + c.x - x) + dz for dz in (0, 1)]
+            zs += [c.z + 5 * t2_lo + dz for dz in (-1, 0, 1)]
+        out += [(x, y, z) for z in zs if 0 <= z <= (bound - base) // 4]
+    return out
+
+
+@pytest.mark.parametrize("d", [18, 22, 30])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+def test_closure_audit_agrees_with_deduce_on_sampled_targets(monkeypatch, d, keep):
+    known = _known()
+    store = _store(d, keep, seed=d, flip=0.1 if keep < 1 else 0.0)
+    table = reduction._degree_table(store, d)
+    monkeypatch.setattr(reduction, "_degree_table", lambda _store, _d: table)
+    report = closure_audit(d, store, known=known)
+    assert report.targets_checked == _target_count(d)
+    gaps = set(report.gaps)
+    assert len(gaps) == len(report.gaps)
+    assert bool(gaps) == (keep < 1)
+    rng = random.Random(1000 + d)
+    bound = binomial(d + 3, 3) + 44
+    probes = rng.sample(report.gaps, min(200, len(report.gaps)))
+    for _ in range(200):
+        x = rng.randrange(bound // 20 + 1)
+        y = rng.randrange((bound - 20 * x) // 10 + 1)
+        probes.append((x, y, rng.randrange((bound - 20 * x - 10 * y) // 4 + 1)))
+    probes += _boundary_targets(d, store, rng)
+    wrong = [t for t in probes if _deduces(d, t, store, known) == (t in gaps)]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(d, marks=pytest.mark.slow) if d >= 31 else d for d in range(13, 41)
+])
+def test_every_degree_closes_on_its_algorithm_b_cases(d):
+    report = closure_audit(d, _store(d), known=_known())
+    assert report.gaps == []
+    assert report.targets_checked == _target_count(d)
+
+
+def test_audit_target_counts():
+    assert _target_count(14) == 85100
+    assert _target_count(40) == 397405430
+    assert sum(_target_count(d) for d in range(13, 41)) == 1885152046

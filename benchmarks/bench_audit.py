@@ -9,15 +9,16 @@ records the target count, the gap count and the median and quartiles over
 On a real log it times the `audit-closure -d 14 --json` process of two
 source trees, the tree given by --before and this one, and records its
 peak RSS, in --pairs pairs whose order alternates (before first, then
-after first), so that the machine's drift falls on both sides alike.  Every pair must print the same
-stdout.  The log is written by `campaign --degrees 14` of this tree unless
---log names one.  Results go to BENCH_audit.json at the repository root:
+after first), so that the machine's drift falls on both sides alike.
+Every pair must print the same stdout.  The log is written by `campaign
+--degrees 14` of this tree.  Results go to BENCH_audit.json at the
+repository root:
 
     git archive <parent> | tar -x -C <dir>
     python benchmarks/bench_audit.py --before <dir>/src
 
 Usage:
-    python benchmarks/bench_audit.py [--before DIR] [--log PATH] [--pairs 10] [--repeats 5]
+    python benchmarks/bench_audit.py [--before DIR] [--pairs 10] [--repeats 5]
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def audit_process(src: Path, log: Path) -> tuple[float, float, bytes]:
     return wall, usage.ru_maxrss / 1024, stdout
 
 
-def d14_pairs(before: Path, log: Path, source: str, pairs: int) -> dict:
+def d14_pairs(before: Path, log: Path, pairs: int) -> dict:
     sides = {"before": before, "after": SRC}
     wall = {side: [] for side in sides}
     rss = {side: [] for side in sides}
@@ -111,7 +112,7 @@ def d14_pairs(before: Path, log: Path, source: str, pairs: int) -> dict:
               f" after {wall['after'][-1]:.3f} s", flush=True)
     report = json.loads(outputs["after"])
     return {
-        "log": source,
+        "log": f"campaign --degrees 14 --seed {LOG_SEED}",
         "targets": report["targets"],
         "gaps": len(report["gaps"]),
         "pairs": pairs,
@@ -124,7 +125,6 @@ def d14_pairs(before: Path, log: Path, source: str, pairs: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, help="source tree timed against this one")
-    ap.add_argument("--log", type=Path, help="d = 14 result log (default: a fresh campaign)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
@@ -136,15 +136,12 @@ def main(argv=None) -> int:
     # forked with, so this process must not hold numpy yet
     if args.before:
         with tempfile.TemporaryDirectory() as tmp:
-            log, source = args.log, str(args.log)
-            if log is None:
-                log = Path(tmp) / "d14.jsonl"
-                source = f"campaign --degrees 14 --seed {LOG_SEED}"
-                subprocess.run([sys.executable, "-m", "fatpoints.cli", "campaign", "--degrees",
-                                "14", "--seed", str(LOG_SEED), "--out", str(log)],
-                               env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
-                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            data["d14_log"] = d14_pairs(args.before.resolve(), log, source, args.pairs)
+            log = Path(tmp) / "d14.jsonl"
+            subprocess.run([sys.executable, "-m", "fatpoints.cli", "campaign", "--degrees", "14",
+                            "--seed", str(LOG_SEED), "--out", str(log)],
+                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            data["d14_log"] = d14_pairs(args.before.resolve(), log, args.pairs)
     sys.path.insert(0, str(SRC))
     data["per_degree"] = per_degree(args.repeats)
     data["total_targets"] = sum(row["targets"] for row in data["per_degree"])

@@ -158,9 +158,9 @@ def _cmd_status(args) -> int:
 
 def _cmd_audit_closure(args) -> int:
     store = ResultStore.load(args.results)
-    if not store.cases(args.degree):
-        # every target would be a gap: 397 M of them at d = 40
-        raise ValueError(f"{args.results} holds no record of degree {args.degree}")
+    if not any(v == VERDICT_NON_SPECIAL for _, _, v in store.cases(args.degree)):
+        # nothing is proven, so every target would be a gap: 397 M at d = 40
+        raise ValueError(f"{args.results} holds no non_special record of degree {args.degree}")
     report = closure_audit(args.degree, store)
     _eprint(
         f"d={args.degree}: audited {report.targets_checked} signatures,"

@@ -103,12 +103,15 @@ def test_audit_closure_refuses_a_degree_the_log_lacks(capsys, tmp_path):
     out = tmp_path / "log.jsonl"
     assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
     capsys.readouterr()
+    # the same records, none of them proven
+    doubtful = tmp_path / "inconclusive.jsonl"
+    doubtful.write_text(out.read_text().replace('"non_special"', '"inconclusive"'))
     # every target would be a gap: 397 405 430 tuples at d = 40
-    for d in ("15", "40"):
-        assert main(["--json", "audit-closure", "-d", d, "--results", str(out)]) == 2
+    for log, d in ((out, "15"), (out, "40"), (doubtful, "14")):
+        assert main(["--json", "audit-closure", "-d", d, "--results", str(log)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"holds no record of degree {d}" in captured.err
+        assert f"holds no non_special record of degree {d}" in captured.err
 
 
 def test_campaign_refuses_existing_log(capsys, tmp_path):

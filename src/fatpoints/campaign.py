@@ -7,8 +7,14 @@ off on resume), and a resume refuses a log whose header names another
 config; sharded runs on separate machines produce disjoint logs whose
 concatenation equals the unsharded log up to ordering.
 
-A campaign runs one family at a time, so the rank kernel has every BLAS
-thread and one family's matrix is resident at most; shard splits the work.
+The units of work are independent: a family in run_campaign, a record's
+replay in verify_log.  Both run them in a pool of spawned worker processes,
+each with its BLAS pinned to one thread, and consume the results in
+submission order, so the log and verify's report keep their order.  The
+worker count is worker_count's: max(1, min(usable CPUs, units, available
+memory // the largest unit's peak estimate)).  With one worker the units
+run in the calling process with its own BLAS threads; shard splits the work
+across processes or machines.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -26,18 +32,28 @@ families, follow the per-case rule for every attempt.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import interpolation
 from ._version import __version__
 from .enumeration import algorithm_b_cases
 from .gfp import PRIME_LADDER
-from .interpolation import Certificate, check_case, check_family, replay_certificate
+from .interpolation import (
+    Certificate,
+    check_case,
+    check_family,
+    peak_bytes,
+    replay_certificate,
+)
 from .model import (
     CaseSignature,
     VERDICT_INCONCLUSIVE,
@@ -74,8 +90,16 @@ class CampaignConfig:
         self.out = Path(self.out)
 
     def effective_threads(self) -> int:
-        """Families in flight at once, always 1; the benchmark tracer reads it."""
-        return 1
+        """Worker processes the run uses: worker_count over the shard's families.
+
+        The pool, the log header's env and the benchmark tracer read it.
+        """
+        peaks = []
+        for d in range(self.degrees[0], self.degrees[1] + 1):
+            cases = algorithm_b_cases(d)
+            mine = [(idx, cases[idx]) for idx in _shard_indices(len(cases), self.shard)]
+            peaks += [peak_bytes(family[-1][1].to_system()) for _, family in _families(cases, mine)]
+        return worker_count(peaks)
 
     def digest_fields(self) -> dict:
         return {
@@ -261,15 +285,141 @@ def _families(
     return families
 
 
+# BLAS libraries read these when they load.  A spawned worker loads numpy
+# before it runs a unit, so they are set while the workers start.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _mem_available() -> int:
+    """Bytes that can be allocated without swapping: MemAvailable, else the free pages."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _callees_replaced() -> bool:
+    """Whether this process replaced a function the units call, as a tracer does.
+
+    A spawned worker imports the package afresh, so the replacement would
+    see none of the units' calls.
+    """
+    return any(globals()[name] is not getattr(interpolation, name)
+               for name in ("check_family", "check_case", "replay_certificate"))
+
+
+def worker_count(peaks: Sequence[int]) -> int:
+    """Worker processes for units with these peak memory estimates (peak_bytes).
+
+    max(1, min(usable CPUs, units, available memory // the largest peak)), so
+    the units in flight fit in memory together.  It is 1 while a function
+    the units call is replaced in this process, so that the units run here.
+    """
+    if not peaks or _callees_replaced():
+        return 1
+    return max(1, min(_usable_cpus(), len(peaks), _mem_available() // max(peaks)))
+
+
+@contextmanager
+def _blas_pinned():
+    """Set every _BLAS_THREAD_VARS to 1 in the environment; restore the caller's values after."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[], object]]:
+    """For each task in order, a function that returns fn(*task) or raises what it raised.
+
+    With one worker each task runs in this process when its function is
+    called.  With more, the tasks go to a pool of that many spawned worker
+    processes, which pickles fn by reference, so fn must be a module-level
+    function.  Every task is submitted at once, and the workers start during
+    submission, under _blas_pinned.  A worker that dies breaks the pool:
+    each task without a result then raises BrokenProcessPool.
+    """
+    if workers <= 1:
+        for task in tasks:
+            yield functools.partial(fn, *task)
+        return
+    import multiprocessing  # here, so that importing the CLI does not pay for the pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        with _blas_pinned():
+            futures = [pool.submit(fn, *task) for task in tasks]
+        for future in futures:
+            yield future.result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _error_records(family: list[tuple[int, CaseSignature]], error: str) -> list[CertRecord]:
+    return [CertRecord(case, idx, None, error) for idx, case in family]
+
+
+def _family_unit(
+    config: CampaignConfig, first: int, family: list[tuple[int, CaseSignature]]
+) -> list[CertRecord]:
+    """The records of one family: attempt 1 by check_family, the retries by check_case.
+
+    A pool unit: a failure comes back as error records, not as an exception.
+    """
+    try:
+        specs = [case.to_system() for _, case in family]
+        tried = check_family(
+            specs,
+            prime=PRIME_LADDER[0],
+            seed=config.base_seed + first * config.max_attempts,
+            fundamental=True,
+        )
+        return [
+            CertRecord(case, idx, check_case(
+                spec,
+                prime=PRIME_LADDER[0],
+                seed=config.base_seed + idx * config.max_attempts,
+                max_attempts=config.max_attempts,
+                fundamental=True,
+                first=cert,
+            ))
+            for (idx, case), spec, cert in zip(family, specs, tried)
+        ]
+    except MemoryError as exc:  # pragma: no cover - depends on host RAM
+        return _error_records(family, f"out of memory: {exc}")
+    except Exception as exc:
+        return _error_records(family, f"{type(exc).__name__}: {exc}")
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     """Sweep every degree in range, appending certificates to the log.
 
-    Within a degree the families run one after another, largest head first,
-    and each family's records are appended and flushed when it finishes, so
-    a log's records are in family order.  A case whose only records are
-    errors is computed again.  Returns a summary with per-degree counts; any
-    inconclusive or failed case is surfaced there and must be treated as a
-    red flag.
+    Degree by degree, largest head first within a degree, the families go
+    to config.effective_threads() workers (_run_units).  Each family's
+    records are appended and flushed in that order as its results arrive,
+    so a log's records are in family order whatever the worker count.  A
+    family whose worker died gets error records.  A case whose only records
+    are errors is computed again.  Returns a summary with per-degree counts;
+    any inconclusive or failed case is surfaced there and must be treated
+    as a red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -279,6 +429,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             raise FileExistsError(f"{out} exists; pass resume to continue into it")
         _check_header(out, config)
         _trim_partial_line(out)
+    workers = config.effective_threads()
     if out.exists() and out.stat().st_size > 0:
         done = ResultStore.load(out)
     else:
@@ -289,6 +440,13 @@ def run_campaign(config: CampaignConfig) -> dict:
                 "numpy": np.__version__,
                 "digest": config.digest(),
                 "config": config.digest_fields(),
+                # what the run had; outside config, so the digest ignores it
+                "env": {
+                    "workers": workers,
+                    "blas_threads_per_worker": 1 if workers > 1 else None,  # None: the caller's own
+                    "cpus": _usable_cpus(),
+                    "mem_available_bytes": _mem_available(),
+                },
             }
             fh.write(json.dumps(header) + "\n")
 
@@ -300,54 +458,38 @@ def run_campaign(config: CampaignConfig) -> dict:
         "errors": 0,
         "shard": list(config.shard),
     }
+    plan = []  # (degree, first, family) in run order
+    for d in range(lo, hi + 1):
+        cases = algorithm_b_cases(d)
+        mine = _shard_indices(len(cases), config.shard)
+        todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
+        stats = {"expected": len(mine), "done": len(mine) - len(todo),
+                 VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
+        for case, _, verdict in done.cases(d):
+            if verdict != VERDICT_ERROR:  # errors are in todo and counted when redone
+                stats[verdict] = stats.get(verdict, 0) + 1
+        summary["degrees"][d] = stats
+        plan += [(d, first, family) for first, family in _families(cases, todo)]
 
-    def run_family(first: int, family: list[tuple[int, CaseSignature]]) -> list[CertRecord]:
-        try:
-            specs = [case.to_system() for _, case in family]
-            tried = check_family(
-                specs,
-                prime=PRIME_LADDER[0],
-                seed=config.base_seed + first * config.max_attempts,
-                fundamental=True,
-            )
-            return [
-                CertRecord(case, idx, check_case(
-                    spec,
-                    prime=PRIME_LADDER[0],
-                    seed=config.base_seed + idx * config.max_attempts,
-                    max_attempts=config.max_attempts,
-                    fundamental=True,
-                    first=cert,
-                ))
-                for (idx, case), spec, cert in zip(family, specs, tried)
-            ]
-        except MemoryError as exc:  # pragma: no cover - depends on host RAM
-            error = f"out of memory: {exc}"
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        return [CertRecord(case, idx, None, error) for idx, case in family]
-
+    tasks = [(config, first, family) for _, first, family in plan]
     with open(out, "a") as fh:
-        for d in range(lo, hi + 1):
-            cases = algorithm_b_cases(d)
-            mine = _shard_indices(len(cases), config.shard)
-            todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
-            stats = {"expected": len(mine), "done": len(mine) - len(todo),
-                     VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
-            for case, _, verdict in done.cases(d):
-                if verdict != VERDICT_ERROR:  # errors are in todo and counted when redone
-                    stats[verdict] = stats.get(verdict, 0) + 1
-            for first, family in _families(cases, todo):
-                for record in run_family(first, family):
-                    fh.write(record.to_line() + "\n")
-                    done.add(record)
-                    stats[record.verdict] = stats.get(record.verdict, 0) + 1
-                    summary["computed"] += 1
-                fh.flush()
-            stats["done"] = stats[VERDICT_NON_SPECIAL] + stats[VERDICT_INCONCLUSIVE] + stats[VERDICT_ERROR]
-            summary["degrees"][d] = stats
-            summary["inconclusive"] += stats[VERDICT_INCONCLUSIVE]
-            summary["errors"] += stats[VERDICT_ERROR]
+        # _run_units first, so that zip runs it to its end, which shuts its pool down
+        for result, (d, _, family) in zip(_run_units(_family_unit, tasks, workers), plan):
+            try:
+                records = result()
+            except Exception as exc:  # the pool broke, e.g. a worker was killed
+                records = _error_records(family, f"{type(exc).__name__}: {exc}")
+            stats = summary["degrees"][d]
+            for record in records:
+                fh.write(record.to_line() + "\n")
+                done.add(record)
+                stats[record.verdict] = stats.get(record.verdict, 0) + 1
+                summary["computed"] += 1
+            fh.flush()
+    for stats in summary["degrees"].values():
+        stats["done"] = stats[VERDICT_NON_SPECIAL] + stats[VERDICT_INCONCLUSIVE] + stats[VERDICT_ERROR]
+        summary["inconclusive"] += stats[VERDICT_INCONCLUSIVE]
+        summary["errors"] += stats[VERDICT_ERROR]
     summary["ok"] = summary["inconclusive"] == 0 and summary["errors"] == 0
     return summary
 
@@ -429,7 +571,8 @@ def verify_log(path, full: bool = False) -> VerifyReport:
     earlier one is an error record, and the latest is the one checked.
     Ranks are recomputed for every record with full=True, else for a
     deterministic evenly-spaced sample.  A replay ranks the record's own
-    matrix, never a family's.
+    matrix, never a family's; the replays run on worker_count's workers
+    (_run_units), and mismatches are reported in line order.
     """
     report = VerifyReport()
     latest: dict[tuple, tuple[int, CertRecord, Optional[dict]]] = {}
@@ -479,7 +622,7 @@ def verify_log(path, full: bool = False) -> VerifyReport:
         if problems:
             report.structural.append({"line": lineno, "error": "; ".join(problems)})
             continue
-        checkable.append((lineno, record))
+        checkable.append((lineno, record, spec))
 
     if checkable:
         if full:
@@ -488,8 +631,10 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             want = min(len(checkable), max(10, len(checkable) // 10))
             step = max(1, len(checkable) // want)
             picked = checkable[::step][:want]
-        for lineno, record in picked:
-            got = replay_certificate(record.cert)
+        workers = worker_count([peak_bytes(spec) for _, _, spec in picked])
+        replays = _run_units(replay_certificate, [(record.cert,) for _, record, _ in picked], workers)
+        for replay, (lineno, record, _) in zip(replays, picked):
+            got = replay()
             report.replayed += 1
             if got != record.cert.rank:
                 report.mismatches.append(

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -15,13 +17,21 @@ from fatpoints.campaign import (
     verify_log,
 )
 from fatpoints.enumeration import algorithm_b_cases
-from fatpoints.interpolation import Certificate, check_case, check_family, replay_certificate
+from fatpoints.interpolation import Certificate, check_case, replay_certificate
 from fatpoints.model import CaseSignature
 
 SHARD = (5, 87)  # 3 of the 261 d=14 cases: keeps unit runs quick
 # 131 d=14 cases in families of up to 3: family (1, 0, 46) holds cases 3..7,
 # of which 4 and 6 are in this shard; family (1, 1, 44) holds 14, 16 and 18
 FAMILY_SHARD = (1, 2)
+
+
+# The header a campaign wrote for _tiny_config before headers carried env
+PRE_ENV_HEADER = {
+    "header": True, "version": "0.1.0", "numpy": "2.4.6", "digest": "840c83116bc0e93a",
+    "config": {"degrees": [14, 14], "primes": [32003, 65537, 104729], "base_seed": 7,
+               "max_attempts": 3, "shard": [5, 87], "fundamental": True, "seed_rule": "family"},
+}
 
 
 def _family_seed(case_key, base_seed=7, max_attempts=3):
@@ -66,14 +76,18 @@ def test_sharding_is_a_partition():
             assert flat == list(range(total))
 
 
-def test_run_campaign_and_log_shape(tmp_path, monkeypatch):
-    started = []
+def _families_in_log(records):
+    """The log's records cut into runs of one (q, x, y), in log order."""
+    families = []
+    for rec in records:
+        if families and families[-1][-1]["case"][1:4] == rec["case"][1:4]:
+            families[-1].append(rec)
+        else:
+            families.append([rec])
+    return families
 
-    def recording_check_family(specs, *args, **kwargs):
-        started.append(list(specs))
-        return check_family(specs, *args, **kwargs)
 
-    monkeypatch.setattr(campaign, "check_family", recording_check_family)
+def test_run_campaign_and_log_shape(tmp_path):
     out = tmp_path / "log.jsonl"
     summary = run_campaign(_tiny_config(out))
     stats = summary["degrees"][14]
@@ -91,12 +105,37 @@ def test_run_campaign_and_log_shape(tmp_path, monkeypatch):
     assert len(records) == 3
     expected_keys = {tuple(algorithm_b_cases(14)[i].key()) for i in _shard_indices(261, SHARD)}
     assert {tuple(r["case"]) for r in records} == expected_keys
-    # three families of one; the biggest heads started first, and the log
-    # holds the records in the order their families started
-    assert len(started) == 3
-    heads = [max(spec.conditions_total for spec in family) for family in started]
+    # three families of one, written biggest head first whichever worker
+    # finished first
+    families = _families_in_log(records)
+    assert len(families) == 3
+    heads = [max(r["S"] for r in family) for family in families]
     assert heads == sorted(heads, reverse=True)
-    assert [r["spec"] for r in records] == [spec.to_text() for family in started for spec in family]
+
+
+def test_header_env_leaves_the_digest_alone(tmp_path):
+    out = tmp_path / "log.jsonl"
+    config = _tiny_config(out)
+    run_campaign(config)
+    header = json.loads(out.read_text().splitlines()[0])
+    env = header["env"]
+    assert set(env) == {"workers", "blas_threads_per_worker", "cpus", "mem_available_bytes"}
+    assert env["workers"] == config.effective_threads()
+    assert env["blas_threads_per_worker"] == (1 if env["workers"] > 1 else None)
+    assert env["cpus"] >= 1 and env["mem_available_bytes"] > 0
+    assert "env" not in header["config"]
+    # the digest of this config in a log written before the env field
+    assert header["digest"] == config.digest() == "840c83116bc0e93a"
+
+    # a log written before the env field is resumed, not refused
+    old = tmp_path / "old.jsonl"
+    old.write_text(json.dumps(PRE_ENV_HEADER) + "\n")
+    summary = run_campaign(_tiny_config(old, resume=True))
+    assert summary["computed"] == 3 and summary["ok"], summary
+    lines = old.read_text().splitlines()
+    assert json.loads(lines[0]) == PRE_ENV_HEADER
+    assert _strip(lines) == _strip(out.read_text().splitlines())
+    assert verify_log(old, full=True).ok
 
 
 def test_refuses_to_clobber_existing_log(tmp_path):
@@ -160,8 +199,9 @@ def test_shard_certificates_match_unsharded_seeds(tmp_path):
     out_b = tmp_path / "b.jsonl"
     run_campaign(_tiny_config(out_a))
     run_campaign(_tiny_config(out_b))
+    # elapsed_ms and the header's env (free memory, say) describe the run, not the proof
     strip = lambda lines: [
-        {k: v for k, v in json.loads(l).items() if k != "elapsed_ms"} for l in lines
+        {k: v for k, v in json.loads(l).items() if k not in ("elapsed_ms", "env")} for l in lines
     ]
     assert strip(out_a.read_text().splitlines()) == strip(out_b.read_text().splitlines())
 
@@ -290,6 +330,13 @@ def test_family_seed_rule_verifies(tmp_path):
     run_campaign(_tiny_config(out, shard=FAMILY_SHARD))
     lines = out.read_text().splitlines()
     assert json.loads(lines[0])["config"]["seed_rule"] == "family"
+    # each family's records are together, in ascending z, biggest head first
+    families = _families_in_log([json.loads(line) for line in lines[1:]])
+    assert len(families) == len({tuple(f[0]["case"][1:4]) for f in families})
+    for family in families:
+        assert [r["case"][4] for r in family] == sorted(r["case"][4] for r in family)
+    heads = [family[-1]["S"] for family in families]
+    assert heads == sorted(heads, reverse=True)
     records = _strip(lines[1:])
     assert len(records) == 131
     for rec in records:
@@ -354,7 +401,10 @@ def test_short_member_is_retried_alone(tmp_path, monkeypatch):
             ranks[0] -= 1  # the smallest member of a real family falls short
         return ranks
 
+    # the patch reaches no spawned worker: one worker runs the families'
+    # units, _family_unit, in this process
     monkeypatch.setattr(interpolation, "rank", short_prefix)
+    monkeypatch.setattr(CampaignConfig, "effective_threads", lambda self: 1)
     out = tmp_path / "log.jsonl"
     summary = run_campaign(_tiny_config(out, shard=FAMILY_SHARD))
     assert summary["ok"], summary
@@ -397,3 +447,84 @@ def test_error_records_are_retried_on_resume(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         ResultStore.load(dup)
     assert any("duplicate" in c["error"] for c in verify_log(dup).corrupt)
+
+
+@pytest.mark.parametrize("caller", [None, "4"])
+def test_workers_run_blas_on_one_thread(monkeypatch, caller):
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    before = dict(os.environ)
+    tasks = [("OPENBLAS_NUM_THREADS",)] * 4
+    assert [got() for got in campaign._run_units(os.getenv, tasks, 2)] == ["1"] * 4
+    assert dict(os.environ) == before
+    # one worker is this process, with the caller's own setting
+    assert [got() for got in campaign._run_units(os.getenv, tasks, 1)] == [caller] * 4
+
+
+def test_worker_count(monkeypatch):
+    gib = 2**30
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(campaign, "_mem_available", lambda: 7 * gib)
+    assert campaign.worker_count([]) == 1
+    assert campaign.worker_count([gib] * 3) == 3  # no more workers than units
+    assert campaign.worker_count([gib] * 20) == 7  # memory for 7 of the largest
+    assert campaign.worker_count([gib] * 19 + [2 * gib]) == 3
+    assert campaign.worker_count([8 * gib, gib]) == 1
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+    assert campaign.worker_count([gib] * 20) == 2
+    # two d = 40 cases fit in 7 GiB
+    d40 = max(algorithm_b_cases(40), key=lambda case: case.conditions_total)
+    assert campaign.worker_count([interpolation.peak_bytes(d40.to_system())] * 4) == 2
+    # a replaced callee would not be seen by a worker: the units run here
+    monkeypatch.setattr(campaign, "replay_certificate", lambda cert: 0)
+    assert campaign.worker_count([gib] * 20) == 1
+
+
+def _dying_family_unit(config, first, family):
+    """The campaign's unit, except that the worker of the biggest family dies."""
+    if family[-1][1].key() == DYING_HEAD:
+        assert multiprocessing.parent_process() is not None, "must not end the test process"
+        os._exit(3)
+    return campaign._family_unit(config, first, family)
+
+
+# the biggest family of SHARD, the one submitted first
+DYING_HEAD = max((algorithm_b_cases(14)[i] for i in _shard_indices(261, SHARD)),
+                 key=lambda case: case.conditions_total).key()
+
+
+def test_dead_worker_leaves_error_records_that_resume_retries(tmp_path, monkeypatch):
+    out = tmp_path / "log.jsonl"
+    if _tiny_config(out).effective_threads() < 2:
+        pytest.skip("one worker runs the units in this process")
+    monkeypatch.setattr(campaign, "_family_unit", _dying_family_unit)
+    summary = run_campaign(_tiny_config(out))
+    assert not summary["ok"] and summary["computed"] == 3
+    assert 1 <= summary["errors"] == summary["degrees"][14]["error"] <= 3
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert records[0]["case"] == list(DYING_HEAD)
+    assert "BrokenProcessPool" in records[0]["error"]
+    assert sum("error" in r for r in records) == summary["errors"]
+    monkeypatch.undo()
+
+    again = run_campaign(_tiny_config(out, resume=True))
+    assert again["ok"] and again["computed"] == summary["errors"], again
+    assert len(ResultStore.load(out)) == 3
+    report = verify_log(out, full=True)
+    assert report.ok and report.replayed == 3, report.to_dict()
+
+
+def test_verify_reports_mismatches_in_line_order(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out, shard=(3, 29)))  # 9 records
+    lines = out.read_text().splitlines()
+    forged_at = [2, 5, 9]
+    for i in forged_at:
+        rec = json.loads(lines[i])
+        lines[i] = json.dumps(dict(rec, rank=rec["rank"] - 1, verdict="inconclusive"))
+    out.write_text("\n".join(lines) + "\n")
+    report = verify_log(out, full=True)
+    assert report.replayed == 9 and not report.structural, report.to_dict()
+    assert [m["line"] for m in report.mismatches] == [i + 1 for i in forged_at]

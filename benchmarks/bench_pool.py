@@ -19,7 +19,7 @@ Results go to BENCH_pool.json at the repository root:
     python benchmarks/bench_pool.py --before <dir>/src
 
 Usage:
-    python benchmarks/bench_pool.py --before DIR [--pairs 10] [--seed 14]
+    python benchmarks/bench_pool.py --before DIR [--pairs 10]
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "BENCH_pool.json"
 STAGES = ("campaign_d14", "verify_d14", "campaign_d30_shard")
+SEED = 14  # campaign --seed of both d = 14 and d = 30
 
 
 def quartiles(times: list[float]) -> dict:
@@ -73,14 +74,14 @@ def records(log: Path) -> list[dict]:
     return out
 
 
-def one_side(src: Path, tmp: Path, seed: int) -> tuple[dict, dict, dict]:
+def one_side(src: Path, tmp: Path) -> tuple[dict, dict, dict]:
     """(wall s, peak RSS MiB, outputs) per stage of one tree."""
     d14, d30 = tmp / "d14.jsonl", tmp / "d30.jsonl"
     runs = {
-        "campaign_d14": ["campaign", "--degrees", "14", "--seed", str(seed), "--out", str(d14)],
+        "campaign_d14": ["campaign", "--degrees", "14", "--seed", str(SEED), "--out", str(d14)],
         "verify_d14": ["--json", "verify", "--full", str(d14)],
         "campaign_d30_shard": ["campaign", "--degrees", "30", "--shard", "1/35",
-                               "--seed", str(seed), "--out", str(d30)],
+                               "--seed", str(SEED), "--out", str(d30)],
     }
     wall, rss, outs = {}, {}, {}
     for stage, args in runs.items():
@@ -98,7 +99,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True, help="source tree timed against this one")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=14, help="campaign --seed of both d = 14 and d = 30")
     args = ap.parse_args(argv)
     if args.pairs < 3:
         ap.error("--pairs must be at least 3 to give quartiles")
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         outs = {}
         for side in order:
             with tempfile.TemporaryDirectory() as tmp:
-                t, mib, outs[side] = one_side(sides[side], Path(tmp), args.seed)
+                t, mib, outs[side] = one_side(sides[side], Path(tmp))
             for stage in STAGES:
                 wall[side][stage].append(round(t[stage], 4))
                 rss[side][stage].append(round(mib[stage], 1))
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     data = {
         "cpu_count": os.cpu_count(),
         "timing": "median and quartiles, seconds; peak RSS the largest of the pairs, MiB",
-        "seed": args.seed,
+        "seed": SEED,
         "pairs": args.pairs,
         "after_env": outs["after"]["header"].get("env"),
         "stages": {},

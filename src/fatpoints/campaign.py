@@ -89,17 +89,17 @@ class CampaignConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         self.out = Path(self.out)
 
-    def effective_threads(self) -> int:
-        """Worker processes the run uses: worker_count over the shard's families.
+    def effective_threads(self, plan: Optional[list] = None) -> int:
+        """Worker processes the run uses: worker_count over the families it computes.
 
-        The pool, the log header's env and the benchmark tracer read it.
+        plan is _plan's for this config, made here from the log the run
+        starts from when not given; on a resume it holds only the families
+        that log does not finish.  The pool, the log header's env and the
+        benchmark tracer read it.
         """
-        peaks = []
-        for d in range(self.degrees[0], self.degrees[1] + 1):
-            cases = algorithm_b_cases(d)
-            mine = [(idx, cases[idx]) for idx in _shard_indices(len(cases), self.shard)]
-            peaks += [peak_bytes(family[-1][1].to_system()) for _, family in _families(cases, mine)]
-        return worker_count(peaks)
+        if plan is None:
+            plan = _plan(self, _start_store(self))[1]
+        return worker_count([peak_bytes(family[-1][1].to_system()) for _, _, family in plan])
 
     def digest_fields(self) -> dict:
         return {
@@ -285,6 +285,36 @@ def _families(
     return families
 
 
+def _start_store(config: CampaignConfig) -> ResultStore:
+    """The records a run of config starts from: its log's, if it resumes into one."""
+    out = config.out
+    if config.resume and out.exists() and out.stat().st_size > 0:
+        return ResultStore.load(out)
+    return ResultStore()
+
+
+def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict, list]:
+    """Per-degree counts of what done holds, and the families left to compute.
+
+    The families come as (degree, first, family) in run order: degree by
+    degree, largest head first (_families).  A case whose only records are
+    errors is left to compute, and its errors are not counted.
+    """
+    degrees, plan = {}, []
+    for d in range(config.degrees[0], config.degrees[1] + 1):
+        cases = algorithm_b_cases(d)
+        mine = _shard_indices(len(cases), config.shard)
+        todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
+        stats = {"expected": len(mine), "done": len(mine) - len(todo),
+                 VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
+        for case, _, verdict in done.cases(d):
+            if verdict != VERDICT_ERROR:
+                stats[verdict] = stats.get(verdict, 0) + 1
+        degrees[d] = stats
+        plan += [(d, first, family) for first, family in _families(cases, todo)]
+    return degrees, plan
+
+
 # BLAS libraries read these when they load.  A spawned worker loads numpy
 # before it runs a unit, so they are set while the workers start.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -297,16 +327,74 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_SELF_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_MOUNT = Path("/sys/fs/cgroup")
+# (directories under _CGROUP_MOUNT, limit file, usage file, memory.stat key of
+# the reclaimable page cache) for the v2 hierarchy and the v1 memory controller
+_CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", "inactive_file")
+_CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
+
+
+def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str) -> Optional[int]:
+    """Bytes group's memory limit leaves, counting inactive page cache as free; None without one."""
+    try:
+        limit = int((group / limit_file).read_text())  # "max" (no limit) raises
+        usage = int((group / usage_file).read_text())
+        stat = dict(line.split() for line in (group / "memory.stat").read_text().splitlines())
+        return max(0, limit - usage + int(stat.get(cache_key, 0)))
+    except (OSError, ValueError):
+        return None
+
+
+def _cgroup_headroom() -> Optional[int]:
+    """Bytes this process's memory cgroups leave, or None if none of them has a limit.
+
+    The least room over the process's cgroup and its ancestors, since a
+    limit on any of them binds, in the v2 hierarchy and the v1 memory
+    controller.  MemAvailable does not see these limits.
+    """
+    try:
+        entries = [line.split(":", 2) for line in _SELF_CGROUP.read_text().splitlines()]
+    except OSError:
+        return None
+    rooms = []
+    for _, controllers, path in entries:
+        if not controllers:
+            dirs, *files = _CGROUP_V2
+        elif "memory" in controllers.split(","):
+            dirs, *files = _CGROUP_V1
+        else:
+            continue
+        for top in (_CGROUP_MOUNT / name for name in dirs):
+            group = top / path.lstrip("/")
+            while True:
+                rooms.append(_cgroup_room(group, *files))
+                if group == top or top not in group.parents:
+                    break
+                group = group.parent
+    rooms = [room for room in rooms if room is not None]
+    return min(rooms) if rooms else None
+
+
 def _mem_available() -> int:
-    """Bytes that can be allocated without swapping: MemAvailable, else the free pages."""
+    """Bytes that can be allocated without swapping.
+
+    MemAvailable, else the free pages, and no more than the memory cgroups
+    leave (_cgroup_headroom).
+    """
+    avail = None
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    avail = int(line.split()[1]) * 1024
+                    break
     except OSError:
         pass
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if avail is None:
+        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    room = _cgroup_headroom()
+    return avail if room is None else min(avail, room)
 
 
 def _callees_replaced() -> bool:
@@ -412,27 +500,26 @@ def _family_unit(
 def run_campaign(config: CampaignConfig) -> dict:
     """Sweep every degree in range, appending certificates to the log.
 
-    Degree by degree, largest head first within a degree, the families go
-    to config.effective_threads() workers (_run_units).  Each family's
-    records are appended and flushed in that order as its results arrive,
-    so a log's records are in family order whatever the worker count.  A
-    family whose worker died gets error records.  A case whose only records
-    are errors is computed again.  Returns a summary with per-degree counts;
-    any inconclusive or failed case is surfaced there and must be treated
-    as a red flag.
+    Degree by degree, largest head first within a degree (_plan), the
+    families left go to config.effective_threads(plan) workers
+    (_run_units).  Each family's records are appended and flushed in that
+    order as its results arrive, so a log's records are in family order
+    whatever the worker count.  A family whose worker died gets error
+    records.  A case whose only records are errors is computed again.
+    Returns a summary with per-degree counts; any inconclusive or failed
+    case is surfaced there and must be treated as a red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    done = ResultStore()
     if out.exists() and out.stat().st_size > 0:
         if not config.resume:
             raise FileExistsError(f"{out} exists; pass resume to continue into it")
         _check_header(out, config)
         _trim_partial_line(out)
-    workers = config.effective_threads()
-    if out.exists() and out.stat().st_size > 0:
-        done = ResultStore.load(out)
-    else:
+    done = _start_store(config)
+    degrees, plan = _plan(config, done)
+    workers = config.effective_threads(plan)
+    if not (out.exists() and out.stat().st_size > 0):
         with open(out, "a") as fh:
             header = {
                 "header": True,
@@ -450,27 +537,13 @@ def run_campaign(config: CampaignConfig) -> dict:
             }
             fh.write(json.dumps(header) + "\n")
 
-    lo, hi = config.degrees
     summary = {
-        "degrees": {},
+        "degrees": degrees,
         "computed": 0,
         "inconclusive": 0,
         "errors": 0,
         "shard": list(config.shard),
     }
-    plan = []  # (degree, first, family) in run order
-    for d in range(lo, hi + 1):
-        cases = algorithm_b_cases(d)
-        mine = _shard_indices(len(cases), config.shard)
-        todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
-        stats = {"expected": len(mine), "done": len(mine) - len(todo),
-                 VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
-        for case, _, verdict in done.cases(d):
-            if verdict != VERDICT_ERROR:  # errors are in todo and counted when redone
-                stats[verdict] = stats.get(verdict, 0) + 1
-        summary["degrees"][d] = stats
-        plan += [(d, first, family) for first, family in _families(cases, todo)]
-
     tasks = [(config, first, family) for _, first, family in plan]
     with open(out, "a") as fh:
         # _run_units first, so that zip runs it to its end, which shuts its pool down

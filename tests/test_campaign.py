@@ -404,7 +404,7 @@ def test_short_member_is_retried_alone(tmp_path, monkeypatch):
     # the patch reaches no spawned worker: one worker runs the families'
     # units, _family_unit, in this process
     monkeypatch.setattr(interpolation, "rank", short_prefix)
-    monkeypatch.setattr(CampaignConfig, "effective_threads", lambda self: 1)
+    monkeypatch.setattr(campaign, "worker_count", lambda peaks: 1)
     out = tmp_path / "log.jsonl"
     summary = run_campaign(_tiny_config(out, shard=FAMILY_SHARD))
     assert summary["ok"], summary
@@ -480,6 +480,65 @@ def test_worker_count(monkeypatch):
     # a replaced callee would not be seen by a worker: the units run here
     monkeypatch.setattr(campaign, "replay_certificate", lambda cert: 0)
     assert campaign.worker_count([gib] * 20) == 1
+
+
+def test_resume_counts_workers_over_the_families_left(tmp_path, monkeypatch):
+    out = tmp_path / "log.jsonl"
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+    config = _tiny_config(out)
+    assert config.effective_threads() == 2  # three families of one
+    run_campaign(config)
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join(lines[:-1]) + "\n")  # the last family is left
+    resumed = _tiny_config(out, resume=True)
+    assert resumed.effective_threads() == 1
+
+    real_run_units = campaign._run_units
+    seen = []
+
+    def run_units(fn, tasks, workers):
+        seen.append((len(tasks), workers))
+        return real_run_units(fn, tasks, workers)
+
+    monkeypatch.setattr(campaign, "_run_units", run_units)
+    summary = run_campaign(resumed)
+    assert summary["ok"] and summary["computed"] == 1, summary
+    assert seen == [(1, 1)]  # in this process, with its own BLAS threads
+    assert out.read_text().splitlines()[:-1] == lines[:-1]
+
+
+def _write_cgroup(group, limit, usage, cache, names):
+    group.mkdir(parents=True, exist_ok=True)
+    limit_file, usage_file, cache_key = names
+    (group / limit_file).write_text(f"{limit}\n")
+    (group / usage_file).write_text(f"{usage}\n")
+    (group / "memory.stat").write_text(f"anon {usage - cache}\n{cache_key} {cache}\n")
+
+
+def test_memory_cgroup_limits_bound_available_memory(tmp_path, monkeypatch):
+    gib = 2**30
+    mount = tmp_path / "cgroup"
+    self_cgroup = tmp_path / "self_cgroup"
+    monkeypatch.setattr(campaign, "_CGROUP_MOUNT", mount)
+    monkeypatch.setattr(campaign, "_SELF_CGROUP", self_cgroup)
+    v2 = ("memory.max", "memory.current", "inactive_file")
+    self_cgroup.write_text("0::/box/job\n")
+    _write_cgroup(mount / "box" / "job", "max", gib, 0, v2)
+    assert campaign._cgroup_headroom() is None  # no limit anywhere
+    # an ancestor's limit binds; inactive page cache counts as free
+    _write_cgroup(mount / "box", 3 * gib, 2 * gib, gib // 2, v2)
+    assert campaign._cgroup_headroom() == 3 * gib // 2
+    _write_cgroup(mount / "box" / "job", 2 * gib, 2 * gib, 0, v2)
+    assert campaign._cgroup_headroom() == 0
+    assert campaign._mem_available() == 0
+    assert campaign.worker_count([gib] * 4) == 1
+
+    # the v1 memory controller, next to a v2 line without the controller
+    v1 = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
+    self_cgroup.write_text("4:memory:/box\n1:cpu:/other\n0::/\n")
+    _write_cgroup(mount / "memory" / "box", 5 * gib, gib, 0, v1)
+    assert campaign._cgroup_headroom() == 4 * gib
+    assert campaign._mem_available() <= 4 * gib
 
 
 def _dying_family_unit(config, first, family):

@@ -8,11 +8,19 @@ flops, as in perfbench/README.md; the product as 2 m n^2.  The shapes are the
 largest matrices of d = 14, 26 and 30 after the fundamental reduction, and a
 square 1330 x 1330 one.
 
-One more row times a d = 14 family: the transposed matrix of the head of
-the largest (q, x, y) family, ranked once with the ranks of every member's
+One row times a d = 14 family: the transposed matrix of the head of the
+largest (q, x, y) family, ranked once with the ranks of every member's
 leading block (rank's leading), against ranking each member's block on its
 own, which is what a case-by-case run costs in the kernel.  A source tree
 whose rank has no leading reports only the second.
+
+One row times a real d = 30 check, D30_CASE, the first case of
+`campaign --degrees 30 --shard 1/35` (4576 x 4576 after the fundamental
+reduction), as a campaign runs it: _transposed_matrix (point sampling and
+matrix assembly), then rank.  The rank time is split into the column panels
+(_Elimination._panel), the triangular solves (the outermost
+_Elimination._trsm calls) and the rest, which is the trailing GEMMs and the
+entry reduction; the split is timed by wrappers this script installs.
 
 Every timing is repeated; the median and the quartiles are recorded, and
 GFLOP/s is taken from the median.  Results are merged into BENCH_rank.json
@@ -22,8 +30,17 @@ and after a change:
     python benchmarks/bench_rank.py --label parent --src <parent checkout>/src
     python benchmarks/bench_rank.py --label change
 
+The machine drifts more between two runs than within one, so two trees are
+best compared with --against: it measures this tree (--src) and the tree
+DIR in fresh processes, alternately, --pairs times, and records per timing
+the median and quartiles of each side's per-run medians and the pairs each
+side won, under "against" in BENCH_rank.json:
+
+    python benchmarks/bench_rank.py --against <parent checkout>/src
+
 Usage:
     python benchmarks/bench_rank.py [--label NAME] [--src DIR] [--repeats 5]
+    python benchmarks/bench_rank.py --against DIR [--src DIR] [--pairs 10] [--repeats 3]
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -44,10 +62,16 @@ SHAPES = ((448, 430), (1330, 1330), (2792, 2774), (4590, 4576))
 PRIME = 32003
 FAMILY_DEGREE = 14
 FAMILY_SEED = 20261018
+D30_CASE = "30; 10^24,3^16,2^4"
 
 
 def rank_flops(m: int, n: int) -> int:
     return 2 * sum((m - k) * (n - k) for k in range(min(m, n)))
+
+
+def quartiles(times: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
 def timed(fn, repeats: int) -> tuple[dict, object]:
@@ -57,8 +81,26 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
-    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}, out
+    return quartiles(times), out
+
+
+def shape_row(gfp, m: int, n: int, repeats: int, rng) -> dict:
+    """Rank of a random m x n matrix mod PRIME against a same-shape float64 product."""
+    mat = rng.integers(0, PRIME, (m, n)).astype(np.float64)
+    gfp.rank(mat[:40, :40], PRIME)  # warm-up
+    t_rank, r = timed(lambda: gfp.rank(mat, PRIME), repeats)
+    b = rng.random((n, n))
+    t_mm, _ = timed(lambda: mat @ b, repeats)
+    row = {
+        "m": m, "n": n, "rank": int(r), "rank_s": t_rank,
+        "rank_gflops": round(rank_flops(m, n) / t_rank["median"] / 1e9, 2),
+        "matmul_s": t_mm,
+        "matmul_gflops": round(2 * m * n * n / t_mm["median"] / 1e9, 2),
+    }
+    print(f"{m:>5}x{n:<5} rank {t_rank['median']:8.3f} s"
+          f" [{t_rank['q1']:.3f}, {t_rank['q3']:.3f}] {row['rank_gflops']:7.2f} GFLOP/s"
+          f"   a@b {row['matmul_gflops']:7.2f} GFLOP/s   rank={r}", file=sys.stderr, flush=True)
+    return row
 
 
 def family_head() -> tuple[str, np.ndarray, list[int]]:
@@ -89,64 +131,178 @@ def family_head() -> tuple[str, np.ndarray, list[int]]:
     return str(family[-1].key()), mat, rows
 
 
+def family_row(gfp, repeats: int) -> dict:
+    case, mat, members = family_head()
+    t_each, each = timed(lambda: [gfp.rank(mat[:, :k], PRIME) for k in members], repeats)
+    family = {"case": case, "m": mat.shape[0], "n": mat.shape[1], "members": members,
+              "ranks": each, "each_member_s": t_each}
+    try:
+        t_once, once = timed(lambda: gfp.rank(mat, PRIME, leading=members), repeats)
+    except TypeError:  # a rank without leading
+        print(f"family {case}: each member {t_each['median']:.3f} s; no leading ranks",
+              file=sys.stderr)
+        return family
+    assert once == each, (once, each)
+    family["leading_s"] = t_once
+    print(f"family {case} ({mat.shape[0]}x{mat.shape[1]}, {len(members)} members):"
+          f" one elimination {t_once['median']:.3f} s"
+          f" [{t_once['q1']:.3f}, {t_once['q3']:.3f}],"
+          f" each member {t_each['median']:.3f} s"
+          f" [{t_each['q1']:.3f}, {t_each['q3']:.3f}]", file=sys.stderr, flush=True)
+    return family
+
+
+def d30_row(gfp, repeats: int) -> dict:
+    """Assembly and rank of D30_CASE's transposed matrix, the rank split by phase."""
+    from fatpoints import interpolation
+    from fatpoints.model import parse_system
+
+    spec = parse_system(D30_CASE)
+    assignment = interpolation._greedy_assignment(spec)
+    elim = gfp._Elimination
+    busy = {"panel": 0.0, "trsm": 0.0}
+    depth = [0]
+
+    def panel(self, *args):
+        t0 = time.perf_counter()
+        try:
+            return panel_fn(self, *args)
+        finally:
+            busy["panel"] += time.perf_counter() - t0
+
+    def trsm(self, *args):
+        t0 = time.perf_counter()
+        depth[0] += 1
+        try:
+            return trsm_fn(self, *args)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                busy["trsm"] += time.perf_counter() - t0
+
+    panel_fn, trsm_fn = elim._panel, elim._trsm
+    times = {key: [] for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s")}
+    elim._panel, elim._trsm = panel, trsm
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            mat, n_deleted = interpolation._transposed_matrix(spec, PRIME, FAMILY_SEED, assignment)
+            t1 = time.perf_counter()
+            busy.update(panel=0.0, trsm=0.0)
+            got = gfp.rank(mat, PRIME, overwrite=True) + n_deleted
+            t2 = time.perf_counter()
+            times["assembly_s"].append(t1 - t0)
+            times["rank_s"].append(t2 - t1)
+            times["panel_s"].append(busy["panel"])
+            times["trsm_s"].append(busy["trsm"])
+            times["rest_s"].append(t2 - t1 - busy["panel"] - busy["trsm"])
+    finally:
+        elim._panel, elim._trsm = panel_fn, trsm_fn
+    row = {"case": D30_CASE, "m": mat.shape[0], "n": mat.shape[1], "rank": got,
+           **{key: quartiles(vals) for key, vals in times.items()}}
+    print(f"{D30_CASE} ({mat.shape[0]}x{mat.shape[1]}): "
+          + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
+          file=sys.stderr, flush=True)
+    return row
+
+
+def measure(src: Path, repeats: int) -> dict:
+    """Every row, timed with the fatpoints package of the source tree src."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from fatpoints import gfp
+
+    rng = np.random.default_rng(20261018)
+    return {
+        "shapes": [shape_row(gfp, m, n, repeats, rng) for m, n in SHAPES],
+        "family": family_row(gfp, repeats),
+        "d30": d30_row(gfp, repeats),
+    }
+
+
+def medians(result: dict) -> dict[str, float]:
+    """The median of every timing of one measure() result, by name."""
+    out = {}
+    for row in result["shapes"]:
+        out[f"{row['m']}x{row['n']}.rank_s"] = row["rank_s"]["median"]
+    for key in ("each_member_s", "leading_s"):
+        if key in result["family"]:
+            out[f"family.{key}"] = result["family"][key]["median"]
+    for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s"):
+        out[f"d30.{key}"] = result["d30"][key]["median"]
+    return out
+
+
+def measure_in_subprocess(src: Path, repeats: int) -> dict:
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_rank;"
+            " print(json.dumps(bench_rank.measure(sys.argv[2], int(sys.argv[3]))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(src), str(repeats)],
+        check=True, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
+    """Alternated pairs of fresh-process runs of two trees: per timing, quartiles and wins."""
+    sides = {"against": other, "this": this}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(pairs):
+        order = ("against", "this") if i % 2 == 0 else ("this", "against")
+        for side in order:
+            runs[side].append(medians(measure_in_subprocess(sides[side], repeats)))
+        print(f"pair {i + 1}/{pairs} ({order[0]} first): d30 rank "
+              f"{runs['against'][-1]['d30.rank_s']:.3f} -> {runs['this'][-1]['d30.rank_s']:.3f} s",
+              file=sys.stderr, flush=True)
+    rows = {}
+    for key in runs["this"][0]:
+        if not all(key in run for side in sides for run in runs[side]):
+            continue
+        vals = {side: [run[key] for run in runs[side]] for side in sides}
+        rows[key] = {
+            **{side: {**quartiles(vals[side]), "runs": vals[side]} for side in sides},
+            "this_faster_pairs": sum(a < b for a, b in zip(vals["this"], vals["against"])),
+            "against_faster_pairs": sum(b < a for a, b in zip(vals["this"], vals["against"])),
+        }
+    return {
+        "pairs": pairs,
+        "repeats": repeats,
+        "timing": "per side, median and quartiles of the per-run medians, seconds;"
+                  " each run a fresh process, sides alternating which runs first",
+        "rows": rows,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="change", help="key the results are stored under")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree whose fatpoints package is timed")
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=None,
+                    help="timings per row and run (default 5, or 3 with --against)")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="source tree timed against --src, in alternated fresh processes")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs with --against")
     args = ap.parse_args(argv)
-    if args.repeats < 3:
+    repeats = args.repeats or (3 if args.against else 5)
+    if repeats < 3:
         ap.error("--repeats must be at least 3 to give quartiles")
-
-    sys.path.insert(0, str(args.src.resolve()))
-    from fatpoints import gfp
-
-    rng = np.random.default_rng(20261018)
-    rows = []
-    for m, n in SHAPES:
-        mat = rng.integers(0, PRIME, (m, n)).astype(np.float64)
-        gfp.rank(mat[:40, :40], PRIME)  # warm-up
-        t_rank, r = timed(lambda: gfp.rank(mat, PRIME), args.repeats)
-        b = rng.random((n, n))
-        t_mm, _ = timed(lambda: mat @ b, args.repeats)
-        row = {
-            "m": m, "n": n, "rank": int(r), "rank_s": t_rank,
-            "rank_gflops": round(rank_flops(m, n) / t_rank["median"] / 1e9, 2),
-            "matmul_s": t_mm,
-            "matmul_gflops": round(2 * m * n * n / t_mm["median"] / 1e9, 2),
-        }
-        rows.append(row)
-        print(f"{m:>5}x{n:<5} rank {t_rank['median']:8.3f} s"
-              f" [{t_rank['q1']:.3f}, {t_rank['q3']:.3f}] {row['rank_gflops']:7.2f} GFLOP/s"
-              f"   a@b {row['matmul_gflops']:7.2f} GFLOP/s   rank={r}", flush=True)
-
-    case, mat, members = family_head()
-    t_each, each = timed(lambda: [gfp.rank(mat[:, :k], PRIME) for k in members], args.repeats)
-    family = {"case": case, "m": mat.shape[0], "n": mat.shape[1], "members": members,
-              "ranks": each, "each_member_s": t_each}
-    try:
-        t_once, once = timed(lambda: gfp.rank(mat, PRIME, leading=members), args.repeats)
-    except TypeError:  # a rank without leading
-        print(f"family {case}: each member {t_each['median']:.3f} s; no leading ranks")
-    else:
-        assert once == each, (once, each)
-        family["leading_s"] = t_once
-        print(f"family {case} ({mat.shape[0]}x{mat.shape[1]}, {len(members)} members):"
-              f" one elimination {t_once['median']:.3f} s"
-              f" [{t_once['q1']:.3f}, {t_once['q3']:.3f}],"
-              f" each member {t_each['median']:.3f} s"
-              f" [{t_each['q1']:.3f}, {t_each['q3']:.3f}]", flush=True)
+    if args.against is not None and args.pairs < 3:
+        ap.error("--pairs must be at least 3 to give quartiles")
 
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    if args.against is not None:
+        data["against"] = against(args.src.resolve(), args.against.resolve(), args.pairs, repeats)
+        OUT.write_text(json.dumps(data, indent=2) + "\n")
+        print(f"wrote {OUT} [against]")
+        return 0
+    result = measure(args.src, repeats)
     data.setdefault("runs", {})[args.label] = {
         "prime": PRIME,
-        "repeats": args.repeats,
+        "repeats": repeats,
         "timing": "median and quartiles of repeats, seconds, single process",
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "shapes": rows,
-        "family": family,
+        **result,
     }
     OUT.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {OUT} [{args.label}]")

@@ -14,9 +14,17 @@ and rows r.. it
 3. updates the rows below with one GEMM, C -= L21 @ U12, and
 4. recurses on the right half from row r + k1.
 
-Columns narrower than a base width are eliminated one column at a time, on a
-transposed copy so that every column is contiguous.  Nearly all flops run in
-the GEMMs of steps 2 and 3, at BLAS speed.
+A range of at most _BASE_WIDTH columns is a panel, and a panel of w columns
+over 3w rows or more first seeks its pivots in a sample: its w leading
+rows and w rows spread evenly below them.  The column loop runs on the
+sample stacked over a w x w identity; when every pivot falls in the sample,
+the identity's multipliers are U^-1, and those of every other row are one
+GEMM, A2 @ U^-1.  Otherwise, and on a shorter panel, the column loop runs on
+the whole panel, one column at a time, on a transposed copy so that every
+column is contiguous.  High derivatives vanish on runs of monomials, so the
+leading rows of an interpolation matrix are often dependent; rows spread
+over the panel rarely are.  Nearly all flops run in the GEMMs of steps 2 and
+3, at BLAS speed.
 
 Entries are integer-valued float64 and reductions mod p are delayed: an
 operand of a product (a pivot row, a multiplier, a solved U row, a column
@@ -26,6 +34,11 @@ pivot, and a product of two reduced operands is below p^2, so every entry
 of an m x n matrix keeps
 
     |entry| < min(m, n) * p^2 + p.
+
+A sampled panel's multipliers are sums of w <= min(m, n) such products
+before they are reduced, within the same bound.  A reduction takes four
+passes, x - floor(x / p) * p, and is exact on every entry so bounded (see
+_reduce).
 
 rank therefore admits a matrix only when min(m, n) <= _safe_block(p) =
 floor((2^53 - p) / p^2); then the bound is at most 2^53 and every float64
@@ -91,17 +104,24 @@ def _safe_block(p: int) -> int:
     return (2**53 - p) // (p * p)
 
 
-def _reduce(x: np.ndarray, fp: float):
-    """In-place exact reduction of integer-valued float64 data into [0, p)."""
+def _reduce(x: np.ndarray, fp: float, out: Optional[np.ndarray] = None):
+    """Exact reduction of integer-valued float64 data into [0, p), into out (default x).
+
+    x - floor(x / p) * p in four passes.  floor(fl(x / p)) = floor(x / p) for
+    every integer |x| < 2**53, and the result is exact whenever the product
+    floor(x / p) * p is, that is when the least multiple of p not below |x|
+    is at most 2**53: for |x| <= 2**53 - p, and for every entry the kernel
+    admits (|x| < B*p*p + p, itself a multiple of p, with B = _safe_block(p)).
+    """
+    if out is None:
+        out = x
     if x.size < _SHORT_REDUCE:
-        np.remainder(x, fp, out=x)
+        np.remainder(x, fp, out=out)
         return
-    q = x * (1.0 / fp)
+    q = x / fp
     np.floor(q, out=q)
     q *= fp
-    x -= q  # now in [-p, 2p): the rounded quotient can be off by one
-    x[x < 0.0] += fp
-    x[x >= fp] -= fp
+    np.subtract(x, q, out=out)
 
 
 def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
@@ -109,6 +129,54 @@ def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
     if piv[-1] - piv[0] + 1 == len(piv):
         return a[rows, piv[0]:piv[-1] + 1]
     return a[rows][:, piv]
+
+
+def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Column-by-column elimination of a transposed panel t, in place.
+
+    Row jj of t is a column of the panel and column i of t one of its rows.
+    Returns the pivot indices jj and the row swaps (k, i) made, in order, for
+    the caller to repeat on the rest of those rows.  The leading entry of a
+    reduced column is tested as a scalar, and only a 0 there costs a search.
+    The rank-1 updates use the reduced column and the pivot row scaled by the
+    pivot's inverse; the pivot columns are scaled into multipliers at the
+    end, in one pass.  That also scales the upper part of the pivot rows,
+    which nothing reads: the caller needs only the multipliers.
+    """
+    fp = float(p)
+    w, h = t.shape
+    piv: list[int] = []
+    invs: list[float] = []
+    swaps: list[tuple[int, int]] = []
+    k = 0
+    for jj in range(w):
+        col = t[jj, k:]
+        _reduce(col, fp)
+        if col[0] == 0.0:
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            i = k + int(nz[0])
+            t[:, [k, i]] = t[:, [i, k]]
+            swaps.append((k, i))
+        inv = float(pow(int(col[0]), -1, p))
+        piv.append(jj)
+        invs.append(inv)
+        k += 1
+        if k == h:
+            break
+        if jj + 1 < w:
+            prow = t[jj + 1:, k - 1]
+            _reduce(prow, fp)
+            g = prow * inv
+            _reduce(g, fp)
+            t[jj + 1:, k:] -= g[:, None] * col[1:]
+    if piv:
+        rows = t[piv]
+        rows *= np.array(invs)[:, None]
+        _reduce(rows, fp)
+        t[piv] = rows
+    return piv, swaps
 
 
 class _Elimination:
@@ -137,37 +205,65 @@ class _Elimination:
             x[i] -= lo[i, :i] @ x[:i]
             _reduce(x[i], self.fp)
 
+    def _swap_rows(self, r: int, swaps: list[tuple[int, int]]):
+        a = self.a
+        for k, i in swaps:
+            a[[r + k, r + i]] = a[[r + i, r + k]]
+
     def _panel(self, r: int, c0: int, c1: int) -> list[int]:
-        """Column-by-column elimination of a[r:, c0:c1]; returns the pivot columns."""
-        a, p, fp = self.a, self.p, self.fp
-        m = a.shape[0]
+        """Eliminate a[r:, c0:c1], at most _BASE_WIDTH columns; returns the pivot columns."""
+        a = self.a
+        if self._sampled_block(r, c0, c1):
+            return list(range(c0, c1))
         t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
-        w = c1 - c0
-        piv: list[int] = []
-        k = 0
-        for jj in range(w):
-            col = t[jj, k:]
-            _reduce(col, fp)
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            i = k + int(nz[0])
-            if i != k:
-                t[:, [k, i]] = t[:, [i, k]]
-                a[[r + k, r + i]] = a[[r + i, r + k]]  # a[r:, c0:c1] is rewritten below
-            piv.append(c0 + jj)
-            k += 1
-            if r + k == m:
-                break
-            f = t[jj, k:]  # multipliers, stored in the pivot column
-            f *= float(pow(int(t[jj, k - 1]), -1, p))
-            _reduce(f, fp)
-            if jj + 1 < w:
-                prow = t[jj + 1:, k - 1]
-                _reduce(prow, fp)
-                t[jj + 1:, k:] -= prow[:, None] * f
+        piv, swaps = _columns(t, self.p)
+        self._swap_rows(r, swaps)
         a[r:, c0:c1] = t.T
-        return piv
+        return [c0 + jj for jj in piv]
+
+    def _sampled_block(self, r: int, c0: int, c1: int) -> bool:
+        """Eliminate a[r:, c0:c1] with every pivot taken from a sample of its rows.
+
+        The sample is the w leading rows and w rows at stride s >= 2 below
+        them.  The column loop runs on it stacked over a w x w identity.
+        When every pivot falls in the sample (P^T A1 = L1 U on its pivot rows
+        A1), the identity's multipliers are U^-1, and those of every other
+        row x are x U^-1: one GEMM instead of a pass over all rows per
+        column.  Returns False, with a unchanged, when the panel has fewer
+        than 3w rows or a pivot falls in the identity.
+        """
+        a, fp = self.a, self.fp
+        w = c1 - c0
+        hb = 2 * w
+        s = (a.shape[0] - r - w) // w
+        if s < 2:
+            return False
+        sample = np.concatenate([np.arange(r, r + w), np.arange(r + w, r + w + s * w, s)])
+        trial = np.zeros((w, hb + w))
+        trial[:, :hb] = a[sample, c0:c1].T
+        trial[:, hb:] = np.eye(w)
+        _, local = _columns(trial, self.p)
+        if any(i >= hb for _, i in local):
+            return False
+        order = sample.tolist()
+        for k, i in local:
+            order[k], order[i] = order[i], order[k]
+        at: dict[int, int] = {}  # position -> row moved there
+        where: dict[int, int] = {}  # row -> position it moved to
+        swaps = []
+        for j, row in enumerate(order[:w]):
+            src, dst = where.get(row, row), r + j
+            if src != dst:
+                other = at.get(dst, dst)
+                swaps.append((j, src - r))
+                where[row], where[other] = dst, src
+                at[dst], at[src] = row, other
+        self._swap_rows(r, swaps)
+        a[r:r + w, c0:c1] = trial[:, :w].T
+        below = a[r + w:, c0:c1]
+        _reduce(below, fp)
+        _reduce(below @ trial[:, hb:].T, fp, out=below)
+        return True
 
     def _eliminate(self, r: int, c0: int, c1: int) -> list[int]:
         """Eliminate a[r:, c0:c1]; pivots land on rows r, r+1, ...; returns their columns."""

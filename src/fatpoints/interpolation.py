@@ -27,11 +27,12 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gfp import DEFAULT_PRIME, next_ladder_prime, rank
+from .gfp import DEFAULT_PRIME, _reduce, _safe_block, next_ladder_prime, rank
 from .model import (
     SystemSpec,
     VERDICT_INCONCLUSIVE,
@@ -103,26 +104,23 @@ def _sample_distinct(count: int, prime: int, seed: int, avoid=()) -> np.ndarray:
     return out
 
 
-def _chart_tables(mult: int, degree: int, affine: np.ndarray, p: int) -> list[np.ndarray]:
-    """Per-variable lookup tables G[b, e] = e!/(e-b)! * u^(e-b) mod p."""
+# The coordinates other than each chart's, in ascending order.
+_OTHER = np.array([[j for j in range(4) if j != chart] for chart in range(4)])
+
+
+@lru_cache(maxsize=None)
+def _falling(mult: int, degree: int, p: int) -> np.ndarray:
+    """F[b, e] = e!/(e-b)! mod p for b < mult and e <= degree, as read-only float64."""
     erange = np.arange(degree + 1, dtype=np.int64)
-    tables = []
-    for u in affine:
-        fall = np.zeros((mult, degree + 1), dtype=np.int64)
-        fall[0] = 1
-        for b in range(1, mult):
-            # factor e-b+1 hits zero at e = b-1 and the zero then propagates,
-            # so no negative factor ever multiplies a nonzero entry
-            fall[b] = fall[b - 1] * (erange - (b - 1)) % p
-        pw = np.empty(degree + 1, dtype=np.int64)
-        pw[0] = 1
-        for e in range(1, degree + 1):
-            pw[e] = pw[e - 1] * u % p
-        table = np.zeros_like(fall)
-        for b in range(mult):
-            table[b, b:] = fall[b, b:] * pw[: degree + 1 - b] % p
-        tables.append(table)
-    return tables
+    fall = np.zeros((mult, degree + 1), dtype=np.int64)
+    fall[0] = 1
+    for b in range(1, mult):
+        # factor e-b+1 hits zero at e = b-1 and the zero then propagates,
+        # so no negative factor ever multiplies a nonzero entry
+        fall[b] = fall[b - 1] * (erange - (b - 1)) % p
+    out = fall.astype(np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def build_matrix(
@@ -142,6 +140,13 @@ def build_matrix(
     Each point is dehomogenized in the chart of its first nonzero coordinate
     unless charts overrides the choice.  A basis subset may be passed to
     restrict columns (fundamental-point reduction).
+
+    The entry of order b at monomial x^e is prod_i G_i[b_i, e_i] over the
+    three affine coordinates u_i, with G_i[b, e] = e!/(e-b)! * u_i^(e-b) mod p.
+    The arithmetic is float64 on residues, exact while every product stays
+    below 2^53: a product of two residues is reduced before the third
+    factor joins it unless p^3 < 2^53 (every ladder prime).  A prime at
+    which rank admits no matrix (p^2 + p > 2^53) is refused.
     """
     d = spec.degree
     if prime <= d:
@@ -154,27 +159,55 @@ def build_matrix(
         raise ValueError("charts must give one chart index per point")
     if basis is None:
         basis = monomial_basis(d)
+    if mults and basis.shape[0] and _safe_block(prime) < 1:
+        # rank refuses every such matrix, and a product of two residues can
+        # leave the exact range of float64
+        raise ValueError(f"p = {prime} admits min(rows, columns) <= 0 in float64 elimination")
+    pts = points % prime
+    if charts is None:
+        chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
+    else:
+        chart = np.array([int(c) for c in charts], dtype=np.int64).reshape(len(mults))
+    for idx, c in enumerate(chart.tolist()):
+        if c < 0 or c > 3 or pts[idx, c] == 0:
+            raise ValueError(f"point {idx} has no usable chart (chart={c})")
+    fp = float(prime)
+    once = prime**3 < 2**53
+    inv = np.array([pow(int(pts[idx, c]), -1, prime) for idx, c in enumerate(chart)],
+                   dtype=np.int64)
+    affine = (np.take_along_axis(pts, _OTHER[chart], axis=1) * inv[:, None] % prime).astype(
+        np.float64
+    )
+    powers = np.empty((len(mults), 3, d + 1))  # powers[j, i, e] = u_ji^e mod p
+    powers[:, :, 0] = 1.0
+    for e in range(1, d + 1):
+        np.multiply(powers[:, :, e - 1], affine, out=powers[:, :, e])
+        np.remainder(powers[:, :, e], fp, out=powers[:, :, e])
+    exps = {int(c): np.ascontiguousarray(basis[:, _OTHER[c]].T) for c in set(chart.tolist())}
+
     out = np.empty((spec.conditions_total, basis.shape[0]), dtype=np.float64, order="F")
+    block = out.T  # C-contiguous: row block j of out is the column slab block[:, rows]
+    size = basis.shape[0] * (conditions_count(max(mults)) if mults else 0)
+    prod, factor = np.empty(size), np.empty(size)
     row = 0
     for idx, m in enumerate(mults):
-        pt = points[idx] % prime
-        if charts is None:
-            chart = int(np.nonzero(pt)[0][0]) if pt.any() else -1
-        else:
-            chart = int(charts[idx])
-        if chart < 0 or chart > 3 or pt[chart] == 0:
-            raise ValueError(f"point {idx} has no usable chart (chart={chart})")
-        inv = pow(int(pt[chart]), -1, prime)
-        other = [i for i in range(4) if i != chart]
-        affine = np.array([int(pt[i]) * inv % prime for i in other], dtype=np.int64)
-        exps = basis[:, other]  # (ncols, 3) affine exponents in this chart
         orders = derivative_orders(m)
-        tables = _chart_tables(m, d, affine, prime)
-        block = tables[0][orders[:, 0]][:, exps[:, 0]]
-        block = block * tables[1][orders[:, 1]][:, exps[:, 1]] % prime
-        block = block * tables[2][orders[:, 2]][:, exps[:, 2]] % prime
-        out[row : row + orders.shape[0]] = block
-        row += orders.shape[0]
+        rows = orders.shape[0]
+        shift = np.maximum(np.arange(d + 1) - np.arange(m)[:, None], 0)
+        g = _falling(m, d, prime) * powers[idx][:, shift]  # G_i[b, e], below p^2
+        np.remainder(g, fp, out=g)
+        ex = exps[int(chart[idx])]
+        x = prod[: basis.shape[0] * rows].reshape(-1, rows)
+        y = factor[: basis.shape[0] * rows].reshape(-1, rows)
+        np.take(g[0].T[:, orders[:, 0]], ex[0], axis=0, out=x, mode="clip")
+        np.take(g[1].T[:, orders[:, 1]], ex[1], axis=0, out=y, mode="clip")
+        x *= y
+        if not once:
+            _reduce(x, fp)
+        np.take(g[2].T[:, orders[:, 2]], ex[2], axis=0, out=y, mode="clip")
+        x *= y
+        _reduce(x, fp, out=block[:, row:row + rows])
+        row += rows
     return out
 
 

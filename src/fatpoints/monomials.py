@@ -34,6 +34,7 @@ def monomial_basis(d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def derivative_orders(m: int) -> np.ndarray:
     """Derivative multi-orders imposed by an m-fold point.
 
@@ -43,6 +44,7 @@ def derivative_orders(m: int) -> np.ndarray:
     b0+b1+b2 <= m-1, K = C(m+2, 3), sorted by total order ascending then
     lexicographically descending.  The last component is fixed at 0; the
     first three map onto the non-chart coordinates in ascending index order.
+    The array is built once per multiplicity and shared, so it is read-only.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
@@ -53,6 +55,7 @@ def derivative_orders(m: int) -> np.ndarray:
                 rows.append((b0, b1, total - b0 - b1, 0))
     out = np.array(rows, dtype=np.int64).reshape(-1, 4)
     assert out.shape[0] == conditions_count(m)
+    out.setflags(write=False)
     return out
 
 

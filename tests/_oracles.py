@@ -11,9 +11,15 @@ import numpy as np
 
 def rank_mod_p_reference(mat, p: int) -> int:
     """Textbook row reduction over F_p on int64 data."""
+    return len(profile_mod_p_reference(mat, p))
+
+
+def profile_mod_p_reference(mat, p: int) -> list[int]:
+    """The pivot columns of textbook row reduction over F_p: the column rank profile."""
     a = np.array(mat, dtype=np.int64) % p
     m, n = a.shape
     r = 0
+    piv = []
     for c in range(n):
         pivot = None
         for i in range(r, m):
@@ -29,9 +35,10 @@ def rank_mod_p_reference(mat, p: int) -> int:
             if f:
                 a[i] = (a[i] - f * a[r]) % p
         r += 1
+        piv.append(c)
         if r == m:
             break
-    return r
+    return piv
 
 
 def rank_rational_reference(mat) -> int:

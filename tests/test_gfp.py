@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from fatpoints import gfp
 from fatpoints.gfp import (
     DEFAULT_PRIME,
+    PRIME_LADDER,
     _reduce,
     _safe_block,
     is_prime,
@@ -12,7 +14,7 @@ from fatpoints.gfp import (
     rank,
 )
 
-from _oracles import rank_mod_p_reference, rank_rational_reference
+from _oracles import profile_mod_p_reference, rank_mod_p_reference, rank_rational_reference
 
 P = DEFAULT_PRIME
 
@@ -287,3 +289,107 @@ def test_rank_reduces_entries_next_to_float_limit():
     assert np.abs(a).max() < 2**53 and (a == vals).all()
     assert rank(a, p) == 1
     assert rank(-a, p) == 1
+
+
+@pytest.mark.parametrize("p", PRIME_LADDER + (8323823,))
+def test_reduce_is_exact_up_to_the_admitted_magnitude(p):
+    # every entry of an admitted matrix keeps |x| < B*p^2 + p, B = _safe_block(p);
+    # x = Q*p + r on both sides of that range, up to its largest magnitude,
+    # where Q*p itself reaches B*p^2 + p on the negative side
+    b = _safe_block(p)
+    top = b * p * p + p
+    assert top <= 2**53
+    qs = {0, 1, 2, b * p - 1, b * p, -1, -2, -b * p, -b * p - 1}
+    qs |= {int(q) for q in np.random.default_rng(p).integers(-b * p - 1, b * p + 1, 40)}
+    vals = [q * p + r for q in sorted(qs) for r in (0, 1, p - 1) if abs(q * p + r) < top]
+    assert max(vals) == top - 1 and min(vals) == -(top - 1)
+    for size in (3 * len(vals), len(vals)):  # the floor-based path, and np.remainder's
+        ints = (vals * 3)[:size]
+        assert (size >= gfp._SHORT_REDUCE) == (size == 3 * len(vals))
+        x = np.array(ints, dtype=np.float64)
+        assert x.astype(np.int64).tolist() == ints
+        out = np.empty_like(x)
+        gfp._reduce(x, float(p), out=out)
+        gfp._reduce(x, float(p))
+        want = [int(v) % p for v in ints]
+        assert x.astype(np.int64).tolist() == want
+        assert out.astype(np.int64).tolist() == want
+
+
+def _panel_branches(monkeypatch) -> list[tuple[int, bool]]:
+    """Record (first column, taken) of every try of the sampled-block branch."""
+    seen = []
+    sampled = gfp._Elimination._sampled_block
+
+    def spy(self, r, c0, c1):
+        taken = sampled(self, r, c0, c1)
+        seen.append((c0, taken))
+        return taken
+
+    monkeypatch.setattr(gfp._Elimination, "_sampled_block", spy)
+    return seen
+
+
+def _planted(m: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random matrix whose candidate pivot at columns 0, 31, 32 and 64 is p, 2p or -p.
+
+    Row c of each such column is zero left of c, so no earlier pivot updates
+    it, and the elimination meets the planted float there unreduced: nonzero
+    as a float, 0 mod p.  Returns the floats and the same matrix reduced.
+    """
+    ints = np.random.default_rng(m * n).integers(0, p, (m, n))
+    a = ints.astype(np.float64)
+    for c, v in zip((0, 31, 32, 64), (p, 2 * p, -p, p)):
+        if c < n:
+            ints[c, :c + 1] = 0
+            a[c, :c] = 0.0
+            a[c, c] = v
+    return a, ints
+
+
+@pytest.mark.parametrize("m", [90, 400])  # the column loop alone, and the sampled block
+@pytest.mark.parametrize("n", [32, 130])  # a panel at recursion depth 0, and at depths 2 and 3
+def test_pivot_test_reduces_planted_multiples_of_p(m, n, monkeypatch):
+    a, ints = _planted(m, n, P)
+    seen = _panel_branches(monkeypatch)
+    assert gfp._Elimination(a, P).profile() == profile_mod_p_reference(ints, P)
+    taken = [c0 for c0, ok in seen if ok]
+    if m == 90:
+        assert not taken
+    else:
+        assert 0 in taken and (n == 32 or {32, 64} <= set(taken))
+
+
+@pytest.mark.parametrize("n", [32, 130])
+def test_sampled_block_falls_back_when_its_sample_is_singular(n, monkeypatch):
+    # column 5 vanishes on every sampled row of the first panel (rows 0..31
+    # and 32, 43, ..., 373 of 400), but not on the others
+    m, w = 400, 32
+    a = np.random.default_rng(n).integers(0, P, (m, n))
+    s = (m - w) // w
+    a[list(range(w)) + list(range(w, w + s * w, s)), 5] = 0
+    seen = _panel_branches(monkeypatch)
+    ks = _leading_counts(n, np.random.default_rng(1))
+    assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
+    assert seen[0] == (0, False)
+    assert any(ok for _, ok in seen) == (n > w)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (32, 16), (32, 32)])
+def test_sampled_block_moves_pivot_rows_from_anywhere_in_the_sample(rows, cols, monkeypatch):
+    # a[:rows, :cols] vanishes, so those pivots come from lower rows, and a
+    # leading row displaced by one of them can still become a later pivot
+    # (row 0 at column 1 when rows = cols = 1).  a = x @ y has rank 70 < 100,
+    # so rows put in the wrong order leave a nonzero Schur complement.
+    m, n, k = 300, 100, 70
+    rng = np.random.default_rng(rows * cols)
+    x, y = rng.integers(0, P, (m, k)), rng.integers(0, P, (k, n))
+    x[:rows, :k // 2] = 0
+    y[k // 2:, :cols] = 0
+    a = x @ y % P
+    assert not a[:rows, :cols].any()
+    seen = _panel_branches(monkeypatch)
+    assert gfp._Elimination(a.astype(np.float64), P).profile() == profile_mod_p_reference(a, P)
+    assert seen[0] == (0, True)
+    ks = _leading_counts(n, rng)
+    assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :j], P) for j in ks]

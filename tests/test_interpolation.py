@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from fatpoints.interpolation import (
     replay_certificate,
 )
 from fatpoints.model import SystemSpec, conditions_count, edim
+from fatpoints.monomials import derivative_coefficient, derivative_orders, monomial_basis
 
 from _oracles import rank_mod_p_reference
 
@@ -85,6 +87,88 @@ def test_chart_independence():
     for chart in range(4):
         charts = [chart] * 4
         assert rank(build_matrix(spec, pts, P, charts=charts), P) == base
+
+
+def _entry_oracle(spec, pts, p, charts, basis) -> list[list[int]]:
+    """build_matrix entry by entry in Python ints: the coefficient of d^beta x^alpha
+    times prod u_i^(alpha_i - beta_i) mod p, u the point in its chart."""
+    rows = []
+    for pt, m, chart in zip(pts.tolist(), spec.points(), charts):
+        other = [i for i in range(4) if i != chart]
+        inv = pow(pt[chart] % p, -1, p)
+        u = [pt[i] * inv % p for i in other]
+        for beta in derivative_orders(m).tolist():
+            row = []
+            for alpha in basis.tolist():
+                aff = [alpha[i] for i in other]
+                entry = derivative_coefficient(aff + [0], beta) % p
+                if entry:
+                    for ui, a, b in zip(u, aff, beta):
+                        entry = entry * pow(ui, a - b, p) % p
+                row.append(entry)
+            rows.append(row)
+    return rows
+
+
+# the first prime above the degree, two ladder primes, and primes whose cube
+# exceeds 2^53, where a product of three residues is reduced twice: the
+# first such prime, and one where most such products are inexact in float64
+@pytest.mark.parametrize("p", [7, 32003, 104729, 208067, 1000003])
+def test_build_matrix_entries_match_python_ints(p):
+    spec = SystemSpec(6, {3: 2, 2: 2, 1: 1})
+    rng = np.random.default_rng(p)
+    full = monomial_basis(6)
+    subset = full[rng.random(full.shape[0]) < 0.6]
+    # points with leading zeros, so the default chart is each of the four
+    lead = np.array([[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, 10], [3, 0, 2, 0]])
+    pts = lead * rng.integers(1, p, (5, 1)) % p
+    dense = rng.integers(1, p, (5, 4))
+    for basis in (None, subset):
+        cols = full if basis is None else basis
+        for points, charts in [(pts, None)] + [(dense, [c] * 5) for c in range(4)]:
+            got = build_matrix(spec, points, p, charts=charts, basis=basis)
+            used = charts or [int(np.flatnonzero(pt % p)[0]) for pt in points]
+            want = _entry_oracle(spec, points, p, used, cols)
+            assert got.dtype == np.float64 and got.flags.f_contiguous
+            assert got.shape == (spec.conditions_total, cols.shape[0])
+            assert got.astype(np.int64).tolist() == want
+
+
+def test_build_matrix_refuses_primes_rank_admits_no_matrix_at():
+    # 90000049 admits one column, and its products of two residues still
+    # fit float64; 2^31 - 1 admits none
+    spec = SystemSpec(2, {2: 1, 1: 1})
+    pts = np.array([[1, 2, 3, 4], [5, 0, 7, 8]])
+    p = 90000049
+    assert p * p < 2**53
+    got = build_matrix(spec, pts, p)
+    assert got.astype(np.int64).tolist() == _entry_oracle(spec, pts, p, [0, 0], monomial_basis(2))
+    with pytest.raises(ValueError, match=r"admits min\(rows, columns\) <= 0"):
+        build_matrix(spec, pts, 2**31 - 1)
+    assert build_matrix(SystemSpec(2, {}), np.zeros((0, 4)), 2**31 - 1).shape == (0, 10)
+
+
+def _digest(mat: np.ndarray) -> str:
+    assert mat.flags.f_contiguous
+    return hashlib.sha256(mat.tobytes(order="F")).hexdigest()
+
+
+def test_build_matrix_output_is_pinned():
+    # digests of the output of the integer assembly that float64 assembly
+    # replaced: every logged certificate replays only while they hold
+    case = algorithm_b_cases(14)[0].to_system()
+    assignment = interpolation._greedy_assignment(case)
+    deleted, residual = reduce_fundamental(case, assignment)
+    basis = np.delete(monomial_basis(14), deleted, axis=0)
+    pts = _sample_distinct(residual.r, P, 14, avoid=[
+        interpolation._coordinate_point(slot) for slot in range(len(assignment))])
+    mat = build_matrix(residual, pts, P, basis=basis)
+    assert (case.to_text(), mat.shape) == ("14; 10^1,3^45,2^2", (428, 430))
+    assert _digest(mat) == "35d5b90a233debf743bea2649546bbabd6925df2871e2d926fbee9a9bc044617"
+    spec = SystemSpec(30, {10: 3, 3: 4, 2: 2})
+    mat = build_matrix(spec, _sample_distinct(spec.r, 104729, 30), 104729)
+    assert mat.shape == (708, 5456)
+    assert _digest(mat) == "a233d057cd36beb540e75b3ca79b6bcde800d51dc7b2102daf07c20537efa76d"
 
 
 def test_reduce_fundamental_counts():

@@ -53,6 +53,19 @@ def test_basis_is_cached_and_read_only():
         assert basis.tolist() == [list(row) for row in fresh]
 
 
+def test_derivative_orders_are_cached_and_read_only():
+    for m in range(1, 12):
+        orders = derivative_orders(m)
+        assert derivative_orders(m) is orders
+        with pytest.raises(ValueError):
+            orders[0, 0] = 1
+        fresh = [(b0, b1, total - b0 - b1, 0)
+                 for total in range(m)
+                 for b0 in range(total, -1, -1)
+                 for b1 in range(total - b0, -1, -1)]
+        assert orders.tolist() == [list(row) for row in fresh]
+
+
 def test_derivative_orders_counts():
     assert derivative_orders(1).tolist() == [[0, 0, 0, 0]]
     assert derivative_orders(2).shape == (4, 4)

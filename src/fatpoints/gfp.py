@@ -245,20 +245,9 @@ class _Elimination:
         _, local = _columns(trial, self.p)
         if any(i >= hb for _, i in local):
             return False
-        order = sample.tolist()
-        for k, i in local:
-            order[k], order[i] = order[i], order[k]
-        at: dict[int, int] = {}  # position -> row moved there
-        where: dict[int, int] = {}  # row -> position it moved to
-        swaps = []
-        for j, row in enumerate(order[:w]):
-            src, dst = where.get(row, row), r + j
-            if src != dst:
-                other = at.get(dst, dst)
-                swaps.append((j, src - r))
-                where[row], where[other] = dst, src
-                at[dst], at[src] = row, other
-        self._swap_rows(r, swaps)
+        # a pivot position k < w is sampled row r + k, so the trial's swaps
+        # repeated on the sampled rows put its pivot rows on r, r+1, ...
+        self._swap_rows(r, [(k, int(sample[i]) - r) for k, i in local])
         a[r:r + w, c0:c1] = trial[:, :w].T
         below = a[r + w:, c0:c1]
         _reduce(below, fp)

@@ -7,14 +7,14 @@ off on resume), and a resume refuses a log whose header names another
 config; sharded runs on separate machines produce disjoint logs whose
 concatenation equals the unsharded log up to ordering.
 
-The units of work are independent: a family in run_campaign, a record's
-replay in verify_log.  Both run them in a pool of spawned worker processes,
-each with its BLAS pinned to one thread, and consume the results in
-submission order, so the log and verify's report keep their order.  The
-worker count is worker_count's: max(1, min(usable CPUs, units, available
-memory // the largest unit's peak estimate)).  With one worker the units
-run in the calling process with its own BLAS threads; shard splits the work
-across processes or machines.
+The units of work are independent: a family in run_campaign, a family's
+replay or one record's in verify_log.  Both run them in a pool of spawned
+worker processes, each with its BLAS pinned to one thread, and consume the
+results in submission order, so the log and verify's report keep their
+order.  The worker count is worker_count's: max(1, min(usable CPUs, units,
+available memory // the largest unit's peak estimate)).  With one worker the
+units run in the calling process with its own BLAS threads; shard splits the
+work across processes or machines.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -53,6 +53,7 @@ from .interpolation import (
     check_family,
     peak_bytes,
     replay_certificate,
+    replay_family,
 )
 from .model import (
     CaseSignature,
@@ -63,6 +64,10 @@ from .model import (
 
 VERDICT_ERROR = "error"
 SEED_RULE = "family"
+# verify_log also replays every _CROSS_CHECK-th member of a family other than
+# its head alone, in line order, so that each full verify compares the ranks
+# read off a head's elimination with the ranks of the members' own matrices.
+_CROSS_CHECK = 10
 
 
 @dataclass
@@ -404,7 +409,7 @@ def _callees_replaced() -> bool:
     see none of the units' calls.
     """
     return any(globals()[name] is not getattr(interpolation, name)
-               for name in ("check_family", "check_case", "replay_certificate"))
+               for name in ("check_family", "check_case", "replay_certificate", "replay_family"))
 
 
 def worker_count(peaks: Sequence[int]) -> int:
@@ -606,13 +611,15 @@ def _family_first(case: CaseSignature, cache: dict) -> Optional[int]:
 def _schedule_problems(record: CertRecord, config: Optional[dict], firsts: dict) -> list[str]:
     """Where a record's seed and prime differ from the ones its header's config assigns.
 
-    firsts caches _family_first per degree.
+    The primes are the header's ladder ("primes"), or PRIME_LADDER under a
+    header without one.  firsts caches _family_first per degree.
     """
     cert = record.cert
     try:
         max_attempts = int(config["max_attempts"])
         base = int(config["base_seed"])
         rule = config.get("seed_rule", "per_case")
+        ladder = [int(p) for p in config.get("primes", PRIME_LADDER)]
     except (KeyError, TypeError, ValueError):
         return ["no header config above the record"]
     if rule not in ("per_case", SEED_RULE):
@@ -624,14 +631,41 @@ def _schedule_problems(record: CertRecord, config: Optional[dict], firsts: dict)
         seed = base + first * max_attempts
     else:
         seed = base + record.index * max_attempts + cert.attempts - 1
-    escalated = max_attempts > 1 and cert.attempts == max_attempts
-    prime = PRIME_LADDER[1 if escalated else 0]
+    step = 1 if max_attempts > 1 and cert.attempts == max_attempts else 0  # escalated
+    if step >= len(ladder):
+        return [f"the header's primes {ladder} name no prime for attempt {cert.attempts}"]
     problems = []
     if cert.seed != seed:
         problems.append(f"seed {cert.seed} is not the header's {seed}")
-    if cert.prime != prime:
-        problems.append(f"prime {cert.prime} is not the header's {prime}")
+    if cert.prime != ladder[step]:
+        problems.append(f"prime {cert.prime} is not the header's {ladder[step]}")
     return problems
+
+
+def _replay_unit(certs: list[Certificate]) -> list[int]:
+    """The recomputed ranks of certs: one record's replay, or a family's (replay_family)."""
+    if len(certs) == 1:
+        return [replay_certificate(certs[0])]
+    return replay_family(certs)
+
+
+def _replay_units(picked: list[tuple]) -> list[list[tuple]]:
+    """picked, (line, record, spec, family key or None) in line order, cut into replay units.
+
+    The records of one family key form one unit and every other record a
+    unit of its own, in the order of their first lines; then every
+    _CROSS_CHECK-th member of a family other than its head, in line order,
+    forms a unit of its own as well.
+    """
+    groups: dict = {}
+    for entry in picked:
+        lineno, _, _, family = entry
+        groups.setdefault(lineno if family is None else family, []).append(entry)
+    units = list(groups.values())
+    members = sorted((entry for unit in units if len(unit) > 1
+                      for entry in sorted(unit, key=lambda e: e[2].r)[:-1]),
+                     key=lambda entry: entry[0])
+    return units + [[entry] for entry in members[::_CROSS_CHECK]]
 
 
 def verify_log(path, full: bool = False) -> VerifyReport:
@@ -643,9 +677,16 @@ def verify_log(path, full: bool = False) -> VerifyReport:
     duplicates).  A later record of a case is no duplicate while every
     earlier one is an error record, and the latest is the one checked.
     Ranks are recomputed for every record with full=True, else for a
-    deterministic evenly-spaced sample.  A replay ranks the record's own
-    matrix, never a family's; the replays run on worker_count's workers
-    (_run_units), and mismatches are reported in line order.
+    deterministic evenly-spaced sample.  Records replay by family, as
+    run_campaign computed them: the attempt-1 records of a "family" header
+    that share degree, q, x, y, prime, seed and fundamental assignment are
+    one unit, which replay_family ranks with one elimination of the largest
+    one's matrix.  Retries, escalated primes and every record under another
+    seed rule replay alone (replay_certificate), and so does every
+    _CROSS_CHECK-th member of a family other than its head, as a check of
+    the family's rank; a record is a mismatch if any of its replays differs
+    from its rank.  The units run on worker_count's workers (_run_units),
+    and mismatches are reported in line order.
     """
     report = VerifyReport()
     latest: dict[tuple, tuple[int, CertRecord, Optional[dict]]] = {}
@@ -695,7 +736,12 @@ def verify_log(path, full: bool = False) -> VerifyReport:
         if problems:
             report.structural.append({"line": lineno, "error": "; ".join(problems)})
             continue
-        checkable.append((lineno, record, spec))
+        family = None
+        if config.get("seed_rule") == SEED_RULE and cert.attempts == 1:
+            case = record.case
+            family = (case.degree, case.q, case.x, case.y, cert.prime, cert.seed,
+                      tuple(cert.fundamental_assignment))
+        checkable.append((lineno, record, spec, family))
 
     if checkable:
         if full:
@@ -704,20 +750,27 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             want = min(len(checkable), max(10, len(checkable) // 10))
             step = max(1, len(checkable) // want)
             picked = checkable[::step][:want]
-        workers = worker_count([peak_bytes(spec) for _, _, spec in picked])
-        replays = _run_units(replay_certificate, [(record.cert,) for _, record, _ in picked], workers)
-        for replay, (lineno, record, _) in zip(replays, picked):
-            got = replay()
+        units = _replay_units(picked)
+        workers = worker_count([max(peak_bytes(spec) for _, _, spec, _ in unit) for unit in units])
+        tasks = [([record.cert for _, record, _, _ in unit],) for unit in units]
+        replays: dict[int, dict[str, int]] = {}
+        for result, unit in zip(_run_units(_replay_unit, tasks, workers), units):
+            how = "alone" if len(unit) == 1 else "family"
+            for (lineno, _, _, _), got in zip(unit, result()):
+                replays.setdefault(lineno, {})[how] = got
+        for lineno, record, _, _ in picked:
+            got = replays[lineno]
             report.replayed += 1
-            if got != record.cert.rank:
-                report.mismatches.append(
-                    {
-                        "line": lineno,
-                        "case": list(record.case.key()),
-                        "recorded_rank": record.cert.rank,
-                        "replayed_rank": got,
-                    }
-                )
+            if set(got.values()) != {record.cert.rank}:
+                mismatch = {
+                    "line": lineno,
+                    "case": list(record.case.key()),
+                    "recorded_rank": record.cert.rank,
+                    "replayed_rank": got.get("alone", got.get("family")),
+                }
+                if len(set(got.values())) > 1:
+                    mismatch["family_rank"] = got["family"]
+                report.mismatches.append(mismatch)
     return report
 
 

@@ -16,8 +16,11 @@ So at the same prime, seed and fundamental assignment, a system whose
 expanded point list is a prefix of another's has as its matrix the leading
 row block of the other's matrix.  The matrix is built transposed, its
 elimination yields the column rank profile, and the rank of every leading
-row block follows by counting pivots (gfp.rank's leading).  A replay never
-relies on this: it rebuilds the one system's own matrix and ranks it.
+row block follows by counting pivots (gfp.rank's leading).  A replay uses
+it the same way (replay_family): it checks each record's prime, seed,
+assignment and point list against the largest record's before it reads the
+record's rank off that one elimination, and replays any other record alone
+(replay_certificate), rebuilding the one system's own matrix.
 """
 
 from __future__ import annotations
@@ -403,6 +406,38 @@ def _certificate(
     )
 
 
+def _ranks_by_family(
+    specs: Sequence[SystemSpec],
+    primes: Sequence[int],
+    seeds: Sequence[int],
+    assignments: Sequence[FundamentalAssignment],
+) -> list[int]:
+    """Ranks of the systems, each at its own prime, seed and assignment.
+
+    The system with the most points is the head.  A system at the head's
+    degree, prime, seed and assignment whose point list is a prefix of the
+    head's, holding every assigned point, gets its rank from the head's one
+    elimination; any other runs alone.
+    """
+    head = max(range(len(specs)), key=lambda i: specs[i].r)
+    head_points = specs[head].points()
+    members = [
+        i for i, spec in enumerate(specs)
+        if spec.degree == specs[head].degree
+        and (primes[i], seeds[i]) == (primes[head], seeds[head])
+        and assignments[i] == assignments[head]
+        and spec.points() == head_points[: spec.r]
+        and all(idx < spec.r for idx, _ in assignments[i])
+    ]
+    got = dict(zip(members, _run_family(
+        specs[head], [specs[i] for i in members], primes[head], seeds[head], assignments[head]
+    )))
+    return [
+        got[i] if i in got else _run_one(spec, primes[i], seeds[i], assignments[i])
+        for i, spec in enumerate(specs)
+    ]
+
+
 def check_family(
     specs: Sequence[SystemSpec],
     prime: int = DEFAULT_PRIME,
@@ -411,28 +446,15 @@ def check_family(
 ) -> list[Certificate]:
     """Attempt 1 of the rank checks of systems that share their leading points.
 
-    The system with the most points is the head.  Every system whose point
-    list is a prefix of the head's and whose fundamental assignment equals
-    the head's gets its rank from the head's one elimination; any other runs
-    alone at the same seed.  Each certificate's elapsed_ms is the wall time
-    of the whole family.  check_case continues from these certificates.
+    Every system whose point list is a prefix of the head's (the one with
+    the most points) and whose fundamental assignment equals the head's gets
+    its rank from the head's one elimination; any other runs alone at the
+    same seed (_ranks_by_family).  Each certificate's elapsed_ms is the wall
+    time of the whole family.  check_case continues from these certificates.
     """
     assignments = [_greedy_assignment(spec) if fundamental else [] for spec in specs]
-    head = max(range(len(specs)), key=lambda i: len(specs[i].points()))
-    head_points = specs[head].points()
-    members = [
-        i for i, spec in enumerate(specs)
-        if spec.degree == specs[head].degree
-        and spec.points() == head_points[: spec.r]
-        and assignments[i] == assignments[head]
-    ]
     t0 = time.perf_counter()
-    got = dict(zip(members, _run_family(
-        specs[head], [specs[i] for i in members], prime, seed, assignments[head]
-    )))
-    for i, spec in enumerate(specs):
-        if i not in got:
-            got[i] = _run_one(spec, prime, seed, assignments[i])
+    got = _ranks_by_family(specs, [prime] * len(specs), [seed] * len(specs), assignments)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return [
         _certificate(spec, prime, seed, assignments[i], got[i], 1, elapsed)
@@ -478,6 +500,22 @@ def replay_certificate(cert: Certificate) -> int:
     """Regenerate the recorded attempt and return the recomputed rank."""
     spec = parse_system(cert.spec)
     return _run_one(spec, cert.prime, cert.seed, list(cert.fundamental_assignment))
+
+
+def replay_family(certs: Sequence[Certificate]) -> list[int]:
+    """Recomputed ranks of the recorded attempts, from one elimination where they share it.
+
+    The largest system's matrix is rebuilt once and ranked once; a record at
+    its prime, seed and assignment whose point list is a prefix of its own
+    reads its rank off the column rank profile, as check_family computed
+    it.  Any other record is replayed alone, as replay_certificate does.
+    """
+    return _ranks_by_family(
+        [parse_system(cert.spec) for cert in certs],
+        [cert.prime for cert in certs],
+        [cert.seed for cert in certs],
+        [list(cert.fundamental_assignment) for cert in certs],
+    )
 
 
 # ---------------------------------------------------------------------------

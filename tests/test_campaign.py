@@ -17,7 +17,8 @@ from fatpoints.campaign import (
     verify_log,
 )
 from fatpoints.enumeration import algorithm_b_cases
-from fatpoints.interpolation import Certificate, check_case, replay_certificate
+from fatpoints.gfp import PRIME_LADDER
+from fatpoints.interpolation import Certificate, check_case, check_family, replay_certificate
 from fatpoints.model import CaseSignature
 
 SHARD = (5, 87)  # 3 of the 261 d=14 cases: keeps unit runs quick
@@ -587,3 +588,197 @@ def test_verify_reports_mismatches_in_line_order(tmp_path):
     report = verify_log(out, full=True)
     assert report.replayed == 9 and not report.structural, report.to_dict()
     assert [m["line"] for m in report.mismatches] == [i + 1 for i in forged_at]
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _forged(line):
+    """line's record claiming one rank less, consistent on paper."""
+    rec = json.loads(line)
+    return json.dumps(dict(rec, rank=rec["rank"] - 1, verdict="inconclusive"))
+
+
+@pytest.fixture(scope="module")
+def family_lines(tmp_path_factory):
+    """The lines of a FAMILY_SHARD log: 131 records, in 49 families of 2 or 3 and 22 of 1."""
+    out = tmp_path_factory.mktemp("family") / "log.jsonl"
+    run_campaign(_tiny_config(out, shard=FAMILY_SHARD))
+    return out.read_text().splitlines()
+
+
+def _non_head_lines(lines):
+    """Line numbers of the records that are not their family's head, in line order.
+
+    A family's records are together in ascending z, so its head comes last.
+    """
+    out, line = [], 2
+    for family in _families_in_log([json.loads(text) for text in lines[1:]]):
+        out += range(line, line + len(family) - 1)
+        line += len(family)
+    return out
+
+
+def _count_replays(monkeypatch, family=None):
+    """Run verify's units in this process and record the certificates each replay gets.
+
+    family, if given, stands in for replay_family.
+    """
+    calls = {"family": [], "alone": []}
+    real_family = family or campaign.replay_family
+    real_alone = campaign.replay_certificate
+
+    def replay_family(certs):
+        calls["family"].append(list(certs))
+        return real_family(certs)
+
+    def replay_alone(cert):
+        calls["alone"].append(cert)
+        return real_alone(cert)
+
+    monkeypatch.setattr(campaign, "worker_count", lambda peaks: 1)
+    monkeypatch.setattr(campaign, "replay_family", replay_family)
+    monkeypatch.setattr(campaign, "replay_certificate", replay_alone)
+    return calls
+
+
+def test_forged_family_member_is_a_mismatch_at_its_line(tmp_path, family_lines):
+    members = _non_head_lines(family_lines)
+    line = members[1]  # ranked by its head's elimination only, not also alone
+    assert line not in members[::campaign._CROSS_CHECK]
+    lines = list(family_lines)
+    rec = json.loads(lines[line - 1])
+    lines[line - 1] = _forged(lines[line - 1])
+    report = verify_log(_write(tmp_path / "forged.jsonl", lines), full=True)
+    assert report.replayed == 131 and not report.structural and not report.corrupt
+    assert report.mismatches == [{"line": line, "case": rec["case"],
+                                  "recorded_rank": rec["rank"] - 1, "replayed_rank": rec["rank"]}]
+
+
+def test_mismatches_over_several_families_come_in_line_order(tmp_path, family_lines):
+    members = _non_head_lines(family_lines)
+    heads = [line for line in range(2, len(family_lines) + 1) if line not in members]
+    # a member, a head, a member also replayed alone and a family of one
+    alone = next(line for line in heads if line - 1 not in members)
+    forged = [members[-1], heads[len(heads) // 2], members[0], alone]
+    assert len(set(forged)) == 4
+    lines = list(family_lines)
+    for line in forged:
+        lines[line - 1] = _forged(lines[line - 1])
+    report = verify_log(_write(tmp_path / "forged.jsonl", lines), full=True)
+    assert report.replayed == 131 and not report.structural, report.to_dict()
+    assert [m["line"] for m in report.mismatches] == sorted(forged)
+    for m in report.mismatches:
+        assert m["replayed_rank"] == json.loads(family_lines[m["line"] - 1])["rank"]
+        assert "family_rank" not in m
+
+
+def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_lines, monkeypatch):
+    # case 14, the smallest shard member of family (1, 1, 44) with 16 and
+    # 18, logged as a retry at its own seed
+    lines = list(family_lines)
+    at = next(i for i, text in enumerate(lines) if json.loads(text).get("index") == 14)
+    rec = json.loads(lines[at])
+    case = CaseSignature(*rec["case"])
+    spec, seed = case.to_system(), 7 + 14 * 3 + 1
+    assignment = [tuple(pair) for pair in rec["fundamental_assignment"]]
+    got = interpolation._run_one(spec, PRIME_LADDER[0], seed, assignment)
+    retry = interpolation._certificate(spec, PRIME_LADDER[0], seed, assignment, got, 2, 0)
+    lines[at] = CertRecord(case, 14, retry).to_line()
+    calls = _count_replays(monkeypatch)
+    report = verify_log(_write(tmp_path / "retry.jsonl", lines), full=True)
+    assert report.ok and report.replayed == 131, report.to_dict()
+
+    def qxy(cert):
+        sig = CaseSignature.from_system(interpolation.parse_system(cert.spec))
+        return sig.q, sig.x, sig.y
+
+    # one call per family of two or more attempt-1 records, and only those
+    sizes: dict = {}
+    for text in lines[1:]:
+        r = json.loads(text)
+        if r["attempts"] == 1:
+            sizes[tuple(r["case"][1:4])] = sizes.get(tuple(r["case"][1:4]), 0) + 1
+    assert sorted(len(certs) for certs in calls["family"]) == sorted(
+        n for n in sizes.values() if n > 1)
+    for certs in calls["family"]:
+        assert {qxy(c) for c in certs} == {qxy(certs[0])}
+        assert all(c.attempts == 1 for c in certs)
+    assert len({qxy(certs[0]) for certs in calls["family"]}) == len(calls["family"])
+    # the retry replays alone; 16 and 18 still share one elimination
+    assert [c for c in calls["alone"] if c.attempts > 1] == [retry]
+    assert [len(certs) for certs in calls["family"] if qxy(certs[0]) == qxy(retry)] == [2]
+    # the rest alone: families of one and every _CROSS_CHECK-th member again
+    in_family = [c for certs in calls["family"] for c in certs]
+    cross = [c for c in calls["alone"] if c in in_family]
+    members = sum(len(certs) - 1 for certs in calls["family"])
+    assert len(cross) == -(-members // campaign._CROSS_CHECK)
+    assert len(calls["alone"]) == 131 - len(in_family) + len(cross)
+
+
+def test_records_under_a_header_without_seed_rule_replay_alone(tmp_path, monkeypatch):
+    config = _tiny_config(tmp_path / "old.jsonl")
+    fields = config.digest_fields()
+    del fields["seed_rule"]
+    lines = [json.dumps({"header": True, "config": fields})]
+    cases = algorithm_b_cases(14)
+    for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
+        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3,
+                          max_attempts=3, fundamental=True)
+        lines.append(CertRecord(cases[idx], idx, cert).to_line())
+    calls = _count_replays(monkeypatch)
+    report = verify_log(_write(config.out, lines), full=True)
+    assert report.ok and report.replayed == 5, report.to_dict()
+    assert calls["family"] == [] and len(calls["alone"]) == 5
+
+
+def test_members_replayed_alone_check_the_family_ranks(tmp_path, family_lines, monkeypatch):
+    # a family replay that echoed the recorded ranks would pass every forged
+    # member; those also replayed alone still show the forgery
+    members = _non_head_lines(family_lines)
+    lines = list(family_lines)
+    for line in members:
+        lines[line - 1] = _forged(lines[line - 1])
+    _count_replays(monkeypatch, family=lambda certs: [cert.rank for cert in certs])
+    report = verify_log(_write(tmp_path / "forged.jsonl", lines), full=True)
+    assert report.replayed == 131 and not report.structural, report.to_dict()
+    assert [m["line"] for m in report.mismatches] == members[::campaign._CROSS_CHECK]
+    for m in report.mismatches:
+        assert m["family_rank"] == m["recorded_rank"] == m["replayed_rank"] - 1
+
+
+def test_verify_takes_the_primes_from_the_header(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    ladder = [65537, 104729, 1000003]
+    assert ladder != list(PRIME_LADDER)
+    header["config"]["primes"] = ladder
+    moved = [json.dumps(header)]
+    for text in lines[1:]:  # the same attempts at the header's first prime
+        rec = json.loads(text)
+        case = CaseSignature(*rec["case"])
+        cert = check_family([case.to_system()], prime=65537, seed=rec["seed"], fundamental=True)[0]
+        moved.append(CertRecord(case, rec["index"], cert).to_line())
+    path = tmp_path / "moved.jsonl"
+    report = verify_log(_write(path, moved), full=True)
+    assert report.ok and report.replayed == 3, report.to_dict()
+
+    # a record at the module's first prime is not at the header's
+    report = verify_log(_write(path, moved[:1] + lines[1:2] + moved[2:]), full=True)
+    assert [p["line"] for p in report.structural] == [2] and report.replayed == 2
+    assert "prime 32003 is not the header's 65537" in report.structural[0]["error"]
+
+    # a header without primes means the module's
+    del header["config"]["primes"]
+    assert verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True).ok
+    assert not verify_log(_write(path, [json.dumps(header)] + moved[1:]), full=True).ok
+
+    # a ladder without the prime an attempt needs
+    header["config"]["primes"] = []
+    report = verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True)
+    assert len(report.structural) == 3 and report.replayed == 0
+    assert "name no prime for attempt 1" in report.structural[0]["error"]

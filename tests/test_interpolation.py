@@ -10,14 +10,17 @@ from fatpoints.gfp import DEFAULT_PRIME, rank
 from fatpoints.interpolation import (
     Certificate,
     MatrixTooLargeError,
+    _greedy_assignment,
     _run_one,
     _sample_distinct,
+    _transposed_matrix,
     build_matrix,
     check_case,
     check_family,
     rational_oracle,
     reduce_fundamental,
     replay_certificate,
+    replay_family,
 )
 from fatpoints.model import SystemSpec, conditions_count, edim
 from fatpoints.monomials import derivative_coefficient, derivative_orders, monomial_basis
@@ -410,3 +413,52 @@ def test_short_family_members_retry_at_their_own_seeds():
         assert replay_certificate(final) == final.rank
     with pytest.raises(ValueError, match="given for"):
         check_case(specs[1], prime=17, seed=5, first=tried[0])
+
+
+@pytest.mark.parametrize("d, pick", [(14, 0), (18, 40)])
+def test_member_matrix_is_the_heads_leading_block(d, pick):
+    # the identity check_family and replay_family rest on, at one prime,
+    # seed and assignment, compared byte for byte
+    specs = _families(d)[pick]
+    head = max(specs, key=lambda spec: spec.r)
+    assignment = _greedy_assignment(head)
+    head_mat, head_deleted = _transposed_matrix(head, P, 100 + pick, assignment)
+    for spec in specs:
+        assert _greedy_assignment(spec) == assignment
+        mat, deleted = _transposed_matrix(spec, P, 100 + pick, assignment)
+        assert deleted == head_deleted and mat.shape[0] == head_mat.shape[0]
+        block = np.ascontiguousarray(head_mat[:, : mat.shape[1]])
+        assert mat.dtype == block.dtype and mat.tobytes() == block.tobytes()
+
+
+def test_replay_family_ranks_a_family_with_one_elimination(monkeypatch):
+    # p = 17 leaves the smaller members short, so prefix counts below the
+    # maximal rank are replayed too
+    specs = _families(14)[0]
+    for prime in (P, 17):
+        certs = check_family(specs, prime=prime, seed=5, fundamental=True)
+        calls = _counting_rank(monkeypatch)
+        got = replay_family(certs[::-1])
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got == [cert.rank for cert in certs[::-1]]
+        assert got == [replay_certificate(cert) for cert in certs[::-1]]
+
+
+def test_replay_family_replays_records_that_share_no_prefix_alone(monkeypatch):
+    specs = _families(14)[0]
+    certs = check_family(specs, prime=17, seed=5, fundamental=True)
+    retry = check_case(specs[0], prime=17, seed=40, max_attempts=3, fundamental=True,
+                       first=certs[0])
+    assert retry.seed != 5
+    head = SystemSpec(8, {2: 6})
+    others = [check_case(spec, seed=9, fundamental=True)
+              for spec in (head, SystemSpec(8, {2: 2}), SystemSpec(8, {3: 1, 2: 1}))]
+    mixed = [retry] + certs[1:] + others
+    calls = _counting_rank(monkeypatch)
+    got = replay_family(mixed)
+    monkeypatch.undo()
+    # the d = 14 head ranks its family; the retry (another seed) and the
+    # d = 8 systems (another degree) replay alone
+    assert len(calls) == 1 + 1 + 3
+    assert got == [cert.rank for cert in mixed]

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Wall time and peak RSS of the campaign and verify processes, two trees.
+"""Wall time and peak RSS of the campaign, verify and audit processes, two trees.
 
-Times three CLI processes of two source trees, the tree given by --before
+Times four CLI processes of two source trees, the tree given by --before
 and this one:
 
 - `campaign --degrees 14` (261 cases in 71 families),
 - `verify --full` on the log that campaign wrote,
+- `audit-closure -d 14` on the same log (85100 signatures),
 - `campaign --degrees 30 --shard 1/35` (three ~4590x4576 families),
 
 in --pairs pairs whose order alternates (before first, then after first),
 so that the machine's drift falls on both sides alike.  In every pair both
-trees must write the same records (elapsed_ms aside) and verify must
-replay all 261 of them with no mismatch.  Peak RSS is what wait4 reports,
+trees must write the same records (elapsed_ms aside), verify must replay
+all 261 of them with no mismatch, and both trees must print the same
+audit with no gap.  Peak RSS is what wait4 reports,
 the largest single process among the CLI and the workers it waited for.
 Results go to BENCH_pool.json at the repository root:
 
@@ -37,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "BENCH_pool.json"
-STAGES = ("campaign_d14", "verify_d14", "campaign_d30_shard")
+STAGES = ("campaign_d14", "verify_d14", "audit_d14", "campaign_d30_shard")
 SEED = 14  # campaign --seed of both d = 14 and d = 30
 
 
@@ -80,6 +82,7 @@ def one_side(src: Path, tmp: Path) -> tuple[dict, dict, dict]:
     runs = {
         "campaign_d14": ["campaign", "--degrees", "14", "--seed", str(SEED), "--out", str(d14)],
         "verify_d14": ["--json", "verify", "--full", str(d14)],
+        "audit_d14": ["--json", "audit-closure", "-d", "14", "--results", str(d14)],
         "campaign_d30_shard": ["campaign", "--degrees", "30", "--shard", "1/35",
                                "--seed", str(SEED), "--out", str(d30)],
     }
@@ -90,6 +93,9 @@ def one_side(src: Path, tmp: Path) -> tuple[dict, dict, dict]:
     report = json.loads(outs["verify_d14"].strip().splitlines()[-1])
     if not report["ok"] or report["replayed"] != 261 or report["mismatches"]:
         raise RuntimeError(f"verify under {src}: {report}")
+    audit = json.loads(outs["audit_d14"])
+    if not audit["ok"] or audit["targets"] != 85100:
+        raise RuntimeError(f"audit under {src}: {len(audit['gaps'])} gaps of {audit['targets']}")
     outs["campaign_d14"], outs["campaign_d30_shard"] = records(d14), records(d30)
     outs["header"] = json.loads(d14.read_text().splitlines()[0])
     return wall, rss, outs
@@ -115,9 +121,9 @@ def main(argv=None) -> int:
             for stage in STAGES:
                 wall[side][stage].append(round(t[stage], 4))
                 rss[side][stage].append(round(mib[stage], 1))
-        for stage in ("campaign_d14", "campaign_d30_shard"):
+        for stage in ("campaign_d14", "audit_d14", "campaign_d30_shard"):
             if outs["before"][stage] != outs["after"][stage]:
-                raise RuntimeError(f"pair {i}: the two trees write different {stage} records")
+                raise RuntimeError(f"pair {i}: the two trees write different {stage} output")
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
               + ", ".join(f"{stage} {wall['before'][stage][-1]:.2f} -> {wall['after'][stage][-1]:.2f} s"
                           for stage in STAGES), flush=True)

@@ -52,6 +52,7 @@ from .interpolation import (
     check_case,
     check_family,
     peak_bytes,
+    reduce_fundamental,
     replay_certificate,
     replay_family,
 )
@@ -483,7 +484,6 @@ def _family_unit(
             specs,
             prime=PRIME_LADDER[0],
             seed=config.base_seed + first * config.max_attempts,
-            fundamental=True,
         )
         return [
             CertRecord(case, idx, check_case(
@@ -491,7 +491,6 @@ def _family_unit(
                 prime=PRIME_LADDER[0],
                 seed=config.base_seed + idx * config.max_attempts,
                 max_attempts=config.max_attempts,
-                fundamental=True,
                 first=cert,
             ))
             for (idx, case), spec, cert in zip(family, specs, tried)
@@ -673,9 +672,10 @@ def verify_log(path, full: bool = False) -> VerifyReport:
 
     Every record is checked structurally (N, S recomputed from the system,
     verdict consistent with the recorded rank, case identity matching the
-    spec, seed and prime the ones the nearest header above assigns, no
-    duplicates).  A later record of a case is no duplicate while every
-    earlier one is an error record, and the latest is the one checked.
+    spec, a fundamental assignment reduce_fundamental accepts, seed and
+    prime the ones the nearest header above assigns, no duplicates).  A
+    later record of a case is no duplicate while every earlier one is an
+    error record, and the latest is the one checked.
     Ranks are recomputed for every record with full=True, else for a
     deterministic evenly-spaced sample.  Records replay by family, as
     run_campaign computed them: the attempt-1 records of a "family" header
@@ -729,6 +729,10 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             problems.append(f"N mismatch: {spec.n_monomials} != {cert.N}")
         if spec.conditions_total != cert.S:
             problems.append(f"S mismatch: {spec.conditions_total} != {cert.S}")
+        try:
+            reduce_fundamental(spec, cert.fundamental_assignment)
+        except ValueError as exc:
+            problems.append(f"bad fundamental assignment: {exc}")
         maximal = cert.rank == min(cert.N, cert.S)
         if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
             problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")

@@ -88,7 +88,6 @@ def _cmd_check(args) -> int:
         prime=args.prime,
         seed=args.seed,
         max_attempts=args.attempts,
-        fundamental=args.fundamental,
     )
     dim = cert.N - 1 - cert.rank
     _eprint(
@@ -202,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " min(rows, columns) * p^2 + p <= 2^53")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=3)
-    p.add_argument("--fundamental", action="store_true",
-                   help="pin up to 4 points at the coordinate points")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("campaign", help="run the sweep for a degree range")

@@ -333,39 +333,19 @@ def _transposed_matrix(
     assignment: FundamentalAssignment,
 ) -> tuple[np.ndarray, int]:
     """(columns x conditions) matrix of spec's residual system, and the columns deleted."""
-    d = spec.degree
-    if assignment:
-        deleted, residual = reduce_fundamental(spec, assignment)
-        basis = monomial_basis(d)
-        keep = np.ones(basis.shape[0], dtype=bool)
-        keep[deleted] = False
-        basis = basis[keep]
-        avoid = [_coordinate_point(slot) for slot in range(len(assignment))]
-        n_deleted = len(deleted)
-    else:
-        residual = spec
-        basis = None
-        avoid = []
-        n_deleted = 0
-    ncols = spec.n_monomials - n_deleted
+    deleted, residual = reduce_fundamental(spec, assignment)
+    keep = np.ones(spec.n_monomials, dtype=bool)
+    keep[deleted] = False
+    ncols = spec.n_monomials - len(deleted)
     nrows = residual.conditions_total
     if nrows * ncols * 8 > MEMORY_LIMIT_BYTES:
         raise MatrixTooLargeError(
             f"{nrows} x {ncols} matrix needs about {nrows * ncols * 8 / 2**30:.1f} GiB"
         )
+    avoid = [_coordinate_point(slot) for slot in range(len(assignment))]
     pts = _sample_distinct(residual.r, prime, seed, avoid=avoid)
-    return build_matrix(residual, pts, prime, basis=basis).T, n_deleted
-
-
-def _run_one(
-    spec: SystemSpec,
-    prime: int,
-    seed: int,
-    assignment: FundamentalAssignment,
-) -> int:
-    """Rank of spec's own (possibly reduced) matrix, reported against the full system."""
-    mat, n_deleted = _transposed_matrix(spec, prime, seed, assignment)
-    return rank(mat, prime, overwrite=True) + n_deleted
+    basis = monomial_basis(spec.degree)[keep]
+    return build_matrix(residual, pts, prime, basis=basis).T, len(deleted)
 
 
 def _run_family(
@@ -375,7 +355,10 @@ def _run_family(
     seed: int,
     assignment: FundamentalAssignment,
 ) -> list[int]:
-    """Ranks of the members, each a leading row block of head's matrix, from one elimination."""
+    """Ranks of the members, each a leading row block of head's matrix, from one elimination.
+
+    A single system is the family [spec] of its own head.
+    """
     mat, n_deleted = _transposed_matrix(head, prime, seed, assignment)
     pinned = sum(conditions_count(m) for _, m in assignment)
     rows = [member.conditions_total - pinned for member in members]
@@ -433,7 +416,7 @@ def _ranks_by_family(
         specs[head], [specs[i] for i in members], primes[head], seeds[head], assignments[head]
     )))
     return [
-        got[i] if i in got else _run_one(spec, primes[i], seeds[i], assignments[i])
+        got[i] if i in got else _run_family(spec, [spec], primes[i], seeds[i], assignments[i])[0]
         for i, spec in enumerate(specs)
     ]
 
@@ -442,17 +425,19 @@ def check_family(
     specs: Sequence[SystemSpec],
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
-    fundamental: bool = False,
 ) -> list[Certificate]:
     """Attempt 1 of the rank checks of systems that share their leading points.
 
+    Each system pins up to four points at the coordinate points
+    (_greedy_assignment, largest multiplicities first); four general points
+    are projectively equivalent to them, so the verdict is the unpinned one.
     Every system whose point list is a prefix of the head's (the one with
-    the most points) and whose fundamental assignment equals the head's gets
-    its rank from the head's one elimination; any other runs alone at the
-    same seed (_ranks_by_family).  Each certificate's elapsed_ms is the wall
-    time of the whole family.  check_case continues from these certificates.
+    the most points) and whose assignment equals the head's gets its rank
+    from the head's one elimination; any other runs alone at the same seed
+    (_ranks_by_family).  Each certificate's elapsed_ms is the wall time of
+    the whole family.  check_case continues from these certificates.
     """
-    assignments = [_greedy_assignment(spec) if fundamental else [] for spec in specs]
+    assignments = [_greedy_assignment(spec) for spec in specs]
     t0 = time.perf_counter()
     got = _ranks_by_family(specs, [prime] * len(specs), [seed] * len(specs), assignments)
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -467,14 +452,14 @@ def check_case(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    fundamental: bool = False,
     first: Optional[Certificate] = None,
 ) -> Certificate:
     """Rank-check one system and certify it.
 
     Attempt 1 is a family of one (check_family at seed), or first, spec's
     certificate from a family's attempt 1, when given.  On a rank deficit
-    the system is retried alone: attempt a uses seed + a - 1, and the final
+    the system is retried alone, as a family of one with attempt 1's
+    fundamental assignment: attempt a uses seed + a - 1, and the final
     attempt escalates to the next prime in the ladder.  Verdict
     "non_special" means a maximal rank was witnessed; "inconclusive" means
     every attempt fell short.  elapsed_ms includes first's.
@@ -485,21 +470,20 @@ def check_case(
         raise ValueError(f"certificate of {first.spec!r} given for {spec.to_text()!r}")
     spent_ms = first.elapsed_ms if first is not None else 0
     t0 = time.perf_counter()
-    cert = first if first is not None else check_family([spec], prime, seed, fundamental)[0]
+    cert = first if first is not None else check_family([spec], prime, seed)[0]
     while cert.verdict != VERDICT_NON_SPECIAL and cert.attempts < max_attempts:
         attempt = cert.attempts + 1
         used_prime = next_ladder_prime(prime) if attempt == max_attempts else prime
         used_seed = seed + attempt - 1
         assignment = cert.fundamental_assignment
-        got_rank = _run_one(spec, used_prime, used_seed, assignment)
+        got_rank = _run_family(spec, [spec], used_prime, used_seed, assignment)[0]
         cert = _certificate(spec, used_prime, used_seed, assignment, got_rank, attempt, 0)
     return replace(cert, elapsed_ms=spent_ms + int((time.perf_counter() - t0) * 1000))
 
 
 def replay_certificate(cert: Certificate) -> int:
     """Regenerate the recorded attempt and return the recomputed rank."""
-    spec = parse_system(cert.spec)
-    return _run_one(spec, cert.prime, cert.seed, list(cert.fundamental_assignment))
+    return replay_family([cert])[0]
 
 
 def replay_family(certs: Sequence[Certificate]) -> list[int]:
@@ -508,7 +492,7 @@ def replay_family(certs: Sequence[Certificate]) -> list[int]:
     The largest system's matrix is rebuilt once and ranked once; a record at
     its prime, seed and assignment whose point list is a prefix of its own
     reads its rank off the column rank profile, as check_family computed
-    it.  Any other record is replayed alone, as replay_certificate does.
+    it.  Any other record is replayed alone, as a family of one.
     """
     return _ranks_by_family(
         [parse_system(cert.spec) for cert in certs],

@@ -162,11 +162,18 @@ class DeduceResult:
 
 
 def _degree_table(store, d: int) -> np.ndarray:
-    """Store rows for degree d as (q, x, y, z, S, non_special) int64."""
-    rows = [
-        (case.q, case.x, case.y, case.z, S, 1 if verdict == VERDICT_NON_SPECIAL else 0)
-        for case, S, verdict in store.cases(d)
-    ]
+    """Store rows for degree d as (q, x, y, z, S, non_special) int64.
+
+    A record whose S is not its case's condition total is refused with a
+    ValueError that names the case: verify reports it as an S mismatch, and
+    no deduction may rest on it.
+    """
+    rows = []
+    for case, S, verdict in store.cases(d):
+        if S != case.conditions_total:
+            raise ValueError(f"case {list(case.key())} records S = {S},"
+                             f" but its conditions total {case.conditions_total}")
+        rows.append((case.q, case.x, case.y, case.z, S, int(verdict == VERDICT_NON_SPECIAL)))
     if not rows:
         return np.zeros((0, 6), dtype=np.int64)
     return np.array(rows, dtype=np.int64)
@@ -388,31 +395,27 @@ def closure_audit(
     d: int,
     store,
     known: Optional[KnownResults] = None,
-    s_limit: Optional[int] = None,
 ) -> ClosureReport:
     """Confirm every (x, y, z) signature of degree d deduces from the store.
 
     Audited up to S <= N + 20 + window span; beyond that removing 4-points
-    re-enters the audited band, so deduction is monotone-trivial.  s_limit
-    overrides the bound (smaller values make quick partial audits).
+    re-enters the audited band, so deduction is monotone-trivial.
 
     Each target's verdict is deduce's, in closed form per (x, y) pair with
     base = 20x + 10y.  Over the non_special rows (q_c, x_c, y_c, z_c, S_c):
     - independent chain (rows with S_c <= N): with
       hi_a = min(11 q_c, (y_c + 22 q_c - y) // 2) and K = hi_a + x_c - x,
-      a row with hi_a >= 0 and K >= 0 proves every z <= z_c + 5K, capped
-      where S passes N: good z form a prefix;
+      a row with hi_a >= 0 and K >= 0 proves every z <= z_c + 5K: good z
+      form a prefix;
     - empty chain (rows with S_c >= N): with
       lo_a = max(0, ceil((y_c + 22 q_c - y) / 2)) and
       t2_lo = max(0, lo_a + x_c - x), a row with lo_a <= 11 q_c and
-      t2_lo <= 11 q_c + x_c proves every z >= z_c + 5 t2_lo, from where S
-      reaches N: good z form a suffix;
-    - window hit: a z between the two whose S is in the window is good if
-      its glueing is a row's case.
-    When every row's S_c is its case's condition total, a window hit is a
-    chain that adds and removes nothing and no chain crosses S = N, so the
-    caps at N and the window hits decide targets only for rows whose
-    recorded S_c differs; deduce trusts the recorded S_c, and so does this.
+      t2_lo <= 11 q_c + x_c proves every z >= z_c + 5 t2_lo: good z form a
+      suffix.
+    Every row's S_c is its case's condition total (_degree_table refuses any
+    other record), so a chain only adds or removes conditions on the way to
+    S_c and never crosses S = N, and deduce's window hit is the chain of
+    either kind that adds and removes no point.
     Both glue rules are validated once; if one fails, every target is a gap.
     The work is O(#pairs x #rows) numpy, one row at a time, and the memory
     O(#pairs + #gaps).
@@ -422,13 +425,13 @@ def closure_audit(
     w = window(N)
     # span of the open window: from the excluded w.start - 1 to the excluded w.stop
     span = w.stop - (w.start - 1)
-    bound = s_limit if s_limit is not None else N + conditions_count(4) + span
+    bound = N + conditions_count(4) + span
     # every (x, y) with 20x + 10y <= bound, in the order the gaps are listed
     xs = np.arange(max(0, bound // 20 + 1), dtype=np.int64)
     x, y = _ranges(np.zeros_like(xs), (bound - 20 * xs) // 10 + 1)
     base = 20 * x + 10 * y
     zmax = (bound - base) // 4
-    # good z: [0, z_indep], [z_empty, zmax] and the window hits between them
+    # good z: [0, z_indep] and [z_empty, zmax]
     z_indep = np.full_like(base, -1)
     z_empty = zmax + 1
     table = _degree_table(store, d)
@@ -447,23 +450,7 @@ def closure_audit(
             reach = np.where((lo_a <= 11 * qc) & (t2_lo <= 11 * qc + xc), zc + 5 * t2_lo,
                              z_empty)
             np.minimum(z_empty, reach, out=z_empty)
-    z_indep = np.minimum(z_indep, (N - base) // 4)
-    z_empty = np.maximum(z_empty, _ceil_div(N - base, 4))
     lo = np.maximum(z_indep + 1, 0)
-    pair, z = _ranges(lo, np.maximum(np.minimum(z_empty, zmax + 1) - lo, 0))
-    S = base[pair] + 4 * z
-    inside = np.nonzero((S >= w.start) & (S < w.stop))[0]
-    if inside.size and table.size:
-        # a case of the window has every coordinate below N // 4 + 6
-        dims = (N // 220 + 6,) + (N // 4 + 6,) * 3
-        keys = table[:, :4]
-        keys = keys[((keys >= 0) & (keys < dims)).all(axis=1)]
-        _, q, _, gx, gy, gz = _glue_counts(x[pair[inside]], y[pair[inside]], z[inside],
-                                           q_values(d)[-1])
-        hit = np.isin(np.ravel_multi_index((q, gx, gy, gz), dims),
-                      np.ravel_multi_index(keys.T, dims))
-        keep = np.ones(z.shape, dtype=bool)
-        keep[inside[hit]] = False
-        pair, z = pair[keep], z[keep]
+    pair, z = _ranges(lo, np.maximum(z_empty - lo, 0))
     gaps = list(zip(x[pair].tolist(), y[pair].tolist(), z.tolist()))
     return ClosureReport(d, int((zmax + 1).sum()), gaps)

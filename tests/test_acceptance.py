@@ -183,7 +183,7 @@ def test_criterion_8_extended_campaign(d14_run, tmp_path):
 
     t1 = time.perf_counter()
     case = algorithm_b_cases(40)[0]
-    cert = check_case(case.to_system(), seed=40, fundamental=True)
+    cert = check_case(case.to_system(), seed=40)
     d40_elapsed = time.perf_counter() - t1
     assert cert.verdict == "non_special"
     assert cert.N == 12341

@@ -16,6 +16,7 @@ from fatpoints.campaign import (
     status,
     verify_log,
 )
+from fatpoints.cli import main
 from fatpoints.enumeration import algorithm_b_cases
 from fatpoints.gfp import PRIME_LADDER
 from fatpoints.interpolation import Certificate, check_case, check_family, replay_certificate
@@ -214,7 +215,7 @@ def test_store_duplicate_detection():
     assert store.cases(14)[0][2] == "error" and not store.finished(case.key())
     # a retry may follow error records; the latest wins
     store.add(CertRecord(case, 0, None, "again"))
-    cert = check_case(case.to_system(), seed=1, fundamental=True)
+    cert = check_case(case.to_system(), seed=1)
     store.add(CertRecord(case, 0, cert))
     assert len(store) == 1 and store.finished(case.key())
     assert store.cases(14)[0][2] == "non_special"
@@ -382,8 +383,7 @@ def test_old_header_logs_keep_the_per_case_rule(tmp_path):
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in _shard_indices(len(cases), SHARD):
-        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3,
-                          max_attempts=3, fundamental=True)
+        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3, max_attempts=3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     config.out.write_text("\n".join(lines) + "\n")
     report = verify_log(config.out, full=True)
@@ -675,6 +675,19 @@ def test_mismatches_over_several_families_come_in_line_order(tmp_path, family_li
         assert "family_rank" not in m
 
 
+def test_bad_fundamental_assignment_is_structural_at_its_line(tmp_path, family_lines, capsys):
+    # point 0 of every d = 14 case is its 10-point, so (0, 3) names no point
+    line = _non_head_lines(family_lines)[0]
+    lines = list(family_lines)
+    rec = json.loads(lines[line - 1])
+    lines[line - 1] = json.dumps(dict(rec, fundamental_assignment=[[0, 3]]))
+    assert main(["--json", "verify", "--full", str(_write(tmp_path / "bad.jsonl", lines))]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [p["line"] for p in report["structural"]] == [line]
+    assert "bad fundamental assignment" in report["structural"][0]["error"]
+    assert report["replayed"] == 130 and not report["mismatches"] and not report["corrupt"]
+
+
 def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_lines, monkeypatch):
     # case 14, the smallest shard member of family (1, 1, 44) with 16 and
     # 18, logged as a retry at its own seed
@@ -684,7 +697,7 @@ def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_line
     case = CaseSignature(*rec["case"])
     spec, seed = case.to_system(), 7 + 14 * 3 + 1
     assignment = [tuple(pair) for pair in rec["fundamental_assignment"]]
-    got = interpolation._run_one(spec, PRIME_LADDER[0], seed, assignment)
+    got = interpolation._run_family(spec, [spec], PRIME_LADDER[0], seed, assignment)[0]
     retry = interpolation._certificate(spec, PRIME_LADDER[0], seed, assignment, got, 2, 0)
     lines[at] = CertRecord(case, 14, retry).to_line()
     calls = _count_replays(monkeypatch)
@@ -725,8 +738,7 @@ def test_records_under_a_header_without_seed_rule_replay_alone(tmp_path, monkeyp
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
-        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3,
-                          max_attempts=3, fundamental=True)
+        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3, max_attempts=3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     calls = _count_replays(monkeypatch)
     report = verify_log(_write(config.out, lines), full=True)
@@ -761,7 +773,7 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     for text in lines[1:]:  # the same attempts at the header's first prime
         rec = json.loads(text)
         case = CaseSignature(*rec["case"])
-        cert = check_family([case.to_system()], prime=65537, seed=rec["seed"], fundamental=True)[0]
+        cert = check_family([case.to_system()], prime=65537, seed=rec["seed"])[0]
         moved.append(CertRecord(case, rec["index"], cert).to_line())
     path = tmp_path / "moved.jsonl"
     report = verify_log(_write(path, moved), full=True)

@@ -51,7 +51,7 @@ def test_check_special_exit_one(capsys):
 
 
 def test_check_json_certificate(capsys):
-    assert main(["--json", "check", "-d", "3", "--mults", "2^5", "--fundamental"]) == 0
+    assert main(["--json", "check", "-d", "3", "--mults", "2^5"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["verdict"] == "non_special"
     assert cert["spec"] == "3; 2^5"
@@ -112,6 +112,22 @@ def test_audit_closure_refuses_a_degree_the_log_lacks(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"holds no non_special record of degree {d}" in captured.err
+
+
+def test_audit_closure_refuses_a_record_whose_S_is_not_its_cases(capsys, tmp_path):
+    out = tmp_path / "log.jsonl"
+    assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[2])
+    # S mirrored about N, as verify's "S mismatch" would report it
+    lines[2] = json.dumps(dict(rec, S=2 * rec["N"] - rec["S"]))
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join(lines) + "\n")
+    assert main(["--json", "audit-closure", "-d", "14", "--results", str(forged)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"case {rec['case']} records S = {2 * rec['N'] - rec['S']}" in captured.err
 
 
 def test_campaign_refuses_existing_log(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fatpoints.interpolation import (
     Certificate,
     MatrixTooLargeError,
     _greedy_assignment,
-    _run_one,
     _sample_distinct,
     _transposed_matrix,
     build_matrix,
@@ -199,16 +199,19 @@ def test_reduce_fundamental_rejects_overlap():
         reduce_fundamental(SystemSpec(14, {2: 2}), [(0, 2), (0, 2)])
 
 
+def _unpinned_rank(cert: Certificate) -> int:
+    """The rank of cert's recorded attempt with every point random, none pinned."""
+    return replay_certificate(replace(cert, fundamental_assignment=[]))
+
+
 def test_fundamental_verdict_equivalence():
-    spec = SystemSpec(3, {2: 5})
-    plain = check_case(spec, seed=5)
-    reduced = check_case(spec, seed=5, fundamental=True)
-    assert plain.verdict == reduced.verdict == "non_special"
-    assert plain.rank == reduced.rank == 20
-    four = check_case(SystemSpec(8, {2: 12}), seed=5, fundamental=True)
-    bare = check_case(SystemSpec(8, {2: 12}), seed=5)
-    assert four.verdict == bare.verdict
+    cert = check_case(SystemSpec(3, {2: 5}), seed=5)
+    assert cert.verdict == "non_special"
+    assert cert.fundamental_assignment == [(0, 2)]
+    assert cert.rank == _unpinned_rank(cert) == 20
+    four = check_case(SystemSpec(8, {2: 12}), seed=5)
     assert len(four.fundamental_assignment) == 4
+    assert four.rank == _unpinned_rank(four)
 
 
 def test_fundamental_verdict_equivalence_random_small_degrees():
@@ -220,11 +223,9 @@ def test_fundamental_verdict_equivalence_random_small_degrees():
             m = rng.randrange(1, min(4, d) + 1)
             counts[m] = counts.get(m, 0) + 1
         spec = SystemSpec(d, counts)
-        seed = rng.randrange(10**6)
-        plain = check_case(spec, seed=seed)
-        reduced = check_case(spec, seed=seed, fundamental=True)
-        assert plain.verdict == reduced.verdict, spec
-        assert plain.rank == reduced.rank, spec
+        pinned = check_case(spec, seed=rng.randrange(10**6))
+        assert pinned.fundamental_assignment, spec
+        assert pinned.rank == _unpinned_rank(pinned), spec
 
 
 def test_check_case_certifies_known_systems():
@@ -260,11 +261,10 @@ def test_certificate_determinism_and_replay():
     a = check_case(spec, seed=77)
     b = check_case(spec, seed=77)
     assert a.to_dict() == {**b.to_dict(), "elapsed_ms": a.elapsed_ms}
+    assert a.fundamental_assignment
     assert replay_certificate(a) == a.rank
-    c = check_case(spec, seed=77, fundamental=True)
-    assert replay_certificate(c) == c.rank
-    parsed = Certificate.from_dict(c.to_dict())
-    assert parsed == c
+    parsed = Certificate.from_dict(a.to_dict())
+    assert parsed == a
 
 
 def test_reported_dim_never_below_edim():
@@ -349,12 +349,15 @@ def test_family_ranks_equal_per_case_runs(d, picks, monkeypatch):
         assert len(specs) >= 3
         for prime in (P, 17) if d == 14 else (P,):
             calls = _counting_rank(monkeypatch)
-            certs = check_family(specs, prime=prime, seed=100 + i, fundamental=True)
+            certs = check_family(specs, prime=prime, seed=100 + i)
             monkeypatch.undo()
             assert len(calls) == 1
             for spec, cert in zip(specs, certs):
                 assert (cert.seed, cert.prime, cert.attempts) == (100 + i, prime, 1)
-                assert cert.rank == _run_one(spec, prime, cert.seed, cert.fundamental_assignment)
+                # the rank of the member's own matrix, without leading=
+                mat, deleted = _transposed_matrix(spec, prime, cert.seed,
+                                                  cert.fundamental_assignment)
+                assert cert.rank == rank(mat, prime) + deleted
 
 
 def test_family_members_that_are_no_prefix_run_alone(monkeypatch):
@@ -363,11 +366,11 @@ def test_family_members_that_are_no_prefix_run_alone(monkeypatch):
     fewer = SystemSpec(8, {2: 2})
     other = SystemSpec(8, {3: 1, 2: 1})
     calls = _counting_rank(monkeypatch)
-    certs = check_family([fewer, head, other], seed=9, fundamental=True)
+    certs = check_family([fewer, head, other], seed=9)
     assert len(calls) == 3
     monkeypatch.undo()
     for spec, cert in zip((fewer, head, other), certs):
-        alone = check_case(spec, seed=9, fundamental=True)
+        alone = check_case(spec, seed=9)
         assert cert.to_dict() | {"elapsed_ms": 0} == alone.to_dict() | {"elapsed_ms": 0}
 
 
@@ -399,11 +402,10 @@ def test_only_six_members_of_the_sweep_run_alone():
 def test_short_family_members_retry_at_their_own_seeds():
     # p = 17 leaves the smaller members of this d = 14 family short at seed 5
     specs = _families(14)[0]
-    tried = check_family(specs, prime=17, seed=5, fundamental=True)
+    tried = check_family(specs, prime=17, seed=5)
     assert tried[0].verdict == "inconclusive" and tried[-1].verdict == "non_special"
     for spec, cert, retry in zip(specs, tried, (40, 50, 60)):
-        final = check_case(spec, prime=17, seed=retry, max_attempts=3, fundamental=True,
-                           first=cert)
+        final = check_case(spec, prime=17, seed=retry, max_attempts=3, first=cert)
         if cert.verdict == "non_special":
             assert final.to_dict() == cert.to_dict() | {"elapsed_ms": final.elapsed_ms}
             continue
@@ -436,7 +438,7 @@ def test_replay_family_ranks_a_family_with_one_elimination(monkeypatch):
     # maximal rank are replayed too
     specs = _families(14)[0]
     for prime in (P, 17):
-        certs = check_family(specs, prime=prime, seed=5, fundamental=True)
+        certs = check_family(specs, prime=prime, seed=5)
         calls = _counting_rank(monkeypatch)
         got = replay_family(certs[::-1])
         monkeypatch.undo()
@@ -447,12 +449,11 @@ def test_replay_family_ranks_a_family_with_one_elimination(monkeypatch):
 
 def test_replay_family_replays_records_that_share_no_prefix_alone(monkeypatch):
     specs = _families(14)[0]
-    certs = check_family(specs, prime=17, seed=5, fundamental=True)
-    retry = check_case(specs[0], prime=17, seed=40, max_attempts=3, fundamental=True,
-                       first=certs[0])
+    certs = check_family(specs, prime=17, seed=5)
+    retry = check_case(specs[0], prime=17, seed=40, max_attempts=3, first=certs[0])
     assert retry.seed != 5
     head = SystemSpec(8, {2: 6})
-    others = [check_case(spec, seed=9, fundamental=True)
+    others = [check_case(spec, seed=9)
               for spec in (head, SystemSpec(8, {2: 2}), SystemSpec(8, {3: 1, 2: 1}))]
     mixed = [retry] + certs[1:] + others
     calls = _counting_rank(monkeypatch)

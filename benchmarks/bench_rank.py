@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the prime-field rank kernel against the BLAS ceiling.
 
-For each shape it times gfp.rank on a seeded random matrix mod p and a
-float64 (m x n) @ (n x n) product on the same machine, and reports both in
-GFLOP/s.  A rank call is counted as F(m, n) = 2 sum_{k<min(m,n)} (m-k)(n-k)
-flops, as in perfbench/README.md; the product as 2 m n^2.  The shapes are the
-largest matrices of d = 14, 26 and 30 after the fundamental reduction, and a
-square 1330 x 1330 one.
+For each shape it times gfp.rank on a seeded random matrix mod p = 32003
+(ranked in float64) and a float64 (m x n) @ (n x n) product on the same
+machine, and reports both in GFLOP/s.  A rank call is counted as
+F(m, n) = 2 sum_{k<min(m,n)} (m-k)(n-k) flops, as in perfbench/README.md;
+the product as 2 m n^2.  The shapes are the largest matrices of d = 14, 26
+and 30 after the fundamental reduction, and a square 1330 x 1330 one.
 
 One row times a d = 14 family: the transposed matrix of the head of the
 largest (q, x, y) family, ranked once with the ranks of every member's
@@ -14,18 +14,21 @@ leading block (rank's leading), against ranking each member's block on its
 own, which is what a case-by-case run costs in the kernel.  A source tree
 whose rank has no leading reports only the second.
 
-One row times a real d = 30 check, D30_CASE, the first case of
+Two rows time a real d = 30 check, D30_CASE, the first case of
 `campaign --degrees 30 --shard 1/35` (4576 x 4576 after the fundamental
 reduction), as a campaign runs it: _transposed_matrix (point sampling and
-matrix assembly), then rank.  The rank time is split into the column panels
-(_Elimination._panel), the triangular solves (the outermost
+matrix assembly), then rank, once at each of D30_PRIMES: 32003, ranked in
+float64, and 73, the campaign's first prime, ranked in float32 by a tree
+that picks the dtype from the shape.  The rank time is split into the
+column panels (_Elimination._panel), the triangular solves (the outermost
 _Elimination._trsm calls) and the rest, which is the trailing GEMMs and the
 entry reduction; the split is timed by wrappers this script installs.
 
-Every timing is repeated; the median and the quartiles are recorded, and
-GFLOP/s is taken from the median.  Results are merged into BENCH_rank.json
-at the repository root under a label, so one file holds the numbers before
-and after a change:
+Every measurement runs in a fresh process whose BLAS is pinned to one
+thread, as in a campaign's worker processes.  Every timing is repeated;
+the median and the quartiles are recorded, and GFLOP/s is taken from the
+median.  Results are merged into BENCH_rank.json at the repository root
+under a label, so one file holds the numbers before and after a change:
 
     python benchmarks/bench_rank.py --label parent --src <parent checkout>/src
     python benchmarks/bench_rank.py --label change
@@ -38,9 +41,16 @@ side won, under "against" in BENCH_rank.json:
 
     python benchmarks/bench_rank.py --against <parent checkout>/src
 
+--reduce times the two paths of gfp._reduce, the floor-based one and the
+one through np.remainder, on vectors of REDUCE_SIZES entries in float32 and
+float64, and records the microseconds per call and the smallest size from
+which the floor-based path is the faster under "reduce": the crossover that
+gfp._SHORT_REDUCE is set from.
+
 Usage:
     python benchmarks/bench_rank.py [--label NAME] [--src DIR] [--repeats 5]
     python benchmarks/bench_rank.py --against DIR [--src DIR] [--pairs 10] [--repeats 3]
+    python benchmarks/bench_rank.py --reduce [--repeats 15]
 """
 
 from __future__ import annotations
@@ -63,6 +73,11 @@ PRIME = 32003
 FAMILY_DEGREE = 14
 FAMILY_SEED = 20261018
 D30_CASE = "30; 10^24,3^16,2^4"
+D30_PRIMES = (32003, 73)
+REDUCE_SIZES = (16, 32, 48, 64, 80, 96, 128, 192, 256, 512)
+REDUCE_PRIME = 73
+# Set to one in every measuring process, as campaign and verify workers run.
+PINNED_BLAS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def rank_flops(m: int, n: int) -> int:
@@ -152,8 +167,8 @@ def family_row(gfp, repeats: int) -> dict:
     return family
 
 
-def d30_row(gfp, repeats: int) -> dict:
-    """Assembly and rank of D30_CASE's transposed matrix, the rank split by phase."""
+def d30_row(gfp, repeats: int, prime: int) -> dict:
+    """Assembly and rank of D30_CASE's transposed matrix at prime, the rank split by phase."""
     from fatpoints import interpolation
     from fatpoints.model import parse_system
 
@@ -186,10 +201,10 @@ def d30_row(gfp, repeats: int) -> dict:
     try:
         for _ in range(repeats):
             t0 = time.perf_counter()
-            mat, n_deleted = interpolation._transposed_matrix(spec, PRIME, FAMILY_SEED, assignment)
+            mat, n_deleted = interpolation._transposed_matrix(spec, prime, FAMILY_SEED, assignment)
             t1 = time.perf_counter()
             busy.update(panel=0.0, trsm=0.0)
-            got = gfp.rank(mat, PRIME, overwrite=True) + n_deleted
+            got = gfp.rank(mat, prime, overwrite=True) + n_deleted
             t2 = time.perf_counter()
             times["assembly_s"].append(t1 - t0)
             times["rank_s"].append(t2 - t1)
@@ -198,16 +213,16 @@ def d30_row(gfp, repeats: int) -> dict:
             times["rest_s"].append(t2 - t1 - busy["panel"] - busy["trsm"])
     finally:
         elim._panel, elim._trsm = panel_fn, trsm_fn
-    row = {"case": D30_CASE, "m": mat.shape[0], "n": mat.shape[1], "rank": got,
-           **{key: quartiles(vals) for key, vals in times.items()}}
-    print(f"{D30_CASE} ({mat.shape[0]}x{mat.shape[1]}): "
+    row = {"case": D30_CASE, "prime": prime, "dtype": str(mat.dtype), "m": mat.shape[0],
+           "n": mat.shape[1], "rank": got, **{key: quartiles(vals) for key, vals in times.items()}}
+    print(f"{D30_CASE} ({mat.shape[0]}x{mat.shape[1]}, p = {prime}, {mat.dtype}): "
           + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
           file=sys.stderr, flush=True)
     return row
 
 
 def measure(src: Path, repeats: int) -> dict:
-    """Every row, timed with the fatpoints package of the source tree src."""
+    """Every row, timed with the fatpoints package of the source tree src, in this process."""
     sys.path.insert(0, str(Path(src).resolve()))
     from fatpoints import gfp
 
@@ -215,8 +230,12 @@ def measure(src: Path, repeats: int) -> dict:
     return {
         "shapes": [shape_row(gfp, m, n, repeats, rng) for m, n in SHAPES],
         "family": family_row(gfp, repeats),
-        "d30": d30_row(gfp, repeats),
+        **{d30_key(prime): d30_row(gfp, repeats, prime) for prime in D30_PRIMES},
     }
+
+
+def d30_key(prime: int) -> str:
+    return "d30" if prime == PRIME else f"d30_p{prime}"
 
 
 def medians(result: dict) -> dict[str, float]:
@@ -227,19 +246,61 @@ def medians(result: dict) -> dict[str, float]:
     for key in ("each_member_s", "leading_s"):
         if key in result["family"]:
             out[f"family.{key}"] = result["family"][key]["median"]
-    for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s"):
-        out[f"d30.{key}"] = result["d30"][key]["median"]
+    for row in map(d30_key, D30_PRIMES):
+        for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s"):
+            out[f"{row}.{key}"] = result[row][key]["median"]
     return out
 
 
 def measure_in_subprocess(src: Path, repeats: int) -> dict:
+    """measure(src, repeats) in a fresh process with its BLAS pinned to one thread."""
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench_rank;"
             " print(json.dumps(bench_rank.measure(sys.argv[2], int(sys.argv[3]))))")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent), str(src), str(repeats)],
-        check=True, stdout=subprocess.PIPE, text=True,
+        check=True, stdout=subprocess.PIPE, text=True, env={**os.environ, **PINNED_BLAS},
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def reduce_rows(gfp, repeats: int, sizes=REDUCE_SIZES, calls: int = 2000) -> dict:
+    """Microseconds per gfp._reduce call on each path, dtype and size, and the crossover.
+
+    Each path is forced by setting gfp._SHORT_REDUCE to 0 (floor-based) or
+    past every size (np.remainder); the calls of the two paths alternate,
+    and the fastest of repeats batches of calls is kept, as the machine's
+    noise only ever adds time.
+    """
+    p = REDUCE_PRIME
+    rows = {}
+    saved = gfp._SHORT_REDUCE
+    try:
+        for dtype in ("float32", "float64"):
+            x = np.random.default_rng(0).integers(-2**20, 2**20, max(sizes)).astype(dtype)
+            out = np.empty_like(x)
+            per_size = []
+            for n in sizes:
+                best = {"floor_us": float("inf"), "remainder_us": float("inf")}
+                for _ in range(repeats):
+                    for key, short in (("floor_us", 0), ("remainder_us", n + 1)):
+                        gfp._SHORT_REDUCE = short
+                        t0 = time.perf_counter()
+                        for _ in range(calls):
+                            gfp._reduce(x[:n], p, out=out[:n])
+                        best[key] = min(best[key], (time.perf_counter() - t0) / calls * 1e6)
+                per_size.append({"size": n, **{k: round(v, 3) for k, v in best.items()}})
+                print(f"{dtype} {n:>4}: floor {best['floor_us']:.2f} us,"
+                      f" remainder {best['remainder_us']:.2f} us", file=sys.stderr, flush=True)
+            floor_wins = [row["size"] for row in per_size if row["floor_us"] < row["remainder_us"]]
+            rows[dtype] = {
+                "per_size": per_size,
+                "crossover": min((n for n in floor_wins
+                                  if all(m in floor_wins for m in sizes if m >= n)), default=None),
+            }
+    finally:
+        gfp._SHORT_REDUCE = saved
+    return {"prime": p, "calls": calls, "repeats": repeats,
+            "timing": "fastest batch of calls, microseconds per call", **rows}
 
 
 def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
@@ -251,7 +312,9 @@ def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
         for side in order:
             runs[side].append(medians(measure_in_subprocess(sides[side], repeats)))
         print(f"pair {i + 1}/{pairs} ({order[0]} first): d30 rank "
-              f"{runs['against'][-1]['d30.rank_s']:.3f} -> {runs['this'][-1]['d30.rank_s']:.3f} s",
+              + ", ".join(f"p = {prime} {runs['against'][-1][f'{d30_key(prime)}.rank_s']:.3f}"
+                          f" -> {runs['this'][-1][f'{d30_key(prime)}.rank_s']:.3f} s"
+                          for prime in D30_PRIMES),
               file=sys.stderr, flush=True)
     rows = {}
     for key in runs["this"][0]:
@@ -267,7 +330,8 @@ def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
         "pairs": pairs,
         "repeats": repeats,
         "timing": "per side, median and quartiles of the per-run medians, seconds;"
-                  " each run a fresh process, sides alternating which runs first",
+                  " each run a fresh process with one BLAS thread, sides alternating"
+                  " which runs first",
         "rows": rows,
     }
 
@@ -282,24 +346,34 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, default=None,
                     help="source tree timed against --src, in alternated fresh processes")
     ap.add_argument("--pairs", type=int, default=10, help="pairs of runs with --against")
+    ap.add_argument("--reduce", action="store_true",
+                    help="time the two paths of gfp._reduce instead (this tree)")
     args = ap.parse_args(argv)
-    repeats = args.repeats or (3 if args.against else 5)
+    repeats = args.repeats or (15 if args.reduce else 3 if args.against else 5)
     if repeats < 3:
         ap.error("--repeats must be at least 3 to give quartiles")
     if args.against is not None and args.pairs < 3:
         ap.error("--pairs must be at least 3 to give quartiles")
 
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    if args.reduce:
+        sys.path.insert(0, str(args.src.resolve()))
+        from fatpoints import gfp
+
+        data["reduce"] = reduce_rows(gfp, repeats)
+        OUT.write_text(json.dumps(data, indent=2) + "\n")
+        print(f"wrote {OUT} [reduce]")
+        return 0
     if args.against is not None:
         data["against"] = against(args.src.resolve(), args.against.resolve(), args.pairs, repeats)
         OUT.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {OUT} [against]")
         return 0
-    result = measure(args.src, repeats)
+    result = measure_in_subprocess(args.src, repeats)
     data.setdefault("runs", {})[args.label] = {
         "prime": PRIME,
         "repeats": repeats,
-        "timing": "median and quartiles of repeats, seconds, single process",
+        "timing": "median and quartiles of repeats, seconds, single process, one BLAS thread",
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         **result,

@@ -755,7 +755,8 @@ def verify_log(path, full: bool = False) -> VerifyReport:
             step = max(1, len(checkable) // want)
             picked = checkable[::step][:want]
         units = _replay_units(picked)
-        workers = worker_count([max(peak_bytes(spec) for _, _, spec, _ in unit) for unit in units])
+        workers = worker_count([max(peak_bytes(spec, record.cert.prime)
+                                    for _, record, spec, _ in unit) for unit in units])
         tasks = [([record.cert for _, record, _, _ in unit],) for unit in units]
         replays: dict[int, dict[str, int]] = {}
         for result, unit in zip(_run_units(_replay_unit, tasks, workers), units):

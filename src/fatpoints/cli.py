@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--degree", type=int, required=True)
     p.add_argument("--mults", default="")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="prime modulus; a matrix is checked only if"
-                        " min(rows, columns) * p^2 + p <= 2^53")
+                   help="prime modulus; with h = p // 2 a matrix is checked only if"
+                        " min(rows, columns) * h^2 + 2h <= 2^53 (in float32 if <= 2^24)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=3)
     p.set_defaults(func=_cmd_check)

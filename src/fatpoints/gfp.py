@@ -26,25 +26,32 @@ leading rows of an interpolation matrix are often dependent; rows spread
 over the panel rarely are.  Nearly all flops run in the GEMMs of steps 2 and
 3, at BLAS speed.
 
-Entries are integer-valued float64 and reductions mod p are delayed: an
-operand of a product (a pivot row, a multiplier, a solved U row, a column
-scanned for its pivot) is reduced into [0, p) when it is produced, and no
-other entry is ever reduced.  An entry absorbs at most one product per
-pivot, and a product of two reduced operands is below p^2, so every entry
-of an m x n matrix keeps
+Entries are integer-valued floats holding centered residues, and reductions
+mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
+to x - floor((x + h) / p) * p, into [-h, p - 1 - h], which is [-h, h] for odd
+p.  An operand of a product (a pivot row, a multiplier, a solved U row, a
+column scanned for its pivot) is reduced when it is produced, and no other
+entry is ever reduced.  An entry absorbs at most one product per pivot, and
+a product of two reduced operands is at most h^2, so every entry of an
+m x n matrix with k = min(m, n) keeps
 
-    |entry| < min(m, n) * p^2 + p.
+    |entry| <= k * h^2 + h.
 
-A sampled panel's multipliers are sums of w <= min(m, n) such products
-before they are reduced, within the same bound.  A reduction takes four
-passes, x - floor(x / p) * p, and is exact on every entry so bounded (see
-_reduce).
+A sampled panel's multipliers are sums of w <= k such products before they
+are reduced, within the same bound.  The reduction is exact on every
+integer x with |x| + h <= L, where L = 2^24 in float32 and 2^53 in
+float64: the dtype holds every integer up to L (see _reduce).  So one
+check on the shape picks the dtype (_exact_dtype):
 
-rank therefore admits a matrix only when min(m, n) <= _safe_block(p) =
-floor((2^53 - p) / p^2); then the bound is at most 2^53 and every float64
-operation is exact.  _safe_block is 8 794 443 at p = 32003 and 821 213 at
-p = 104729, more than any matrix width of the degree sweep; primes above
-about 9.5e7 admit no non-empty matrix.
+    k * h^2 + 2h <= 2^24  ->  float32,
+    k * h^2 + 2h <= 2^53  ->  float64,
+    otherwise the matrix is refused.
+
+Float32 GEMMs run at about twice the float64 rate.  At p = 73 (h = 36)
+float32 admits k <= 12 945, more than any matrix of the degree sweep (the
+widest, at d = 40, has k = 11 461); at p = 32003 float64 admits
+k <= 35 179 974, and primes above about 1.9e8 admit no non-empty matrix.
+This is the balanced representation of FFLAS-FFPACK.
 
 The pivot columns come out in increasing order and form the column rank
 profile: column j is a pivot exactly when it is not in the span of the
@@ -62,17 +69,21 @@ import numpy as np
 
 DEFAULT_PRIME = 32003
 # Escalation ladder for retry attempts; all > 40 so no derivative
-# coefficient of the systems in scope vanishes spuriously.
-PRIME_LADDER = (32003, 65537, 104729)
+# coefficient of the systems in scope vanishes spuriously.  Every matrix of
+# the degree sweep is ranked in float32 at the first.
+PRIME_LADDER = (73, 32003, 65537, 104729)
 
-# float64 holds integers exactly up to 2**53.
-_EXACT_LIMIT = float(2**53)
+# The kernel dtypes in the order they are tried, each with the bound L up to
+# which it holds every integer exactly.
+_EXACT_LIMIT = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 # Widest column range eliminated column by column; wider ranges recurse.
 _BASE_WIDTH = 32
-# Below this many entries one np.remainder call beats the floor-based
-# reduction, whose cost is mostly per-call overhead on short vectors.
-_SHORT_REDUCE = 256
+# Below this many entries (x + h) mod p - h, three in-place calls, beats the
+# five-pass floor-based reduction, whose cost on short vectors is mostly
+# per-call overhead: the crossover that benchmarks/bench_rank.py --reduce
+# measured in both dtypes.
+_SHORT_REDUCE = 80
 # Entries per chunk when _prepare validates and reduces its input.
 _PREPARE_CHUNK = 1 << 16
 
@@ -99,28 +110,41 @@ def next_ladder_prime(p: int) -> int:
     return p
 
 
-def _safe_block(p: int) -> int:
-    """Widest min(rows, columns) that p admits: B*p*p + p <= 2**53."""
-    return (2**53 - p) // (p * p)
+def _exact_dtype(p: int, k: int) -> Optional[np.dtype]:
+    """The dtype that ranks a matrix with min(rows, columns) = k over F_p exactly, or None.
+
+    The first of float32 and float64 with k*h^2 + 2h <= L, h = p // 2: every
+    entry stays within k*h^2 + h, and _reduce is exact while |x| + h <= L.
+    """
+    h = p // 2
+    need = k * h * h + 2 * h
+    return next((dtype for dtype, limit in _EXACT_LIMIT.items() if need <= limit), None)
 
 
-def _reduce(x: np.ndarray, fp: float, out: Optional[np.ndarray] = None):
-    """Exact reduction of integer-valued float64 data into [0, p), into out (default x).
+def _reduce(x: np.ndarray, p: int, out: Optional[np.ndarray] = None):
+    """Exact centered reduction of integer-valued float data into [-h, p-1-h], h = p // 2.
 
-    x - floor(x / p) * p in four passes.  floor(fl(x / p)) = floor(x / p) for
-    every integer |x| < 2**53, and the result is exact whenever the product
-    floor(x / p) * p is, that is when the least multiple of p not below |x|
-    is at most 2**53: for |x| <= 2**53 - p, and for every entry the kernel
-    admits (|x| < B*p*p + p, itself a multiple of p, with B = _safe_block(p)).
+    Writes into out (default x).  x - floor((x + h) / p) * p in five passes,
+    or (x + h) mod p - h in three when x is short.  Both are exact on every
+    integer x with |x| + h <= L, L = 2**24 in float32 and 2**53 in float64:
+    y = x + h is exact, and floor(fl(y / p)) = floor(y / p) because the
+    rounding error of y / p is below |y| / (p L) <= 1 / p, the least distance
+    from a non-integral y / p to an integer above it.  The product
+    q = floor(y / p) * p is exact, as |q| <= |x| + h: q lies in (y - p, y].
+    The remainder and the last subtraction are exact on integers.
     """
     if out is None:
         out = x
+    h = p >> 1
     if x.size < _SHORT_REDUCE:
-        np.remainder(x, fp, out=out)
+        np.add(x, h, out=out)
+        np.remainder(out, p, out=out)
+        np.subtract(out, h, out=out)
         return
-    q = x / fp
+    q = x + h
+    q /= p
     np.floor(q, out=q)
-    q *= fp
+    q *= p
     np.subtract(x, q, out=out)
 
 
@@ -138,20 +162,23 @@ def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
     Returns the pivot indices jj and the row swaps (k, i) made, in order, for
     the caller to repeat on the rest of those rows.  The leading entry of a
     reduced column is tested as a scalar, and only a 0 there costs a search.
-    The rank-1 updates use the reduced column and the pivot row scaled by the
-    pivot's inverse; the pivot columns are scaled into multipliers at the
-    end, in one pass.  That also scales the upper part of the pivot rows,
-    which nothing reads: the caller needs only the multipliers.
+    The rank-1 updates use the reduced column and g, the pivot row reduced
+    into [0, p), scaled by the pivot's centered inverse and then reduced:
+    before that, with h = p // 2, |g| <= (p - 1) * h <= 2h^2, so
+    |g| + h <= 2h^2 + h, within the exact range of any matrix with a panel
+    of two or more rows and columns.
+    The pivot columns are scaled into multipliers at the end, in one pass.
+    That also scales the upper part of the pivot rows, left unreduced, which
+    nothing reads: the caller needs only the multipliers.
     """
-    fp = float(p)
-    w, h = t.shape
+    w, m = t.shape
     piv: list[int] = []
     invs: list[float] = []
     swaps: list[tuple[int, int]] = []
     k = 0
     for jj in range(w):
         col = t[jj, k:]
-        _reduce(col, fp)
+        _reduce(col, p)
         if col[0] == 0.0:
             nz = np.flatnonzero(col)
             if nz.size == 0:
@@ -159,33 +186,32 @@ def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
             i = k + int(nz[0])
             t[:, [k, i]] = t[:, [i, k]]
             swaps.append((k, i))
-        inv = float(pow(int(col[0]), -1, p))
+        inv = pow(int(col[0]), -1, p)
+        inv = float(inv - p if inv > p // 2 else inv)  # centered, like every operand
         piv.append(jj)
         invs.append(inv)
         k += 1
-        if k == h:
+        if k == m:
             break
         if jj + 1 < w:
-            prow = t[jj + 1:, k - 1]
-            _reduce(prow, fp)
-            g = prow * inv
-            _reduce(g, fp)
+            g = np.remainder(t[jj + 1:, k - 1], p)
+            g *= inv
+            _reduce(g, p)
             t[jj + 1:, k:] -= g[:, None] * col[1:]
     if piv:
         rows = t[piv]
-        rows *= np.array(invs)[:, None]
-        _reduce(rows, fp)
+        rows *= np.array(invs, dtype=t.dtype)[:, None]
+        _reduce(rows, p)
         t[piv] = rows
     return piv, swaps
 
 
 class _Elimination:
-    """One recursive elimination of a reduced float64 matrix, in place."""
+    """One recursive elimination of a reduced matrix, in place, in its own dtype."""
 
     def __init__(self, a: np.ndarray, p: int):
         self.a = a
         self.p = p
-        self.fp = float(p)
 
     def profile(self) -> list[int]:
         """The column rank profile, ascending."""
@@ -200,10 +226,10 @@ class _Elimination:
             x[t:] -= lo[t:, :t] @ x[:t]
             self._trsm(lo[t:, t:], x[t:])
             return
-        _reduce(x[0], self.fp)
+        _reduce(x[0], self.p)
         for i in range(1, k):
             x[i] -= lo[i, :i] @ x[:i]
-            _reduce(x[i], self.fp)
+            _reduce(x[i], self.p)
 
     def _swap_rows(self, r: int, swaps: list[tuple[int, int]]):
         a = self.a
@@ -232,17 +258,17 @@ class _Elimination:
         column.  Returns False, with a unchanged, when the panel has fewer
         than 3w rows or a pivot falls in the identity.
         """
-        a, fp = self.a, self.fp
+        a, p = self.a, self.p
         w = c1 - c0
         hb = 2 * w
         s = (a.shape[0] - r - w) // w
         if s < 2:
             return False
         sample = np.concatenate([np.arange(r, r + w), np.arange(r + w, r + w + s * w, s)])
-        trial = np.zeros((w, hb + w))
+        trial = np.zeros((w, hb + w), dtype=a.dtype)
         trial[:, :hb] = a[sample, c0:c1].T
-        trial[:, hb:] = np.eye(w)
-        _, local = _columns(trial, self.p)
+        trial[:, hb:] = np.eye(w, dtype=a.dtype)
+        _, local = _columns(trial, p)
         if any(i >= hb for _, i in local):
             return False
         # a pivot position k < w is sampled row r + k, so the trial's swaps
@@ -250,8 +276,8 @@ class _Elimination:
         self._swap_rows(r, [(k, int(sample[i]) - r) for k, i in local])
         a[r:r + w, c0:c1] = trial[:, :w].T
         below = a[r + w:, c0:c1]
-        _reduce(below, fp)
-        _reduce(below @ trial[:, hb:].T, fp, out=below)
+        _reduce(below, p)
+        _reduce(below @ trial[:, hb:].T, p, out=below)
         return True
 
     def _eliminate(self, r: int, c0: int, c1: int) -> list[int]:
@@ -279,11 +305,14 @@ class _Elimination:
 # ---------------------------------------------------------------------------
 
 def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
-    """Validate mat and return it reduced into [0, p) as float64.
+    """Validate mat and return it reduced into [-h, p-1-h] in the dtype its shape takes.
 
-    One pass over chunks of rows, with no temporary larger than a chunk.
-    With overwrite=True a float64 C-contiguous input is reduced in place,
-    and rows before a rejected chunk are then already reduced.
+    The dtype is _exact_dtype's for min(rows, columns); a matrix too wide
+    for float64 is refused.  One pass over chunks of rows, with no temporary
+    larger than a chunk.  With overwrite=True a C-contiguous input of that
+    dtype is reduced in place, and rows before a rejected chunk are then
+    already reduced.  Float input of a dtype that does not cast safely to
+    it is checked and reduced in float64 chunks first.
     """
     if p >= 2**31:
         raise ValueError(f"modulus must be below 2**31, got {p}")
@@ -292,31 +321,45 @@ def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    m, n = a.shape
+    dtype = _exact_dtype(p, min(m, n))
+    h = p // 2
+    if dtype is None:
+        raise ValueError(
+            f"a {m} x {n} matrix is too wide for exact float64 elimination:"
+            f" p = {p} admits min(rows, columns) <= {max(0, (2**53 - 2 * h) // (h * h))}"
+        )
     floating = np.issubdtype(a.dtype, np.floating)
-    if floating and overwrite and a.dtype == np.float64 and a.flags.c_contiguous:
+    if overwrite and a.dtype == dtype and a.flags.c_contiguous:
         work = a
     else:
-        work = np.empty(a.shape, dtype=np.float64)
-    fp = float(p)
-    step = max(1, _PREPARE_CHUNK // max(1, a.shape[1]))
-    for i in range(0, a.shape[0], step):
+        work = np.empty(a.shape, dtype=dtype)
+    step = max(1, _PREPARE_CHUNK // max(1, n))
+    for i in range(0, m, step):
+        rows = slice(i, i + step)
         if not floating:
-            work[i:i + step] = np.mod(a[i:i + step].astype(np.int64), p)
+            r = np.mod(a[rows].astype(np.int64), p)
+            r[r > h] -= p
+            work[rows] = r
             continue
-        chunk = work[i:i + step]
-        if work is not a:
-            chunk[...] = a[i:i + step]
+        inside = work is a or np.can_cast(a.dtype, dtype)
+        chunk = work[rows] if inside else a[rows].astype(np.float64)
+        if inside and work is not a:
+            chunk[...] = a[rows]
         if not np.isfinite(chunk).all():
             raise ValueError("matrix entries must be finite")
-        big = max(chunk.max(initial=0.0), -chunk.min(initial=0.0))
-        if big >= _EXACT_LIMIT:
+        big = float(max(chunk.max(initial=0), -chunk.min(initial=0)))
+        if big >= 2.0**53:
             raise ValueError("float entries exceed the exact integer range of float64")
         if (np.floor(chunk) != chunk).any():
             raise ValueError("float entries must be integer-valued")
-        if big + fp > _EXACT_LIMIT:  # _reduce's q * p could leave the exact range
-            np.remainder(chunk, fp, out=chunk)
+        if big + h > _EXACT_LIMIT[chunk.dtype]:  # _reduce's x + h could leave the exact range
+            np.remainder(chunk, p, out=chunk)
+            np.subtract(chunk, p, out=chunk, where=chunk > h)
         else:
-            _reduce(chunk, fp)
+            _reduce(chunk, p)
+        if not inside:
+            work[rows] = chunk
     return work
 
 
@@ -330,10 +373,11 @@ def rank(
     """Exact rank of a matrix over F_p.
 
     Entries are reduced mod p on entry; any integer dtype (or integer-valued
-    float) is accepted.  An m x n matrix is refused unless
-    min(m, n) * p^2 + p <= 2^53, the bound under which float64 elimination
-    is exact.  With overwrite=True a float64 C-contiguous input is consumed
-    in place.
+    float) is accepted.  With h = p // 2, an m x n matrix is ranked in
+    float32 when min(m, n) * h^2 + 2h <= 2^24, in float64 when that is at
+    most 2^53, and refused otherwise: within these bounds the elimination is
+    exact.  With overwrite=True a C-contiguous input of the dtype so chosen
+    is consumed in place.
 
     With leading, a sequence of column counts k, the result is instead the
     list of ranks of mat[:, :k], read off the column rank profile of the
@@ -345,15 +389,7 @@ def rank(
         leading = [int(k) for k in leading]
         if any(not 0 <= k <= n for k in leading):
             raise ValueError(f"leading column counts must lie in [0, {n}], got {leading}")
-    piv: list[int] = []
-    if m and n:
-        widest = _safe_block(p)
-        if min(m, n) > widest:
-            raise ValueError(
-                f"a {m} x {n} matrix is too wide for exact float64 elimination:"
-                f" p = {p} admits min(rows, columns) <= {widest}"
-            )
-        piv = _Elimination(a, p).profile()
+    piv = _Elimination(a, p).profile() if m and n else []
     if leading is None:
         return len(piv)
     return [bisect_left(piv, k) for k in leading]

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gfp import DEFAULT_PRIME, _reduce, _safe_block, next_ladder_prime, rank
+from .gfp import DEFAULT_PRIME, PRIME_LADDER, _exact_dtype, next_ladder_prime, rank
 from .model import (
     SystemSpec,
     VERDICT_INCONCLUSIVE,
@@ -45,22 +45,31 @@ from .model import (
 )
 from .monomials import derivative_orders, monomial_basis
 
-# Refuse to sample points for a matrix whose float64 copy would exceed this.
+# Refuse to sample points for a matrix that would take more than this.
 MEMORY_LIMIT_BYTES = 16 * 2**30
 
 # Resident size of a process with the package and numpy loaded, rounded up.
 _PROCESS_BYTES = 64 * 2**20
 
 
-def peak_bytes(spec: SystemSpec) -> int:
-    """Estimated peak memory of a process that builds and ranks spec's matrix.
+def _matrix_dtype(prime: int, rows: int, cols: int) -> np.dtype:
+    """The dtype rank takes a rows x cols matrix in at prime; float64 for a shape it refuses."""
+    return _exact_dtype(prime, min(rows, cols)) or np.dtype(np.float64)
 
-    The unreduced N x S float64 matrix, half as much again for the kernel's
-    workspace, and the interpreter.  The largest d = 40 case comes to 1810
-    MiB; its process peaks at 1357 MiB (11480 x 11461 after reduction), and
-    a d = 30 shard's worker at 273 MiB against an estimate of 405 MiB.
+
+def peak_bytes(spec: SystemSpec, prime: int = PRIME_LADDER[0]) -> int:
+    """Estimated peak memory of a process that builds and ranks spec's matrix at prime.
+
+    The unreduced N x S matrix in the dtype rank picks for its shape, half
+    as much again for the kernel's workspace, and the interpreter.  At
+    PRIME_LADDER[0] every matrix of the sweep is float32: the largest d = 40
+    case comes to 937 MiB and its process peaks at 715 MiB (11480 x 11461
+    after reduction), and a d = 30 shard's worker peaks at 155 MiB against
+    an estimate of 234 MiB.  At 32003 they are float64, twice the matrix
+    (1810 MiB for that d = 40 case): a retry escalated there can take that.
     """
-    return 12 * spec.n_monomials * spec.conditions_total + _PROCESS_BYTES
+    n, s = spec.n_monomials, spec.conditions_total
+    return 3 * _matrix_dtype(prime, n, s).itemsize * n * s // 2 + _PROCESS_BYTES
 
 
 DEFAULT_MAX_ATTEMPTS = 3
@@ -111,6 +120,19 @@ def _sample_distinct(count: int, prime: int, seed: int, avoid=()) -> np.ndarray:
 _OTHER = np.array([[j for j in range(4) if j != chart] for chart in range(4)])
 
 
+def _residues(x: np.ndarray, fp: float, out: Optional[np.ndarray] = None):
+    """x mod p into [0, p), into out (default x), for integer-valued 0 <= x <= L.
+
+    L is 2**24 in float32 and 2**53 in float64.  x - floor(x / p) * p:
+    floor(fl(x / p)) = floor(x / p) on that range, and the product, at most
+    x, is exact.
+    """
+    q = x / fp
+    np.floor(q, out=q)
+    q *= fp
+    np.subtract(x, q, out=x if out is None else out)
+
+
 @lru_cache(maxsize=None)
 def _falling(mult: int, degree: int, p: int) -> np.ndarray:
     """F[b, e] = e!/(e-b)! mod p for b < mult and e <= degree, as read-only float64."""
@@ -137,19 +159,23 @@ def build_matrix(
 
     Row block j holds the conditions of point j (derivative orders up to its
     multiplicity minus one, in the fixed order of derivative_orders), columns
-    follow monomial_basis(d).  Entries are reduced residues stored as float64
-    in Fortran order, so the transpose is a C-contiguous array that
-    rank(..., overwrite=True) consumes without a copy.
+    follow monomial_basis(d).  Entries are residues in [0, p), stored in
+    Fortran order in the dtype rank takes for the output's shape (float32
+    or float64, gfp._exact_dtype; float64 for a shape rank refuses), so the
+    transpose is a C-contiguous array that rank(..., overwrite=True)
+    consumes without a copy.
     Each point is dehomogenized in the chart of its first nonzero coordinate
     unless charts overrides the choice.  A basis subset may be passed to
     restrict columns (fundamental-point reduction).
 
     The entry of order b at monomial x^e is prod_i G_i[b_i, e_i] over the
     three affine coordinates u_i, with G_i[b, e] = e!/(e-b)! * u_i^(e-b) mod p.
-    The arithmetic is float64 on residues, exact while every product stays
-    below 2^53: a product of two residues is reduced before the third
-    factor joins it unless p^3 < 2^53 (every ladder prime).  A prime at
-    which rank admits no matrix (p^2 + p > 2^53) is refused.
+    The arithmetic is on residues, exact while every product stays within
+    the exact range of its dtype: float32 when the output is float32 and
+    p^3 < 2^24 (p = 73), else float64, where a product of two residues is
+    reduced before the third factor joins it unless p^3 < 2^53 (every
+    ladder prime).  A prime whose product of two residues can pass 2^53
+    ((p - 1)^2 > 2^53) is refused.
     """
     d = spec.degree
     if prime <= d:
@@ -162,10 +188,9 @@ def build_matrix(
         raise ValueError("charts must give one chart index per point")
     if basis is None:
         basis = monomial_basis(d)
-    if mults and basis.shape[0] and _safe_block(prime) < 1:
-        # rank refuses every such matrix, and a product of two residues can
-        # leave the exact range of float64
-        raise ValueError(f"p = {prime} admits min(rows, columns) <= 0 in float64 elimination")
+    if mults and basis.shape[0] and (prime - 1) ** 2 > 2**53:
+        raise ValueError(f"p = {prime}: a product of two residues can leave the exact range"
+                         " of float64")
     pts = points % prime
     if charts is None:
         chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
@@ -174,30 +199,30 @@ def build_matrix(
     for idx, c in enumerate(chart.tolist()):
         if c < 0 or c > 3 or pts[idx, c] == 0:
             raise ValueError(f"point {idx} has no usable chart (chart={c})")
+    out = np.empty((spec.conditions_total, basis.shape[0]),
+                   dtype=_matrix_dtype(prime, spec.conditions_total, basis.shape[0]), order="F")
+    work = out.dtype if prime**3 < 2**24 else np.dtype(np.float64)
     fp = float(prime)
     once = prime**3 < 2**53
     inv = np.array([pow(int(pts[idx, c]), -1, prime) for idx, c in enumerate(chart)],
                    dtype=np.int64)
-    affine = (np.take_along_axis(pts, _OTHER[chart], axis=1) * inv[:, None] % prime).astype(
-        np.float64
-    )
-    powers = np.empty((len(mults), 3, d + 1))  # powers[j, i, e] = u_ji^e mod p
+    affine = (np.take_along_axis(pts, _OTHER[chart], axis=1) * inv[:, None] % prime).astype(work)
+    powers = np.empty((len(mults), 3, d + 1), dtype=work)  # powers[j, i, e] = u_ji^e mod p
     powers[:, :, 0] = 1.0
     for e in range(1, d + 1):
         np.multiply(powers[:, :, e - 1], affine, out=powers[:, :, e])
         np.remainder(powers[:, :, e], fp, out=powers[:, :, e])
     exps = {int(c): np.ascontiguousarray(basis[:, _OTHER[c]].T) for c in set(chart.tolist())}
 
-    out = np.empty((spec.conditions_total, basis.shape[0]), dtype=np.float64, order="F")
     block = out.T  # C-contiguous: row block j of out is the column slab block[:, rows]
     size = basis.shape[0] * (conditions_count(max(mults)) if mults else 0)
-    prod, factor = np.empty(size), np.empty(size)
+    prod, factor = np.empty(size, dtype=work), np.empty(size, dtype=work)
     row = 0
     for idx, m in enumerate(mults):
         orders = derivative_orders(m)
         rows = orders.shape[0]
         shift = np.maximum(np.arange(d + 1) - np.arange(m)[:, None], 0)
-        g = _falling(m, d, prime) * powers[idx][:, shift]  # G_i[b, e], below p^2
+        g = np.multiply(_falling(m, d, prime), powers[idx][:, shift], dtype=work)  # below p^2
         np.remainder(g, fp, out=g)
         ex = exps[int(chart[idx])]
         x = prod[: basis.shape[0] * rows].reshape(-1, rows)
@@ -206,10 +231,10 @@ def build_matrix(
         np.take(g[1].T[:, orders[:, 1]], ex[1], axis=0, out=y, mode="clip")
         x *= y
         if not once:
-            _reduce(x, fp)
+            _residues(x, fp)
         np.take(g[2].T[:, orders[:, 2]], ex[2], axis=0, out=y, mode="clip")
         x *= y
-        _reduce(x, fp, out=block[:, row:row + rows])
+        _residues(x, fp, out=block[:, row:row + rows])
         row += rows
     return out
 
@@ -338,10 +363,9 @@ def _transposed_matrix(
     keep[deleted] = False
     ncols = spec.n_monomials - len(deleted)
     nrows = residual.conditions_total
-    if nrows * ncols * 8 > MEMORY_LIMIT_BYTES:
-        raise MatrixTooLargeError(
-            f"{nrows} x {ncols} matrix needs about {nrows * ncols * 8 / 2**30:.1f} GiB"
-        )
+    size = nrows * ncols * _matrix_dtype(prime, nrows, ncols).itemsize
+    if size > MEMORY_LIMIT_BYTES:
+        raise MatrixTooLargeError(f"{nrows} x {ncols} matrix needs about {size / 2**30:.1f} GiB")
     avoid = [_coordinate_point(slot) for slot in range(len(assignment))]
     pts = _sample_distinct(residual.r, prime, seed, avoid=avoid)
     basis = monomial_basis(spec.degree)[keep]

@@ -4,8 +4,7 @@ import os
 
 import pytest
 
-from fatpoints import campaign
-from fatpoints import interpolation
+from fatpoints import campaign, gfp, interpolation
 from fatpoints.campaign import (
     CampaignConfig,
     CertRecord,
@@ -28,10 +27,12 @@ SHARD = (5, 87)  # 3 of the 261 d=14 cases: keeps unit runs quick
 FAMILY_SHARD = (1, 2)
 
 
-# The header a campaign wrote for _tiny_config before headers carried env
+# The header a campaign wrote for _tiny_config before headers carried env,
+# when the ladder began at 32003
+OLD_LADDER = (32003, 65537, 104729)
 PRE_ENV_HEADER = {
     "header": True, "version": "0.1.0", "numpy": "2.4.6", "digest": "840c83116bc0e93a",
-    "config": {"degrees": [14, 14], "primes": [32003, 65537, 104729], "base_seed": 7,
+    "config": {"degrees": [14, 14], "primes": list(OLD_LADDER), "base_seed": 7,
                "max_attempts": 3, "shard": [5, 87], "fundamental": True, "seed_rule": "family"},
 }
 
@@ -126,16 +127,16 @@ def test_header_env_leaves_the_digest_alone(tmp_path):
     assert env["blas_threads_per_worker"] == (1 if env["workers"] > 1 else None)
     assert env["cpus"] >= 1 and env["mem_available_bytes"] > 0
     assert "env" not in header["config"]
-    # the digest of this config in a log written before the env field
-    assert header["digest"] == config.digest() == "840c83116bc0e93a"
+    assert header["digest"] == config.digest() == "0edd5b884c53cda9"
 
-    # a log written before the env field is resumed, not refused
+    # a log whose header has no env field is resumed, not refused
+    del header["env"]
     old = tmp_path / "old.jsonl"
-    old.write_text(json.dumps(PRE_ENV_HEADER) + "\n")
+    old.write_text(json.dumps(header) + "\n")
     summary = run_campaign(_tiny_config(old, resume=True))
     assert summary["computed"] == 3 and summary["ok"], summary
     lines = old.read_text().splitlines()
-    assert json.loads(lines[0]) == PRE_ENV_HEADER
+    assert json.loads(lines[0]) == header
     assert _strip(lines) == _strip(out.read_text().splitlines())
     assert verify_log(old, full=True).ok
 
@@ -341,12 +342,18 @@ def test_family_seed_rule_verifies(tmp_path):
     assert heads == sorted(heads, reverse=True)
     records = _strip(lines[1:])
     assert len(records) == 131
+    # at p = 73 four cases fall short at their family's seed; each is
+    # retried alone at its own seed
+    assert [rec["index"] for rec in records if rec["attempts"] > 1] == [14, 36, 176, 234]
     for rec in records:
-        assert rec["attempts"] == 1 and rec["seed"] == _family_seed(rec["case"])
+        if rec["attempts"] == 1:
+            assert rec["seed"] == _family_seed(rec["case"])
+        else:
+            assert rec["seed"] == 7 + rec["index"] * 3 + rec["attempts"] - 1
     by_index = {rec["index"]: rec for rec in records}
     # members of one family share the seed, also when the family's first case
     # is in another shard
-    assert len({by_index[i]["seed"] for i in (14, 16, 18)}) == 1
+    assert by_index[16]["seed"] == by_index[18]["seed"] == _family_seed(by_index[14]["case"])
     assert by_index[4]["seed"] == by_index[6]["seed"] == 7 + 3 * 3
     report = verify_log(out, full=True)
     assert report.ok and report.replayed == 131, report.to_dict()
@@ -383,7 +390,8 @@ def test_old_header_logs_keep_the_per_case_rule(tmp_path):
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in _shard_indices(len(cases), SHARD):
-        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3, max_attempts=3)
+        cert = check_case(cases[idx].to_system(), prime=PRIME_LADDER[0], seed=7 + idx * 3,
+                          max_attempts=3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     config.out.write_text("\n".join(lines) + "\n")
     report = verify_log(config.out, full=True)
@@ -610,13 +618,15 @@ def family_lines(tmp_path_factory):
 
 
 def _non_head_lines(lines):
-    """Line numbers of the records that are not their family's head, in line order.
+    """Line numbers of the attempt-1 records that are not their family's head, in line order.
 
-    A family's records are together in ascending z, so its head comes last.
+    A family's records are together in ascending z, so its head is the last
+    of its attempt-1 records; a retry replays alone.
     """
     out, line = [], 2
     for family in _families_in_log([json.loads(text) for text in lines[1:]]):
-        out += range(line, line + len(family) - 1)
+        firsts = [line + i for i, rec in enumerate(family) if rec["attempts"] == 1]
+        out += firsts[:-1]
         line += len(family)
     return out
 
@@ -703,6 +713,8 @@ def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_line
     calls = _count_replays(monkeypatch)
     report = verify_log(_write(tmp_path / "retry.jsonl", lines), full=True)
     assert report.ok and report.replayed == 131, report.to_dict()
+    retries = [Certificate.from_dict(rec) for rec in map(json.loads, lines[1:])
+               if rec["attempts"] > 1]
 
     def qxy(cert):
         sig = CaseSignature.from_system(interpolation.parse_system(cert.spec))
@@ -720,8 +732,8 @@ def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_line
         assert {qxy(c) for c in certs} == {qxy(certs[0])}
         assert all(c.attempts == 1 for c in certs)
     assert len({qxy(certs[0]) for certs in calls["family"]}) == len(calls["family"])
-    # the retry replays alone; 16 and 18 still share one elimination
-    assert [c for c in calls["alone"] if c.attempts > 1] == [retry]
+    # the retries replay alone; 16 and 18 still share one elimination
+    assert [c for c in calls["alone"] if c.attempts > 1] == retries and retry in retries
     assert [len(certs) for certs in calls["family"] if qxy(certs[0]) == qxy(retry)] == [2]
     # the rest alone: families of one and every _CROSS_CHECK-th member again
     in_family = [c for certs in calls["family"] for c in certs]
@@ -738,7 +750,8 @@ def test_records_under_a_header_without_seed_rule_replay_alone(tmp_path, monkeyp
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
-        cert = check_case(cases[idx].to_system(), prime=32003, seed=7 + idx * 3, max_attempts=3)
+        cert = check_case(cases[idx].to_system(), prime=PRIME_LADDER[0], seed=7 + idx * 3,
+                          max_attempts=3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     calls = _count_replays(monkeypatch)
     report = verify_log(_write(config.out, lines), full=True)
@@ -770,10 +783,10 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     assert ladder != list(PRIME_LADDER)
     header["config"]["primes"] = ladder
     moved = [json.dumps(header)]
-    for text in lines[1:]:  # the same attempts at the header's first prime
+    for text in lines[1:]:  # attempt 1 at the header's first prime
         rec = json.loads(text)
         case = CaseSignature(*rec["case"])
-        cert = check_family([case.to_system()], prime=65537, seed=rec["seed"])[0]
+        cert = check_family([case.to_system()], prime=65537, seed=_family_seed(rec["case"]))[0]
         moved.append(CertRecord(case, rec["index"], cert).to_line())
     path = tmp_path / "moved.jsonl"
     report = verify_log(_write(path, moved), full=True)
@@ -782,7 +795,7 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     # a record at the module's first prime is not at the header's
     report = verify_log(_write(path, moved[:1] + lines[1:2] + moved[2:]), full=True)
     assert [p["line"] for p in report.structural] == [2] and report.replayed == 2
-    assert "prime 32003 is not the header's 65537" in report.structural[0]["error"]
+    assert f"prime {PRIME_LADDER[0]} is not the header's 65537" in report.structural[0]["error"]
 
     # a header without primes means the module's
     del header["config"]["primes"]
@@ -793,4 +806,24 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     header["config"]["primes"] = []
     report = verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True)
     assert len(report.structural) == 3 and report.replayed == 0
-    assert "name no prime for attempt 1" in report.structural[0]["error"]
+    attempts = json.loads(lines[1])["attempts"]
+    assert f"name no prime for attempt {attempts}" in report.structural[0]["error"]
+
+
+def test_logs_of_the_old_ladder_still_verify_and_refuse_a_resume(tmp_path, monkeypatch):
+    # a log written when the ladder began at 32003: its records were
+    # computed there, and its header carries that ladder and its digest
+    out = tmp_path / "old.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(gfp, "PRIME_LADDER", OLD_LADDER)
+        patch.setattr(campaign, "PRIME_LADDER", OLD_LADDER)
+        patch.setattr(campaign, "_usable_cpus", lambda: 1)  # the units see the patch
+        run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert {key: header[key] for key in PRE_ENV_HEADER} == PRE_ENV_HEADER
+    assert {json.loads(text)["prime"] for text in lines[1:]} == {32003}
+    report = verify_log(out, full=True)
+    assert report.ok and report.replayed == 3 and not report.mismatches, report.to_dict()
+    with pytest.raises(ValueError, match="digest"):
+        run_campaign(_tiny_config(out, resume=True))

@@ -7,8 +7,8 @@ from fatpoints import gfp
 from fatpoints.gfp import (
     DEFAULT_PRIME,
     PRIME_LADDER,
+    _exact_dtype,
     _reduce,
-    _safe_block,
     is_prime,
     next_ladder_prime,
     rank,
@@ -17,6 +17,20 @@ from fatpoints.gfp import (
 from _oracles import profile_mod_p_reference, rank_mod_p_reference, rank_rational_reference
 
 P = DEFAULT_PRIME
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def _widest(p: int) -> int:
+    """The widest min(rows, columns) that p admits, checked against _exact_dtype."""
+    h = p // 2
+    w = max(0, (2**53 - 2 * h) // (h * h))
+    assert (w == 0 or _exact_dtype(p, w) is not None) and _exact_dtype(p, w + 1) is None
+    return w
+
+
+def _centered(vals, p: int) -> list[int]:
+    h = p // 2
+    return [(int(v) + h) % p - h for v in vals]
 
 
 def test_is_prime():
@@ -31,6 +45,8 @@ def test_inverse_small_prime_brute_force():
 
 
 def test_ladder():
+    assert next_ladder_prime(17) == next_ladder_prime(73 - 1) == 73
+    assert next_ladder_prime(73) == 32003
     assert next_ladder_prime(32003) == 65537
     assert next_ladder_prime(65537) == 104729
     assert next_ladder_prime(104729) == 104729
@@ -38,16 +54,27 @@ def test_ladder():
 
 @pytest.mark.parametrize("size", [100, 5000])
 def test_reduce_is_exact_next_to_multiples_of_p(size):
-    # the rounded quotient is off by one only for values within a few units
-    # of a multiple of p, close to 2**53
+    # the rounded quotient is off by one only for values x + h within a few
+    # units of a multiple of p, close to the dtype's exact limit; the whole
+    # vector takes the floor-based path, its head the np.remainder one
     rng = np.random.default_rng(size)
-    for p in (2, 3, 32003, 104729, 20000003, 2**31 - 1):
-        q = rng.integers(2**52 // p, 2**53 // p, size)
-        vals = q * p + rng.integers(-2, 3, size)
-        vals = np.where(np.abs(vals) < 2**53, vals, 0) * rng.choice([-1, 1], size)
-        x = vals.astype(np.float64)
-        _reduce(x, float(p))
-        assert (x == vals % p).all()
+    short = gfp._SHORT_REDUCE - 1
+    assert short < size
+    for dtype, limit in ((F32, 2**24), (F64, 2**53)):
+        for p in (2, 3, 73, 32003, 104729, 20000003, 2**31 - 1):
+            if 4 * p > limit:
+                continue
+            h = p // 2
+            q = rng.integers((limit // 2) // p, limit // p, size)
+            vals = (q * p - h + rng.integers(-2, 3, size)) * rng.choice([-1, 1], size)
+            vals = np.where(np.abs(vals) + h <= limit, vals, 0)
+            x = vals.astype(dtype)
+            assert (x.astype(np.int64) == vals).all()
+            head = x[:short].copy()
+            _reduce(x, p)
+            _reduce(head, p)
+            assert x.astype(np.int64).tolist() == _centered(vals, p)
+            assert head.astype(np.int64).tolist() == _centered(vals[:short], p)
 
 
 def test_rank_basics():
@@ -201,12 +228,12 @@ def test_leading_rejects_out_of_range_counts():
             rank(a, P, leading=bad)
 
 
-@pytest.mark.parametrize("p", [20000003, 90000049])
+@pytest.mark.parametrize("p", [40000003, 90000049])
 def test_rank_budget_below_base_width(p):
-    # budgets 22 and 1, below the recursion's base width: rank admits
+    # budgets 22 and 4, below the recursion's base width: rank admits
     # min(m, n) up to the budget and refuses one more
-    w = _safe_block(p)
-    assert w == {20000003: 22, 90000049: 1}[p]
+    w = _widest(p)
+    assert w == {40000003: 22, 90000049: 4}[p]
     rng = np.random.default_rng(p)
     for m, n in ((w, 40), (40, w)):
         for k in sorted({min(17, w), w}):
@@ -221,7 +248,7 @@ def test_large_modulus_falls_back_exactly():
     # 2^31 - 1 is prime, and its budget is 0: rank stays exact by refusing
     # every non-empty matrix; 2^31 + 11 is beyond the moduli rank accepts
     p = 2**31 - 1
-    assert _safe_block(p) == 0
+    assert _widest(p) == 0 and _exact_dtype(p, 0) == F64
     rng = np.random.default_rng(77)
     for shape in ((15, 18), (1, 5), (5, 1)):
         with pytest.raises(ValueError, match="<= 0"):
@@ -231,27 +258,31 @@ def test_large_modulus_falls_back_exactly():
             rank(np.eye(2), p)
 
 
-# 8323823 is the largest prime admitted for 130 columns, 11771657 the
-# largest admitted for 65; 20000003 and 90000049 admit 22 and 1
-@pytest.mark.parametrize("p", [8323823, 11771657, 20000003, 90000049])
+# 16647647 is the largest prime admitted for 130 columns, 23543347 the
+# largest admitted for 65; 20000003, 90000049 and 150000047 admit 90, 4
+# and 1; 8323823 and 11771657 admit 520 and 260
+@pytest.mark.parametrize(
+    "p", [8323823, 11771657, 20000003, 90000049, 16647647, 23543347, 150000047])
 def test_rank_worst_case_magnitudes(p):
     # a = L @ U, where U has rank 70 and the off-diagonal entries of the
-    # unit-lower L's first 70 rows and U's first 100 columns are all p - 2:
-    # the products the elimination forms there are (p-2)^2, odd and as large
-    # as the prime allows.  The other entries are random, so that a loss of
-    # float64 exactness raises the rank.  Where p admits fewer than 130
-    # columns, a is refused and its widest admitted slices are checked.
+    # unit-lower L's first 70 rows and U's first 100 columns are all h, the
+    # largest centered residue: the products the elimination forms there
+    # are h^2, as large as the prime allows (and odd where h is).  The other
+    # entries are random, so that a loss of float64 exactness raises the
+    # rank.  Where p admits fewer than 130 columns, a is refused and its
+    # widest admitted slices are checked.
     n, r = 130, 70
-    assert _safe_block(8323823) >= n > _safe_block(8323831)  # the next prime
-    assert _safe_block(11771657) == n // 2
+    h = p // 2
+    assert _widest(16647647) >= n > _widest(16647703)  # the next prime
+    assert _widest(23543347) == n // 2
     rng = np.random.default_rng(p)
-    lo = np.tril(np.full((n, n), p - 2, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    lo = np.tril(np.full((n, n), h, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
     lo[r:, :r] = rng.integers(0, p, (n - r, r))
-    up = np.triu(np.full((n, n), p - 2, dtype=np.int64))
+    up = np.triu(np.full((n, n), h, dtype=np.int64))
     up[:r, 100:] = rng.integers(0, p, (r, n - 100))
     up[r:] = 0
     a = (lo @ up) % p
-    w = min(n, _safe_block(p))
+    w = min(n, _widest(p))
     assert rank(a[:w], p) == rank(a.T[:w], p) == min(w, r)
     if w < n:
         with pytest.raises(ValueError):
@@ -277,41 +308,69 @@ def test_float_input_validation():
 
 
 def test_rank_reduces_entries_next_to_float_limit():
-    # two lifts of the same residues, one within p of -2**53, where the
-    # quotient times p no longer fits the exact range of float64, at the
-    # largest prime admitted for two rows
-    p = 67108859
-    assert _safe_block(p) >= 2 > _safe_block(67108879)  # the next prime
-    q = 2**53 // p
-    r = np.random.default_rng(1).integers(p - (2**53 - q * p) + 1, p, 300)
-    vals = np.array([r - q * p, r - (q + 1) * p])
+    # two lifts of the same residues, one within h of 2**53: x + h passes M,
+    # the least multiple of p above 2**53, which is odd, so float64 holds
+    # neither x + h nor floor((x + h) / p) * p = M; 134217487 admits two rows
+    p, h = 134217487, 134217487 // 2
+    assert _widest(p) >= 2
+    big = -(-2**53 // p) * p
+    assert big % 2 == 1 and big - h < 2**53
+    x = 2**53 - np.random.default_rng(1).integers(1, 2**53 - (big - h), 300)
+    vals = np.array([x, x % p])
     a = vals.astype(np.float64)
-    assert np.abs(a).max() < 2**53 and (a == vals).all()
+    assert (a == vals).all() and (x + h >= big).all()
     assert rank(a, p) == 1
     assert rank(-a, p) == 1
 
 
-@pytest.mark.parametrize("p", PRIME_LADDER + (8323823,))
+def test_float32_input_beyond_its_exact_range_is_reduced_in_place(monkeypatch):
+    # lifts of the same residues that float32 holds exactly: multiples of
+    # 2^8 up to 2^31, and values within p of 2^24, where x + h is no longer
+    # exact for half of them; such chunks are reduced with np.remainder, in
+    # place for a C-contiguous float32 input
+    p = PRIME_LADDER[0]
+    far = np.random.default_rng(32).integers(2**16, 2**23, 300) * 2**8
+    near = 2**24 - (2**24 - far) % p
+    vals = np.array([far, near, -far, far % p])
+    a = vals.astype(np.float32)
+    assert (a.astype(np.int64) == vals).all() and (near + p // 2 > 2**24).any()
+    seen = _kernel_dtypes(monkeypatch)
+    assert rank(a.astype(np.float64), p) == rank(a, p) == 1
+    assert rank(a, p, overwrite=True) == 1
+    assert seen == [F32] * 3 and not (a.astype(np.int64) == vals).all()
+
+
+@pytest.mark.parametrize("p", PRIME_LADDER[1:] + (8323823,))
 def test_reduce_is_exact_up_to_the_admitted_magnitude(p):
-    # every entry of an admitted matrix keeps |x| < B*p^2 + p, B = _safe_block(p);
-    # x = Q*p + r on both sides of that range, up to its largest magnitude,
-    # where Q*p itself reaches B*p^2 + p on the negative side
-    b = _safe_block(p)
-    top = b * p * p + p
-    assert top <= 2**53
-    qs = {0, 1, 2, b * p - 1, b * p, -1, -2, -b * p, -b * p - 1}
-    qs |= {int(q) for q in np.random.default_rng(p).integers(-b * p - 1, b * p + 1, 40)}
-    vals = [q * p + r for q in sorted(qs) for r in (0, 1, p - 1) if abs(q * p + r) < top]
-    assert max(vals) == top - 1 and min(vals) == -(top - 1)
-    for size in (3 * len(vals), len(vals)):  # the floor-based path, and np.remainder's
-        ints = (vals * 3)[:size]
-        assert (size >= gfp._SHORT_REDUCE) == (size == 3 * len(vals))
-        x = np.array(ints, dtype=np.float64)
+    _reduce_up_to_the_admitted_magnitude(p, F64)
+
+
+@pytest.mark.parametrize("p", [3, PRIME_LADDER[0], 1831])
+def test_reduce_is_exact_up_to_the_float32_magnitude(p):
+    _reduce_up_to_the_admitted_magnitude(p, F32)
+
+
+def _reduce_up_to_the_admitted_magnitude(p, dtype):
+    # every entry of an admitted matrix keeps |x| <= B*h^2 + h, where B is
+    # the widest min(m, n) the dtype takes at p; x = Q*p + r on both sides of
+    # that range, up to its largest magnitude
+    h = p // 2
+    limit = {F32: 2**24, F64: 2**53}[dtype]
+    b = (limit - 2 * h) // (h * h)
+    assert _exact_dtype(p, b) == dtype and _exact_dtype(p, b + 1) is not dtype
+    top = b * h * h + h
+    qs = {0, 1, 2, top // p - 1, top // p, -1, -2, -(top // p), -(top // p) - 1}
+    qs |= {int(q) for q in np.random.default_rng(p).integers(-(top // p), top // p + 1, 40)}
+    vals = [q * p + r for q in sorted(qs) for r in (-h, 0, 1, h, p - 1) if abs(q * p + r) <= top]
+    assert max(vals) > top - p and min(vals) < -(top - p)
+    for size in (gfp._SHORT_REDUCE * 2, gfp._SHORT_REDUCE - 1):  # floor-based, np.remainder
+        ints = (vals * (size // len(vals) + 1))[:size]
+        x = np.array(ints, dtype=dtype)
         assert x.astype(np.int64).tolist() == ints
         out = np.empty_like(x)
-        gfp._reduce(x, float(p), out=out)
-        gfp._reduce(x, float(p))
-        want = [int(v) % p for v in ints]
+        gfp._reduce(x, p, out=out)
+        gfp._reduce(x, p)
+        want = _centered(ints, p)
         assert x.astype(np.int64).tolist() == want
         assert out.astype(np.int64).tolist() == want
 
@@ -393,3 +452,73 @@ def test_sampled_block_moves_pivot_rows_from_anywhere_in_the_sample(rows, cols, 
     assert seen[0] == (0, True)
     ks = _leading_counts(n, rng)
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :j], P) for j in ks]
+
+
+def _kernel_dtypes(monkeypatch) -> list[np.dtype]:
+    """Record the dtype of every matrix the kernel eliminates."""
+    seen = []
+    init = gfp._Elimination.__init__
+
+    def spy(self, a, p):
+        seen.append(a.dtype)
+        init(self, a, p)
+
+    monkeypatch.setattr(gfp._Elimination, "__init__", spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (90, 250), (400, 33)])
+@pytest.mark.parametrize("deficit", [1, 3, 8])
+def test_rank_at_73_matches_the_reference_with_planted_deficits(shape, deficit, monkeypatch):
+    # t columns replaced by combinations of the others: the rank is exactly
+    # min(m, n - t) on a random matrix, in float32, and so on its transpose
+    p = PRIME_LADDER[0]
+    m, n = shape
+    rng = np.random.default_rng(m * n + deficit)
+    a = rng.integers(0, p, shape)
+    cols = rng.choice(n, deficit, replace=False)
+    keep = np.setdiff1d(np.arange(n), cols)
+    a[:, cols] = a[:, keep] @ rng.integers(0, p, (keep.size, deficit)) % p
+    seen = _kernel_dtypes(monkeypatch)
+    want = rank_mod_p_reference(a, p)
+    assert want == min(m, n - deficit) or m < n
+    ks = _leading_counts(n, rng)
+    assert rank(a, p, leading=ks) == [rank_mod_p_reference(a[:, :k], p) for k in ks]
+    assert rank(a, p) == rank(np.ascontiguousarray(a.T), p) == want
+    assert rank(a.astype(np.float64), p, overwrite=True) == want
+    assert seen == [F32] * 4
+
+
+def test_dtype_check_at_its_edge():
+    # k*h^2 + 2h <= 2^24 takes float32, <= 2^53 float64
+    assert _exact_dtype(73, 12945) == F32 and _exact_dtype(73, 12946) == F64
+    assert _exact_dtype(1831, 20) == F32 and _exact_dtype(1831, 21) == F64
+    assert 20 * 915**2 + 2 * 915 <= 2**24 < 21 * 915**2 + 2 * 915
+    assert _exact_dtype(73, 0) == _exact_dtype(2, 10**6) == F32
+
+
+@pytest.mark.parametrize("k, dtype", [(20, F32), (21, F64)])
+@pytest.mark.parametrize("rows", [40, 100])  # the column loop alone, and the sampled block
+@pytest.mark.parametrize("signs", ["same", "random"])
+def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypatch):
+    # a = L @ U over p = 1831 (h = 915), with k columns: L unit-lower, U
+    # unit-upper of rank k - 1, every other entry of both +-h.  The
+    # elimination recovers L's multipliers and U's rows, so its products
+    # are h^2; with one sign throughout an entry sums up to k - 1 of them
+    p = 1831
+    h = p // 2
+    rng = np.random.default_rng(k * rows + len(signs))
+
+    def entries(shape):
+        if signs == "same":
+            return np.full(shape, h, dtype=np.int64)
+        return h * rng.choice([-1, 1], shape)
+
+    lo = np.tril(entries((rows, k)), -1)
+    lo[:k, :k] += np.eye(k, dtype=np.int64)
+    up = np.triu(entries((k, k)), 1) + np.eye(k, dtype=np.int64)
+    up[k - 1] = 0
+    a = lo @ up % p
+    seen = _kernel_dtypes(monkeypatch)
+    assert rank(a, p) == rank(np.ascontiguousarray(a.T), p) == rank_mod_p_reference(a, p) == k - 1
+    assert seen == [dtype, dtype]

@@ -7,7 +7,7 @@ import pytest
 
 from fatpoints import interpolation
 from fatpoints.enumeration import algorithm_b_cases
-from fatpoints.gfp import DEFAULT_PRIME, rank
+from fatpoints.gfp import DEFAULT_PRIME, _exact_dtype, next_ladder_prime, rank
 from fatpoints.interpolation import (
     Certificate,
     MatrixTooLargeError,
@@ -113,10 +113,12 @@ def _entry_oracle(spec, pts, p, charts, basis) -> list[list[int]]:
     return rows
 
 
-# the first prime above the degree, two ladder primes, and primes whose cube
-# exceeds 2^53, where a product of three residues is reduced twice: the
-# first such prime, and one where most such products are inexact in float64
-@pytest.mark.parametrize("p", [7, 32003, 104729, 208067, 1000003])
+# the first prime above the degree and the ladder's first, both computed in
+# float32; 1009, whose float32 output is computed in float64; two more ladder
+# primes; and primes whose cube exceeds 2^53, where a product of three
+# residues is reduced twice: the first such prime, and one where most such
+# products are inexact in float64
+@pytest.mark.parametrize("p", [7, 73, 1009, 32003, 104729, 208067, 1000003])
 def test_build_matrix_entries_match_python_ints(p):
     spec = SystemSpec(6, {3: 2, 2: 2, 1: 1})
     rng = np.random.default_rng(p)
@@ -132,22 +134,24 @@ def test_build_matrix_entries_match_python_ints(p):
             got = build_matrix(spec, points, p, charts=charts, basis=basis)
             used = charts or [int(np.flatnonzero(pt % p)[0]) for pt in points]
             want = _entry_oracle(spec, points, p, used, cols)
-            assert got.dtype == np.float64 and got.flags.f_contiguous
+            assert got.dtype == _exact_dtype(p, min(got.shape)) and got.flags.f_contiguous
             assert got.shape == (spec.conditions_total, cols.shape[0])
             assert got.astype(np.int64).tolist() == want
 
 
 def test_build_matrix_refuses_primes_rank_admits_no_matrix_at():
-    # 90000049 admits one column, and its products of two residues still
-    # fit float64; 2^31 - 1 admits none
+    # the products of two residues of 90000049 still fit float64, those of
+    # 94906297 (the first prime whose do not) and 2^31 - 1 do not; rank
+    # admits one column at the first and none at the second
     spec = SystemSpec(2, {2: 1, 1: 1})
     pts = np.array([[1, 2, 3, 4], [5, 0, 7, 8]])
     p = 90000049
-    assert p * p < 2**53
+    assert (p - 1) ** 2 < 2**53 < (94906297 - 1) ** 2
     got = build_matrix(spec, pts, p)
     assert got.astype(np.int64).tolist() == _entry_oracle(spec, pts, p, [0, 0], monomial_basis(2))
-    with pytest.raises(ValueError, match=r"admits min\(rows, columns\) <= 0"):
-        build_matrix(spec, pts, 2**31 - 1)
+    for p in (94906297, 2**31 - 1):
+        with pytest.raises(ValueError, match="product of two residues"):
+            build_matrix(spec, pts, p)
     assert build_matrix(SystemSpec(2, {}), np.zeros((0, 4)), 2**31 - 1).shape == (0, 10)
 
 
@@ -410,7 +414,7 @@ def test_short_family_members_retry_at_their_own_seeds():
             assert final.to_dict() == cert.to_dict() | {"elapsed_ms": final.elapsed_ms}
             continue
         assert final.attempts > 1 and final.seed == retry + final.attempts - 1
-        assert final.prime == (32003 if final.attempts == 3 else 17)
+        assert final.prime == (next_ladder_prime(17) if final.attempts == 3 else 17)
         assert final.elapsed_ms >= cert.elapsed_ms
         assert replay_certificate(final) == final.rank
     with pytest.raises(ValueError, match="given for"):

@@ -16,9 +16,8 @@ from .model import (
     parse_system,
     vdim,
 )
-from .monomials import derivative_coefficient, derivative_orders, monomial_basis
+from .monomials import derivative_orders, monomial_basis
 from .gfp import (
-    DEFAULT_PRIME,
     PRIME_LADDER,
     is_prime,
     rank,
@@ -28,7 +27,6 @@ from .interpolation import (
     MatrixTooLargeError,
     build_matrix,
     check_case,
-    rational_oracle,
     reduce_fundamental,
     replay_certificate,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "parse_mults",
     "parse_system",
     "vdim",
-    "derivative_coefficient",
     "derivative_orders",
     "monomial_basis",
-    "DEFAULT_PRIME",
     "PRIME_LADDER",
     "is_prime",
     "rank",
@@ -80,7 +76,6 @@ __all__ = [
     "MatrixTooLargeError",
     "build_matrix",
     "check_case",
-    "rational_oracle",
     "reduce_fundamental",
     "replay_certificate",
     "algorithm_a_cases",

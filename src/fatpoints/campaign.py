@@ -20,14 +20,13 @@ Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
 seed each case's matrix is a leading row block of the largest one's, and
 one elimination gives every rank (interpolation.check_family).  check_case
-then retries any case that fell short.  Attempt 1
-of every case of a family uses the family seed, base_seed + first *
-max_attempts, where first is the lowest index of its (q, x, y) in
-algorithm_b_cases(d); it does not depend on the shard.  A case short of
-maximal rank is retried alone under the per-case rule: attempt a uses
-base_seed + index * max_attempts + a - 1.  Headers say which rule their
-records follow ("seed_rule"); headers without the field, written before
-families, follow the per-case rule for every attempt.
+then retries any case that fell short.  interpolation.attempt_schedule
+gives each attempt its prime and seed.  A case's first seed is its family
+seed, base_seed + first * MAX_ATTEMPTS, where first is the lowest index of
+its (q, x, y) in algorithm_b_cases(d), so it does not depend on the shard;
+its retry seed is base_seed + index * MAX_ATTEMPTS.  Headers say which rule
+their records follow ("seed_rule"); under headers without the field,
+written before families, the first seed is the retry seed.
 """
 
 from __future__ import annotations
@@ -46,9 +45,10 @@ import numpy as np
 from . import interpolation
 from ._version import __version__
 from .enumeration import algorithm_b_cases
-from .gfp import PRIME_LADDER
 from .interpolation import (
+    MAX_ATTEMPTS,
     Certificate,
+    attempt_schedule,
     check_case,
     check_family,
     peak_bytes,
@@ -78,7 +78,6 @@ class CampaignConfig:
     degrees: tuple[int, int]
     out: Path
     base_seed: int = 0
-    max_attempts: int = 3
     shard: tuple[int, int] = (1, 1)
     resume: bool = False
 
@@ -89,8 +88,6 @@ class CampaignConfig:
         i, n = self.shard
         if not 1 <= i <= n:
             raise ValueError(f"shard must satisfy 1 <= i <= n, got {i}/{n}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         self.out = Path(self.out)
@@ -110,12 +107,13 @@ class CampaignConfig:
     def digest_fields(self) -> dict:
         return {
             "degrees": list(self.degrees),
-            # every run starts at PRIME_LADDER[0] and escalates along it
-            "primes": list(PRIME_LADDER),
+            # the ladder attempt_schedule reads
+            "primes": list(interpolation.PRIME_LADDER),
             "base_seed": self.base_seed,
-            "max_attempts": self.max_attempts,
+            "max_attempts": MAX_ATTEMPTS,
             "shard": list(self.shard),
-            "fundamental": True,  # always on; kept so digests match older logs
+            # always on; kept for the digests of the logs written since the ladder began at 73
+            "fundamental": True,
             "seed_rule": SEED_RULE,
         }
 
@@ -480,19 +478,9 @@ def _family_unit(
     """
     try:
         specs = [case.to_system() for _, case in family]
-        tried = check_family(
-            specs,
-            prime=PRIME_LADDER[0],
-            seed=config.base_seed + first * config.max_attempts,
-        )
+        tried = check_family(specs, config.base_seed + first * MAX_ATTEMPTS)
         return [
-            CertRecord(case, idx, check_case(
-                spec,
-                prime=PRIME_LADDER[0],
-                seed=config.base_seed + idx * config.max_attempts,
-                max_attempts=config.max_attempts,
-                first=cert,
-            ))
+            CertRecord(case, idx, check_case(spec, config.base_seed + idx * MAX_ATTEMPTS, cert))
             for (idx, case), spec, cert in zip(family, specs, tried)
         ]
     except MemoryError as exc:  # pragma: no cover - depends on host RAM
@@ -608,36 +596,40 @@ def _family_first(case: CaseSignature, cache: dict) -> Optional[int]:
 
 
 def _schedule_problems(record: CertRecord, config: Optional[dict], firsts: dict) -> list[str]:
-    """Where a record's seed and prime differ from the ones its header's config assigns.
+    """Where a record's attempt, seed and prime differ from what its header's config assigns.
 
-    The primes are the header's ladder ("primes"), or PRIME_LADDER under a
-    header without one.  firsts caches _family_first per degree.
+    The assignment is attempt_schedule's under the header's primes,
+    max_attempts, base seed and seed rule.  firsts caches _family_first per
+    degree.
     """
     cert = record.cert
     try:
         max_attempts = int(config["max_attempts"])
         base = int(config["base_seed"])
         rule = config.get("seed_rule", "per_case")
-        ladder = [int(p) for p in config.get("primes", PRIME_LADDER)]
+        ladder = [int(p) for p in config["primes"]]
     except (KeyError, TypeError, ValueError):
         return ["no header config above the record"]
     if rule not in ("per_case", SEED_RULE):
         return [f"unknown seed rule {rule!r} in the header"]
+    retry_seed = first_seed = base + record.index * max_attempts
     if rule == SEED_RULE and cert.attempts == 1:
         first = _family_first(record.case, firsts)
         if first is None:
             return ["not an algorithm-B case, so it has no family seed"]
-        seed = base + first * max_attempts
-    else:
-        seed = base + record.index * max_attempts + cert.attempts - 1
-    step = 1 if max_attempts > 1 and cert.attempts == max_attempts else 0  # escalated
-    if step >= len(ladder):
+        first_seed = base + first * max_attempts
+    try:
+        scheduled = attempt_schedule(cert.attempts, first_seed, retry_seed, ladder, max_attempts)
+    except IndexError:
         return [f"the header's primes {ladder} name no prime for attempt {cert.attempts}"]
+    if scheduled is None:
+        return [f"attempt {cert.attempts} is outside the header's 1..{max_attempts}"]
+    prime, seed = scheduled
     problems = []
     if cert.seed != seed:
         problems.append(f"seed {cert.seed} is not the header's {seed}")
-    if cert.prime != ladder[step]:
-        problems.append(f"prime {cert.prime} is not the header's {ladder[step]}")
+    if cert.prime != prime:
+        problems.append(f"prime {cert.prime} is not the header's {prime}")
     return problems
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from ._version import __version__
 from .campaign import CampaignConfig, ResultStore, run_campaign, status, verify_log
 from .enumeration import count_cases, export_csv, iter_cases
-from .gfp import DEFAULT_PRIME
 from .interpolation import check_case
 from .model import SystemSpec, VERDICT_NON_SPECIAL, edim, parse_mults, vdim
 from .reduction import closure_audit
@@ -83,12 +82,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _system_from_args(args)
-    cert = check_case(
-        spec,
-        prime=args.prime,
-        seed=args.seed,
-        max_attempts=args.attempts,
-    )
+    cert = check_case(spec, args.seed)
     dim = cert.N - 1 - cert.rank
     _eprint(
         f"{spec}: verdict={cert.verdict} rank={cert.rank} of {min(cert.N, cert.S)}"
@@ -112,7 +106,6 @@ def _cmd_campaign(args) -> int:
         degrees=_parse_degrees(args.degrees),
         out=Path(args.out),
         base_seed=args.seed,
-        max_attempts=args.attempts,
         shard=_parse_shard(args.shard),
         resume=args.resume,
     )
@@ -196,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="rank-check one system")
     p.add_argument("-d", "--degree", type=int, required=True)
     p.add_argument("--mults", default="")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="prime modulus; with h = p // 2 a matrix is checked only if"
-                        " min(rows, columns) * h^2 + 2h <= 2^53 (in float32 if <= 2^24)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0,
+                   help="attempt a runs at seed + a - 1")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("campaign", help="run the sweep for a degree range")
@@ -209,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=3)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("verify", help="replay a result log")

@@ -67,10 +67,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_PRIME = 32003
-# Escalation ladder for retry attempts; all > 40 so no derivative
-# coefficient of the systems in scope vanishes spuriously.  Every matrix of
-# the degree sweep is ranked in float32 at the first.
+# The primes of the rank checks (interpolation.attempt_schedule): every
+# attempt runs at the first but the last of several, which escalates to the
+# second.  All > 40 so no derivative coefficient of the systems in scope
+# vanishes spuriously.  Every matrix of the degree sweep is ranked in float32
+# at the first.  No attempt runs at the last two, but campaign headers record
+# the whole ladder and their digests cover it.
 PRIME_LADDER = (73, 32003, 65537, 104729)
 
 # The kernel dtypes in the order they are tried, each with the bound L up to
@@ -100,14 +102,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def next_ladder_prime(p: int) -> int:
-    """First ladder entry above p, or p itself when already at the top."""
-    for q in PRIME_LADDER:
-        if q > p:
-            return q
-    return p
 
 
 def _exact_dtype(p: int, k: int) -> Optional[np.dtype]:
@@ -365,7 +359,7 @@ def _prepare(mat, p: int, overwrite: bool) -> np.ndarray:
 
 def rank(
     mat,
-    p: int = DEFAULT_PRIME,
+    p: int,
     *,
     overwrite: bool = False,
     leading: Optional[Sequence[int]] = None,

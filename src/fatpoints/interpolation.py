@@ -7,7 +7,8 @@ speciality and yields the verdict "inconclusive" after retries.
 
 Every check is replayable: the certificate records the prime, the seed and
 the fundamental-point assignment, and regenerating the matrix from those
-reproduces the identical rank.
+reproduces the identical rank.  One function, attempt_schedule, assigns
+every attempt its prime and seed.
 
 Systems that differ only in trailing points share one elimination (a
 family).  Points are listed in descending multiplicity and drawn one by one
@@ -26,16 +27,14 @@ record's rank off that one elimination, and replays any other record alone
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gfp import DEFAULT_PRIME, PRIME_LADDER, _exact_dtype, next_ladder_prime, rank
+from .gfp import PRIME_LADDER, _exact_dtype, rank
 from .model import (
     SystemSpec,
     VERDICT_INCONCLUSIVE,
@@ -45,7 +44,7 @@ from .model import (
 )
 from .monomials import derivative_orders, monomial_basis
 
-# Refuse to sample points for a matrix that would take more than this.
+# Refuse to build a matrix whose process would peak above this (peak_bytes).
 MEMORY_LIMIT_BYTES = 16 * 2**30
 
 # Resident size of a process with the package and numpy loaded, rounded up.
@@ -72,7 +71,8 @@ def peak_bytes(spec: SystemSpec, prime: int = PRIME_LADDER[0]) -> int:
     return 3 * _matrix_dtype(prime, n, s).itemsize * n * s // 2 + _PROCESS_BYTES
 
 
-DEFAULT_MAX_ATTEMPTS = 3
+# Attempts of one rank check (attempt_schedule).
+MAX_ATTEMPTS = 3
 
 _MAX_RESAMPLE = 1000
 
@@ -151,7 +151,7 @@ def _falling(mult: int, degree: int, p: int) -> np.ndarray:
 def build_matrix(
     spec: SystemSpec,
     points: np.ndarray,
-    prime: int = DEFAULT_PRIME,
+    prime: int,
     charts: Optional[Sequence[int]] = None,
     basis: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -358,14 +358,13 @@ def _transposed_matrix(
     assignment: FundamentalAssignment,
 ) -> tuple[np.ndarray, int]:
     """(columns x conditions) matrix of spec's residual system, and the columns deleted."""
+    need = peak_bytes(spec, prime)
+    if need > MEMORY_LIMIT_BYTES:
+        raise MatrixTooLargeError(f"{spec.conditions_total} x {spec.n_monomials} matrix needs"
+                                  f" about {need / 2**30:.1f} GiB")
     deleted, residual = reduce_fundamental(spec, assignment)
     keep = np.ones(spec.n_monomials, dtype=bool)
     keep[deleted] = False
-    ncols = spec.n_monomials - len(deleted)
-    nrows = residual.conditions_total
-    size = nrows * ncols * _matrix_dtype(prime, nrows, ncols).itemsize
-    if size > MEMORY_LIMIT_BYTES:
-        raise MatrixTooLargeError(f"{nrows} x {ncols} matrix needs about {size / 2**30:.1f} GiB")
     avoid = [_coordinate_point(slot) for slot in range(len(assignment))]
     pts = _sample_distinct(residual.r, prime, seed, avoid=avoid)
     basis = monomial_basis(spec.degree)[keep]
@@ -445,22 +444,43 @@ def _ranks_by_family(
     ]
 
 
-def check_family(
-    specs: Sequence[SystemSpec],
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-) -> list[Certificate]:
-    """Attempt 1 of the rank checks of systems that share their leading points.
+def attempt_schedule(
+    attempt: int,
+    first_seed: int,
+    retry_seed: int,
+    ladder: Optional[Sequence[int]] = None,
+    attempts: int = MAX_ATTEMPTS,
+) -> Optional[tuple[int, int]]:
+    """The (prime, seed) of attempt `attempt` of a rank check, or None outside 1..attempts.
 
-    Each system pins up to four points at the coordinate points
-    (_greedy_assignment, largest multiplicities first); four general points
-    are projectively equivalent to them, so the verdict is the unpinned one.
-    Every system whose point list is a prefix of the head's (the one with
-    the most points) and whose assignment equals the head's gets its rank
-    from the head's one elimination; any other runs alone at the same seed
-    (_ranks_by_family).  Each certificate's elapsed_ms is the wall time of
-    the whole family.  check_case continues from these certificates.
+    Attempt 1 runs at (ladder[0], first_seed), attempt a >= 2 at seed
+    retry_seed + a - 1 and ladder[0], but the last of several attempts
+    escalates to ladder[1].  ladder defaults to PRIME_LADDER, read at call
+    time.  verify_log passes a log header's primes and max_attempts.
     """
+    if ladder is None:
+        ladder = PRIME_LADDER
+    if not 1 <= attempt <= attempts:
+        return None
+    if attempt == 1:
+        return ladder[0], first_seed
+    return ladder[1 if attempt == attempts else 0], retry_seed + attempt - 1
+
+
+def check_family(specs: Sequence[SystemSpec], seed: int) -> list[Certificate]:
+    """Attempt 1 of the rank checks of systems that share their leading points, at seed.
+
+    The prime is attempt 1's (attempt_schedule).  Each system pins up to
+    four points at the coordinate points (_greedy_assignment, largest
+    multiplicities first); four general points are projectively equivalent
+    to them, so the verdict is the unpinned one.  Every system whose point
+    list is a prefix of the head's (the one with the most points) and whose
+    assignment equals the head's gets its rank from the head's one
+    elimination; any other runs alone at the same seed (_ranks_by_family).
+    Each certificate's elapsed_ms is the wall time of the whole family.
+    check_case continues from these certificates.
+    """
+    prime, seed = attempt_schedule(1, seed, seed)
     assignments = [_greedy_assignment(spec) for spec in specs]
     t0 = time.perf_counter()
     got = _ranks_by_family(specs, [prime] * len(specs), [seed] * len(specs), assignments)
@@ -471,37 +491,32 @@ def check_family(
     ]
 
 
-def check_case(
-    spec: SystemSpec,
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    first: Optional[Certificate] = None,
-) -> Certificate:
+def check_case(spec: SystemSpec, seed: int, first: Optional[Certificate] = None) -> Certificate:
     """Rank-check one system and certify it.
 
     Attempt 1 is a family of one (check_family at seed), or first, spec's
     certificate from a family's attempt 1, when given.  On a rank deficit
     the system is retried alone, as a family of one with attempt 1's
-    fundamental assignment: attempt a uses seed + a - 1, and the final
-    attempt escalates to the next prime in the ladder.  Verdict
-    "non_special" means a maximal rank was witnessed; "inconclusive" means
-    every attempt fell short.  elapsed_ms includes first's.
+    fundamental assignment, at the primes and seeds of attempt_schedule
+    with seed as the retry seed: attempt a uses seed + a - 1, and the last
+    attempt escalates to the ladder's second prime.  Verdict "non_special"
+    means a maximal rank was witnessed; "inconclusive" means every attempt
+    fell short.  elapsed_ms includes first's.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if first is not None and first.spec != spec.to_text():
         raise ValueError(f"certificate of {first.spec!r} given for {spec.to_text()!r}")
     spent_ms = first.elapsed_ms if first is not None else 0
     t0 = time.perf_counter()
-    cert = first if first is not None else check_family([spec], prime, seed)[0]
-    while cert.verdict != VERDICT_NON_SPECIAL and cert.attempts < max_attempts:
+    cert = first if first is not None else check_family([spec], seed)[0]
+    while cert.verdict != VERDICT_NON_SPECIAL:
         attempt = cert.attempts + 1
-        used_prime = next_ladder_prime(prime) if attempt == max_attempts else prime
-        used_seed = seed + attempt - 1
+        scheduled = attempt_schedule(attempt, seed, seed)
+        if scheduled is None:
+            break
+        prime, used_seed = scheduled
         assignment = cert.fundamental_assignment
-        got_rank = _run_family(spec, [spec], used_prime, used_seed, assignment)[0]
-        cert = _certificate(spec, used_prime, used_seed, assignment, got_rank, attempt, 0)
+        got_rank = _run_family(spec, [spec], prime, used_seed, assignment)[0]
+        cert = _certificate(spec, prime, used_seed, assignment, got_rank, attempt, 0)
     return replace(cert, elapsed_ms=spent_ms + int((time.perf_counter() - t0) * 1000))
 
 
@@ -524,89 +539,3 @@ def replay_family(certs: Sequence[Certificate]) -> list[int]:
         [cert.seed for cert in certs],
         [list(cert.fundamental_assignment) for cert in certs],
     )
-
-
-# ---------------------------------------------------------------------------
-# exact rational oracle for small systems
-# ---------------------------------------------------------------------------
-
-_ORACLE_LIMIT = 200
-_ORACLE_COORD = 10**9
-
-
-def rational_oracle(spec: SystemSpec, seed: int = 0) -> int:
-    """Dimension of a small system by exact elimination over the rationals.
-
-    Independent of the prime-field path: its own point sampling, per-entry
-    integer assembly and Fraction elimination.  Row for order beta at point x
-    with chart c is scaled by x_c^d, which makes every entry the integer
-    falling(a', b) * prod_i x_i^(a'_i - b_i) * x_c^(a_c + |b|).
-    """
-    if spec.n_monomials > _ORACLE_LIMIT:
-        raise ValueError(
-            f"rational oracle is limited to N <= {_ORACLE_LIMIT}, got N = {spec.n_monomials}"
-        )
-    d = spec.degree
-    rng = random.Random(seed)
-    mults = spec.points()
-    pts: list[tuple[int, int, int, int]] = []
-    seen = set()
-    while len(pts) < len(mults):
-        cand = tuple(rng.randrange(-_ORACLE_COORD, _ORACLE_COORD + 1) for _ in range(4))
-        if not any(cand):
-            continue
-        lead = next(c for c in cand if c)
-        key = tuple(Fraction(c, lead) for c in cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        pts.append(cand)
-
-    basis = monomial_basis(d)
-    rows: list[list[int]] = []
-    for pt, m in zip(pts, mults):
-        chart = next(i for i in range(4) if pt[i])
-        other = [i for i in range(4) if i != chart]
-        for beta in derivative_orders(m):
-            border = [int(beta[0]), int(beta[1]), int(beta[2])]
-            btot = sum(border)
-            row = []
-            for alpha in basis:
-                aff = [int(alpha[i]) for i in other]
-                entry = 1
-                for a, b in zip(aff, border):
-                    if b > a:
-                        entry = 0
-                        break
-                    for step in range(b):
-                        entry *= a - step
-                if entry:
-                    for i, b in zip(other, border):
-                        entry *= pt[i] ** (int(alpha[i]) - b)
-                    entry *= pt[chart] ** (int(alpha[chart]) + btot)
-                row.append(entry)
-            rows.append(row)
-
-    return spec.n_monomials - 1 - _fraction_rank(rows)
-
-
-def _fraction_rank(rows: list[list[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    mat = [[Fraction(v) for v in row] for row in rows]
-    m, n = len(mat), len(mat[0])
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        for i in range(r + 1, m):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return r

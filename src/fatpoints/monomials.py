@@ -58,22 +58,3 @@ def derivative_orders(m: int) -> np.ndarray:
     out.setflags(write=False)
     return out
 
-
-def derivative_coefficient(alpha, beta) -> int:
-    """Integer coefficient produced by applying d^beta to x^alpha.
-
-    Product over i of alpha_i * (alpha_i - 1) * ... * (alpha_i - beta_i + 1);
-    zero when beta exceeds alpha in any coordinate.
-    """
-    if len(alpha) != 4 or len(beta) != 4:
-        raise ValueError("multi-indices must have 4 components")
-    coeff = 1
-    for a, b in zip(alpha, beta):
-        a, b = int(a), int(b)
-        if a < 0 or b < 0:
-            raise ValueError("multi-index components must be non-negative")
-        if b > a:
-            return 0
-        for step in range(b):
-            coeff *= a - step
-    return coeff

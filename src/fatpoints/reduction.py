@@ -104,8 +104,8 @@ class KnownResults:
         """Seed with the cited theorems (9 <= d <= 13 and d >= 41).
 
         The 2^5 -> 4 base system L(3; 2^5) predates those ranges; its
-        non-specialty is established here by a direct rank check before
-        being admitted.
+        non-specialty is established here by a direct rank check, on the
+        attempt schedule of a campaign, before being admitted.
         """
         from .interpolation import check_case
 
@@ -113,7 +113,7 @@ class KnownResults:
         known.add_range(9, 13)
         known.add_range(41, None)
         base = SystemSpec(3, {2: 5})
-        cert = check_case(base)
+        cert = check_case(base, 0)
         if cert.verdict != VERDICT_NON_SPECIAL or vdim(base) != -1:
             raise RuntimeError("bootstrap rank check of L(3; 2^5) failed")
         known.add_system(base)

@@ -1,12 +1,18 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: straight loops, Fractions, dict-based
-polynomials.  None of it shares code with the package's computational paths.
+polynomials.  None of it shares code with the package's computational paths;
+rational_oracle takes only the package's monomial and derivative-order lists,
+which fix the order of a matrix's columns and rows.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
+
+from fatpoints.model import SystemSpec
+from fatpoints.monomials import derivative_orders, monomial_basis
 
 
 def rank_mod_p_reference(mat, p: int) -> int:
@@ -42,8 +48,8 @@ def profile_mod_p_reference(mat, p: int) -> list[int]:
 
 
 def rank_rational_reference(mat) -> int:
-    """Exact rank over Q via Fraction elimination."""
-    rows = [[Fraction(int(v)) for v in row] for row in np.atleast_2d(mat)]
+    """Exact rank over Q via Fraction elimination of integer rows (an array or lists)."""
+    rows = [[Fraction(int(v)) for v in row] for row in mat]
     if not rows or not rows[0]:
         return 0
     m, n = len(rows), len(rows[0])
@@ -75,6 +81,26 @@ def poly_differentiate(poly: dict, var: int) -> dict:
         key = tuple(dropped)
         out[key] = out.get(key, 0) + coeff * e
     return {k: v for k, v in out.items() if v}
+
+
+def derivative_coefficient(alpha, beta) -> int:
+    """Integer coefficient produced by applying d^beta to x^alpha.
+
+    Product over i of alpha_i * (alpha_i - 1) * ... * (alpha_i - beta_i + 1);
+    zero when beta exceeds alpha in any coordinate.
+    """
+    if len(alpha) != 4 or len(beta) != 4:
+        raise ValueError("multi-indices must have 4 components")
+    coeff = 1
+    for a, b in zip(alpha, beta):
+        a, b = int(a), int(b)
+        if a < 0 or b < 0:
+            raise ValueError("multi-index components must be non-negative")
+        if b > a:
+            return 0
+        for step in range(b):
+            coeff *= a - step
+    return coeff
 
 
 def derivative_coefficient_symbolic(alpha, beta) -> int:
@@ -125,3 +151,63 @@ def glued_cases_bruteforce(d: int, fixed_q=None):
                     if N - 4 < s < N + 20:
                         out.append((q, x, y, z))
     return sorted(out)
+
+
+_ORACLE_LIMIT = 200
+_ORACLE_COORD = 10**9
+
+
+def rational_oracle(spec: SystemSpec, seed: int = 0) -> int:
+    """Dimension of a small system by exact elimination over the rationals.
+
+    Independent of the prime-field path: its own point sampling, per-entry
+    integer assembly and Fraction elimination.  Row for order beta at point x
+    with chart c is scaled by x_c^d, which makes every entry the integer
+    falling(a', b) * prod_i x_i^(a'_i - b_i) * x_c^(a_c + |b|).
+    """
+    if spec.n_monomials > _ORACLE_LIMIT:
+        raise ValueError(
+            f"rational oracle is limited to N <= {_ORACLE_LIMIT}, got N = {spec.n_monomials}"
+        )
+    d = spec.degree
+    rng = random.Random(seed)
+    mults = spec.points()
+    pts: list[tuple[int, int, int, int]] = []
+    seen = set()
+    while len(pts) < len(mults):
+        cand = tuple(rng.randrange(-_ORACLE_COORD, _ORACLE_COORD + 1) for _ in range(4))
+        if not any(cand):
+            continue
+        lead = next(c for c in cand if c)
+        key = tuple(Fraction(c, lead) for c in cand)
+        if key in seen:
+            continue
+        seen.add(key)
+        pts.append(cand)
+
+    basis = monomial_basis(d)
+    rows: list[list[int]] = []
+    for pt, m in zip(pts, mults):
+        chart = next(i for i in range(4) if pt[i])
+        other = [i for i in range(4) if i != chart]
+        for beta in derivative_orders(m):
+            border = [int(beta[0]), int(beta[1]), int(beta[2])]
+            btot = sum(border)
+            row = []
+            for alpha in basis:
+                aff = [int(alpha[i]) for i in other]
+                entry = 1
+                for a, b in zip(aff, border):
+                    if b > a:
+                        entry = 0
+                        break
+                    for step in range(b):
+                        entry *= a - step
+                if entry:
+                    for i, b in zip(other, border):
+                        entry *= pt[i] ** (int(alpha[i]) - b)
+                    entry *= pt[chart] ** (int(alpha[chart]) + btot)
+                row.append(entry)
+            rows.append(row)
+
+    return spec.n_monomials - 1 - rank_rational_reference(rows)

@@ -22,10 +22,11 @@ from fatpoints.enumeration import (
     count_algorithm_a,
     count_algorithm_b,
 )
-from fatpoints.gfp import PRIME_LADDER
-from fatpoints.interpolation import check_case, rational_oracle
+from fatpoints.interpolation import check_case, check_family
 from fatpoints.model import SystemSpec, conditions_count, edim, vdim
 from fatpoints.reduction import closure_audit
+
+from _oracles import rational_oracle
 
 
 def _random_small_spec(rng):
@@ -102,7 +103,7 @@ def test_criterion_4_special_system_sensitivity():
     assert double_quadric.rank <= 34 < 35
     assert double_quadric.N - 1 - double_quadric.rank >= 0 > -1 == edim(SystemSpec(4, {2: 9}))
     for seed in range(5):
-        cert = check_case(SystemSpec(4, {2: 9}), seed=seed, max_attempts=1)
+        cert = check_family([SystemSpec(4, {2: 9})], seed)[0]
         assert cert.verdict == "inconclusive" and cert.rank <= 34
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
@@ -187,7 +188,7 @@ def test_criterion_8_extended_campaign(d14_run, tmp_path):
     # float32 near its bound (min(rows, columns) = 11 458, of the 12 945
     # that p = 73 admits)
     case = algorithm_b_cases(40)[0]
-    cert = check_case(case.to_system(), prime=PRIME_LADDER[0], seed=40)
+    cert = check_case(case.to_system(), seed=40)
     d40_elapsed = time.perf_counter() - t1
     assert cert.verdict == "non_special"
     assert cert.N == 12341

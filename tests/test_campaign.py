@@ -1,10 +1,11 @@
+import hashlib
 import json
 import multiprocessing
 import os
 
 import pytest
 
-from fatpoints import campaign, gfp, interpolation
+from fatpoints import campaign, interpolation
 from fatpoints.campaign import (
     CampaignConfig,
     CertRecord,
@@ -63,8 +64,6 @@ def test_config_validation(tmp_path):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", shard=(0, 4))
     with pytest.raises(ValueError):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", shard=(5, 4))
-    with pytest.raises(ValueError):
-        CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", max_attempts=0)
     with pytest.raises(ValueError, match="base_seed"):
         CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl", base_seed=-1)
     digest = CampaignConfig(degrees=(14, 14), out=tmp_path / "x.jsonl").digest()
@@ -178,7 +177,7 @@ def test_resume_refuses_a_log_of_another_config(tmp_path):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
     before = out.read_bytes()
-    other = _tiny_config(out, shard=(6, 87), base_seed=999, max_attempts=1, resume=True)
+    other = _tiny_config(out, shard=(6, 87), base_seed=999, resume=True)
     with pytest.raises(ValueError, match="another config"):
         run_campaign(other)
     assert out.read_bytes() == before
@@ -279,6 +278,8 @@ def test_verify_checks_seed_and_prime_against_header(tmp_path):
         ("seed", dict(record, seed=record["seed"] + 1000)),
         # a prime that rank refuses is reported, not replayed
         ("prime", dict(record, prime=2**31 - 1)),
+        # at the seed and prime an attempt 4 would have, but the header allows 3
+        ("attempt", dict(record, attempts=4, seed=7 + 3 * record["index"] + 3)),
     ):
         path = tmp_path / f"{name}.jsonl"
         path.write_text("\n".join([lines[0], json.dumps(bad)] + lines[2:]) + "\n")
@@ -390,8 +391,7 @@ def test_old_header_logs_keep_the_per_case_rule(tmp_path):
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in _shard_indices(len(cases), SHARD):
-        cert = check_case(cases[idx].to_system(), prime=PRIME_LADDER[0], seed=7 + idx * 3,
-                          max_attempts=3)
+        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     config.out.write_text("\n".join(lines) + "\n")
     report = verify_log(config.out, full=True)
@@ -426,6 +426,33 @@ def test_short_member_is_retried_alone(tmp_path, monkeypatch):
     report = verify_log(out)
     assert report.ok and report.total == 131, report.to_dict()
     assert replay_certificate(Certificate.from_dict(dict(records[4], elapsed_ms=0))) == records[4]["rank"]
+
+
+def test_member_short_twice_escalates_on_its_last_attempt(tmp_path, monkeypatch):
+    real_rank = interpolation.rank
+    short = []
+
+    def short_at_first_prime(mat, p, *, leading, **kwargs):
+        ranks = real_rank(mat, p, leading=leading, **kwargs)
+        if len(leading) > 1:
+            short.append(leading[0])  # the smallest member of the family
+        return [r - (p == PRIME_LADDER[0] and k in short) for r, k in zip(ranks, leading)]
+
+    # family (1, 0, 46) starts at case 3; case 4 falls short at 73, at the
+    # family's seed and again at its own retry seed, and passes at 32003
+    monkeypatch.setattr(interpolation, "rank", short_at_first_prime)
+    config = _tiny_config(tmp_path / "log.jsonl", shard=FAMILY_SHARD)
+    cases = algorithm_b_cases(14)
+    records = campaign._family_unit(config, 3, [(4, cases[4]), (6, cases[6])])
+    monkeypatch.undo()
+    four, six = (record.cert for record in records)
+    assert (four.verdict, four.attempts) == ("non_special", 3)
+    assert (four.prime, four.seed) == interpolation.attempt_schedule(3, 7 + 3 * 3, 7 + 4 * 3)
+    assert (four.prime, four.seed) == (PRIME_LADDER[1], 7 + 4 * 3 + 2)
+    assert (six.attempts, six.prime, six.seed) == (1, PRIME_LADDER[0], 7 + 3 * 3)
+    header = json.dumps({"header": True, "config": config.digest_fields()})
+    report = verify_log(_write(config.out, [header] + [r.to_line() for r in records]), full=True)
+    assert report.ok and report.replayed == 2, report.to_dict()
 
 
 def test_error_records_are_retried_on_resume(tmp_path):
@@ -654,6 +681,50 @@ def _count_replays(monkeypatch, family=None):
     return calls
 
 
+def _schedule_rows(lines):
+    """(case, index, prime, seed, attempts, rank, fundamental_assignment) of a log's records."""
+    return sorted([rec["case"], rec["index"], rec["prime"], rec["seed"], rec["attempts"],
+                   rec["rank"], rec["fundamental_assignment"]] for rec in _strip(lines))
+
+
+def test_logs_keep_their_schedule(tmp_path, family_lines):
+    # the records the campaign wrote before one function set every attempt's
+    # prime and seed
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0])["digest"] == "0edd5b884c53cda9"
+    assert _schedule_rows(lines[1:]) == [
+        [[14, 1, 0, 46, 1], 4, 73, 16, 1, 680, [[0, 10], [1, 3], [2, 3], [3, 3]]],
+        [[14, 1, 8, 30, 0], 91, 73, 281, 2, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
+        [[14, 1, 16, 13, 4], 178, 73, 535, 1, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
+    ]
+    assert json.loads(family_lines[0])["digest"] == "a42f4314348c7e03"
+    rows = _schedule_rows(family_lines[1:])
+    assert [row for row in rows if row[4] > 1] == [
+        [[14, 1, 1, 44, 0], 14, 73, 50, 2, 680, [[0, 10], [1, 4], [2, 3], [3, 3]]],
+        [[14, 1, 3, 40, 0], 36, 73, 116, 2, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
+        [[14, 1, 16, 13, 2], 176, 73, 536, 2, 678, [[0, 10], [1, 4], [2, 4], [3, 4]]],
+        [[14, 1, 21, 4, 0], 234, 73, 710, 2, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "90f02dadb56b6eb2537f9dbd5207981f0e12d2b6d8ed7fc8f2093ce33016832e"
+
+
+def test_check_at_a_family_seed_reproduces_the_record(family_lines, capsys):
+    # a family head and a member of it, each checked alone at the family seed
+    records = [json.loads(text) for text in family_lines[1:]]
+    family = next(f for f in _families_in_log(records)
+                  if len(f) > 1 and all(rec["attempts"] == 1 for rec in f))
+    for rec in (family[0], family[-1]):
+        mults = rec["spec"].split("; ")[1]
+        args = ["--json", "check", "-d", "14", "--mults", mults, "--seed", str(rec["seed"])]
+        assert main(args) == 0
+        cert = json.loads(capsys.readouterr().out)
+        keys = ("prime", "seed", "fundamental_assignment", "rank", "attempts")
+        assert {key: cert[key] for key in keys} == {key: rec[key] for key in keys}
+
+
 def test_forged_family_member_is_a_mismatch_at_its_line(tmp_path, family_lines):
     members = _non_head_lines(family_lines)
     line = members[1]  # ranked by its head's elimination only, not also alone
@@ -750,8 +821,7 @@ def test_records_under_a_header_without_seed_rule_replay_alone(tmp_path, monkeyp
     lines = [json.dumps({"header": True, "config": fields})]
     cases = algorithm_b_cases(14)
     for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
-        cert = check_case(cases[idx].to_system(), prime=PRIME_LADDER[0], seed=7 + idx * 3,
-                          max_attempts=3)
+        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
         lines.append(CertRecord(cases[idx], idx, cert).to_line())
     calls = _count_replays(monkeypatch)
     report = verify_log(_write(config.out, lines), full=True)
@@ -774,7 +844,7 @@ def test_members_replayed_alone_check_the_family_ranks(tmp_path, family_lines, m
         assert m["family_rank"] == m["recorded_rank"] == m["replayed_rank"] - 1
 
 
-def test_verify_takes_the_primes_from_the_header(tmp_path):
+def test_verify_takes_the_primes_from_the_header(tmp_path, monkeypatch):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
     lines = out.read_text().splitlines()
@@ -783,11 +853,13 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     assert ladder != list(PRIME_LADDER)
     header["config"]["primes"] = ladder
     moved = [json.dumps(header)]
-    for text in lines[1:]:  # attempt 1 at the header's first prime
-        rec = json.loads(text)
-        case = CaseSignature(*rec["case"])
-        cert = check_family([case.to_system()], prime=65537, seed=_family_seed(rec["case"]))[0]
-        moved.append(CertRecord(case, rec["index"], cert).to_line())
+    with monkeypatch.context() as patch:
+        patch.setattr(interpolation, "PRIME_LADDER", tuple(ladder))
+        for text in lines[1:]:  # attempt 1 at the header's first prime
+            rec = json.loads(text)
+            case = CaseSignature(*rec["case"])
+            cert = check_family([case.to_system()], _family_seed(rec["case"]))[0]
+            moved.append(CertRecord(case, rec["index"], cert).to_line())
     path = tmp_path / "moved.jsonl"
     report = verify_log(_write(path, moved), full=True)
     assert report.ok and report.replayed == 3, report.to_dict()
@@ -797,10 +869,11 @@ def test_verify_takes_the_primes_from_the_header(tmp_path):
     assert [p["line"] for p in report.structural] == [2] and report.replayed == 2
     assert f"prime {PRIME_LADDER[0]} is not the header's 65537" in report.structural[0]["error"]
 
-    # a header without primes means the module's
+    # a header without primes assigns no prime: every header since the first has them
     del header["config"]["primes"]
-    assert verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True).ok
-    assert not verify_log(_write(path, [json.dumps(header)] + moved[1:]), full=True).ok
+    report = verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True)
+    assert len(report.structural) == 3 and report.replayed == 0
+    assert {p["error"] for p in report.structural} == {"no header config above the record"}
 
     # a ladder without the prime an attempt needs
     header["config"]["primes"] = []
@@ -815,8 +888,7 @@ def test_logs_of_the_old_ladder_still_verify_and_refuse_a_resume(tmp_path, monke
     # computed there, and its header carries that ladder and its digest
     out = tmp_path / "old.jsonl"
     with monkeypatch.context() as patch:
-        patch.setattr(gfp, "PRIME_LADDER", OLD_LADDER)
-        patch.setattr(campaign, "PRIME_LADDER", OLD_LADDER)
+        patch.setattr(interpolation, "PRIME_LADDER", OLD_LADDER)
         patch.setattr(campaign, "_usable_cpus", lambda: 1)  # the units see the patch
         run_campaign(_tiny_config(out))
     lines = out.read_text().splitlines()

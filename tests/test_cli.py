@@ -1,6 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
-from fatpoints.cli import main
+from fatpoints.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_vdim_output(capsys):
@@ -57,13 +61,6 @@ def test_check_json_certificate(capsys):
     assert cert["spec"] == "3; 2^5"
     # pairs must satisfy m_i + m_j <= d, so only one 2-point fits at d = 3
     assert cert["fundamental_assignment"] == [[0, 2]]
-
-
-def test_check_refuses_a_prime_too_large_for_float64(capsys):
-    assert main(["check", "-d", "14", "--mults", "4^10", "--prime", "2147483647"]) == 2
-    assert "exact range of float64" in capsys.readouterr().err
-    assert main(["check", "-d", "14", "--mults", "4^10", "--prime", "65537"]) == 0
-    capsys.readouterr()
 
 
 def test_usage_errors_exit_two(capsys):
@@ -150,3 +147,16 @@ def test_config_echoed(capsys):
     main(["vdim", "-d", "3", "--mults", "2^5"])
     err = capsys.readouterr().err
     assert "fatpoints" in err and "vdim" in err
+
+
+def test_readme_cli_block_parses():
+    # every command README shows must still be accepted, so a removed option
+    # cannot leave the usage text stale; nothing is run
+    text = README.read_text()
+    block = text[text.index("## CLI"):].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("fatpoints ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits on an unknown command or option

@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from fatpoints import gfp
-from fatpoints.gfp import (
-    DEFAULT_PRIME,
-    PRIME_LADDER,
-    _exact_dtype,
-    _reduce,
-    is_prime,
-    next_ladder_prime,
-    rank,
-)
+from fatpoints.gfp import PRIME_LADDER, _exact_dtype, _reduce, is_prime, rank
 
 from _oracles import profile_mod_p_reference, rank_mod_p_reference, rank_rational_reference
 
-P = DEFAULT_PRIME
+P = 32003
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
@@ -45,11 +37,13 @@ def test_inverse_small_prime_brute_force():
 
 
 def test_ladder():
-    assert next_ladder_prime(17) == next_ladder_prime(73 - 1) == 73
-    assert next_ladder_prime(73) == 32003
-    assert next_ladder_prime(32003) == 65537
-    assert next_ladder_prime(65537) == 104729
-    assert next_ladder_prime(104729) == 104729
+    # campaign headers record the ladder, and their digests cover it
+    assert PRIME_LADDER == (73, 32003, 65537, 104729)
+    # above every degree in scope, so no falling-factorial coefficient vanishes
+    assert all(is_prime(p) and p > 40 for p in PRIME_LADDER)
+    # the first ranks the widest matrix of the sweep in float32, the second in float64
+    assert _exact_dtype(PRIME_LADDER[0], 11461) == F32
+    assert _exact_dtype(PRIME_LADDER[1], 11461) == F64
 
 
 @pytest.mark.parametrize("size", [100, 5000])

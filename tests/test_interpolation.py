@@ -7,27 +7,28 @@ import pytest
 
 from fatpoints import interpolation
 from fatpoints.enumeration import algorithm_b_cases
-from fatpoints.gfp import DEFAULT_PRIME, _exact_dtype, next_ladder_prime, rank
+from fatpoints.gfp import PRIME_LADDER, _exact_dtype, rank
 from fatpoints.interpolation import (
+    MAX_ATTEMPTS,
     Certificate,
     MatrixTooLargeError,
     _greedy_assignment,
     _sample_distinct,
     _transposed_matrix,
+    attempt_schedule,
     build_matrix,
     check_case,
     check_family,
-    rational_oracle,
     reduce_fundamental,
     replay_certificate,
     replay_family,
 )
 from fatpoints.model import SystemSpec, conditions_count, edim
-from fatpoints.monomials import derivative_coefficient, derivative_orders, monomial_basis
+from fatpoints.monomials import derivative_orders, monomial_basis
 
-from _oracles import rank_mod_p_reference
+from _oracles import derivative_coefficient, rank_mod_p_reference, rational_oracle
 
-P = DEFAULT_PRIME
+P = 32003
 
 
 def test_sample_points_deterministic_and_distinct():
@@ -208,7 +209,9 @@ def _unpinned_rank(cert: Certificate) -> int:
     return replay_certificate(replace(cert, fundamental_assignment=[]))
 
 
-def test_fundamental_verdict_equivalence():
+def test_fundamental_verdict_equivalence(monkeypatch):
+    # at P: at 73 the unpinned points of this seed fall short by chance
+    _ladder(monkeypatch, P, 65537)
     cert = check_case(SystemSpec(3, {2: 5}), seed=5)
     assert cert.verdict == "non_special"
     assert cert.fundamental_assignment == [(0, 2)]
@@ -252,12 +255,12 @@ def test_check_case_does_not_certify_special_systems():
     assert cert.attempts == 3
     # L(4; 2^9) is special: the double quadric gives dim >= 0 > edim = -1
     for seed in (0, 1, 2):
-        cert = check_case(SystemSpec(4, {2: 9}), seed=seed, max_attempts=1)
+        cert = check_family([SystemSpec(4, {2: 9})], seed)[0]
         assert cert.verdict == "inconclusive"
         assert cert.rank <= 34
     cert = check_case(SystemSpec(4, {2: 9}), seed=0)
     assert cert.verdict == "inconclusive"
-    assert cert.prime == 65537  # final attempt escalated the prime
+    assert (cert.prime, cert.seed) == (PRIME_LADDER[1], 2)  # final attempt escalated the prime
 
 
 def test_certificate_determinism_and_replay():
@@ -286,7 +289,7 @@ def test_reported_dim_never_below_edim():
             if rng.random() < 0.25:
                 break
         spec = SystemSpec(d, counts)
-        cert = check_case(spec, seed=rng.randrange(10**6), max_attempts=1)
+        cert = check_family([spec], rng.randrange(10**6))[0]
         dim = cert.N - 1 - cert.rank
         assert dim >= edim(spec)
         assert (dim == edim(spec)) == (cert.verdict == "non_special")
@@ -294,7 +297,7 @@ def test_reported_dim_never_below_edim():
 
 def test_memory_guard():
     with pytest.raises(MatrixTooLargeError):
-        check_case(SystemSpec(40, {2: 200000}), max_attempts=1)
+        check_case(SystemSpec(40, {2: 200000}), seed=0)
 
 
 def test_rational_oracle_examples():
@@ -332,6 +335,11 @@ def _families(d: int) -> list[list[SystemSpec]]:
     return list(groups.values())
 
 
+def _ladder(monkeypatch, *primes):
+    """Run the checks on primes: attempt_schedule reads PRIME_LADDER at call time."""
+    monkeypatch.setattr(interpolation, "PRIME_LADDER", primes)
+
+
 def _counting_rank(monkeypatch) -> list:
     calls = []
 
@@ -345,16 +353,18 @@ def _counting_rank(monkeypatch) -> list:
 
 @pytest.mark.parametrize("d, picks", [(14, (0, 1, 35, 70)), (18, (40,))])
 def test_family_ranks_equal_per_case_runs(d, picks, monkeypatch):
-    # p = 17 leaves the small members short at d = 14, so the prefix counts
-    # are checked below the maximal rank too
+    # in float32 at the ladder's first prime and in float64 at P; p = 17
+    # leaves the small members short at d = 14, so the prefix counts are
+    # checked below the maximal rank too
     families = _families(d)
     for i in picks:
         specs = families[i]
         assert len(specs) >= 3
-        for prime in (P, 17) if d == 14 else (P,):
-            calls = _counting_rank(monkeypatch)
-            certs = check_family(specs, prime=prime, seed=100 + i)
-            monkeypatch.undo()
+        for prime in (PRIME_LADDER[0], P) + ((17,) if d == 14 else ()):
+            with monkeypatch.context() as patch:
+                _ladder(patch, prime)
+                calls = _counting_rank(patch)
+                certs = check_family(specs, 100 + i)
             assert len(calls) == 1
             for spec, cert in zip(specs, certs):
                 assert (cert.seed, cert.prime, cert.attempts) == (100 + i, prime, 1)
@@ -403,22 +413,35 @@ def test_only_six_members_of_the_sweep_run_alone():
     assert families == 1246
 
 
-def test_short_family_members_retry_at_their_own_seeds():
-    # p = 17 leaves the smaller members of this d = 14 family short at seed 5
+def test_short_family_members_retry_at_their_own_seeds(monkeypatch):
+    # p = 17 leaves the smaller members of this d = 14 family short at seed 5;
+    # their retries run at 17 but the last, which escalates to 73
+    _ladder(monkeypatch, 17, 73)
     specs = _families(14)[0]
-    tried = check_family(specs, prime=17, seed=5)
+    tried = check_family(specs, 5)
     assert tried[0].verdict == "inconclusive" and tried[-1].verdict == "non_special"
     for spec, cert, retry in zip(specs, tried, (40, 50, 60)):
-        final = check_case(spec, prime=17, seed=retry, max_attempts=3, first=cert)
+        final = check_case(spec, retry, first=cert)
         if cert.verdict == "non_special":
             assert final.to_dict() == cert.to_dict() | {"elapsed_ms": final.elapsed_ms}
             continue
         assert final.attempts > 1 and final.seed == retry + final.attempts - 1
-        assert final.prime == (next_ladder_prime(17) if final.attempts == 3 else 17)
+        assert final.prime == (73 if final.attempts == MAX_ATTEMPTS else 17)
         assert final.elapsed_ms >= cert.elapsed_ms
         assert replay_certificate(final) == final.rank
     with pytest.raises(ValueError, match="given for"):
-        check_case(specs[1], prime=17, seed=5, first=tried[0])
+        check_case(specs[1], 5, first=tried[0])
+
+
+def test_attempt_schedule():
+    ladder = (11, 13, 17)
+    assert [attempt_schedule(a, 100, 200, ladder) for a in range(5)] == [
+        None, (11, 100), (11, 201), (13, 202), None]
+    assert [attempt_schedule(a, 100, 200, ladder, attempts=2) for a in (1, 2, 3)] == [
+        (11, 100), (13, 201), None]
+    # a single attempt never escalates
+    assert attempt_schedule(1, 100, 200, ladder, attempts=1) == (11, 100)
+    assert attempt_schedule(1, 5, 5) == (PRIME_LADDER[0], 5)
 
 
 @pytest.mark.parametrize("d, pick", [(14, 0), (18, 40)])
@@ -441,8 +464,10 @@ def test_replay_family_ranks_a_family_with_one_elimination(monkeypatch):
     # p = 17 leaves the smaller members short, so prefix counts below the
     # maximal rank are replayed too
     specs = _families(14)[0]
-    for prime in (P, 17):
-        certs = check_family(specs, prime=prime, seed=5)
+    for prime in (PRIME_LADDER[0], P, 17):
+        with monkeypatch.context() as patch:
+            _ladder(patch, prime)
+            certs = check_family(specs, 5)
         calls = _counting_rank(monkeypatch)
         got = replay_family(certs[::-1])
         monkeypatch.undo()
@@ -453,8 +478,10 @@ def test_replay_family_ranks_a_family_with_one_elimination(monkeypatch):
 
 def test_replay_family_replays_records_that_share_no_prefix_alone(monkeypatch):
     specs = _families(14)[0]
-    certs = check_family(specs, prime=17, seed=5)
-    retry = check_case(specs[0], prime=17, seed=40, max_attempts=3, first=certs[0])
+    with monkeypatch.context() as patch:
+        _ladder(patch, 17, 73)
+        certs = check_family(specs, 5)
+        retry = check_case(specs[0], 40, first=certs[0])
     assert retry.seed != 5
     head = SystemSpec(8, {2: 6})
     others = [check_case(spec, seed=9)

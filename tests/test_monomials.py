@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from fatpoints.model import binomial, conditions_count
-from fatpoints.monomials import (
-    derivative_coefficient,
-    derivative_orders,
-    monomial_basis,
-)
+from fatpoints.monomials import derivative_orders, monomial_basis
 
-from _oracles import derivative_coefficient_symbolic
+from _oracles import derivative_coefficient, derivative_coefficient_symbolic
 
 
 def test_basis_sizes():

@@ -6,7 +6,7 @@ import pytest
 
 import fatpoints.reduction as reduction
 from fatpoints.enumeration import algorithm_b_cases, q_values, window
-from fatpoints.interpolation import check_case, rational_oracle
+from fatpoints.interpolation import check_case
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
 from fatpoints.reduction import (
     RULE_2x5_TO_4,
@@ -18,6 +18,8 @@ from fatpoints.reduction import (
     glue,
     validate_glue_rule,
 )
+
+from _oracles import rational_oracle
 
 # 4^a,3^b -> m rules on base degrees 13, 14, 17 and 19 (2a+b = 56, 68, 114, 154)
 RULE_43_TO_14 = GlueRule(13, constraint_total=56)

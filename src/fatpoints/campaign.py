@@ -149,22 +149,39 @@ class CertRecord:
         return cls(case, int(data.get("index", -1)), Certificate.from_dict(data))
 
 
-def _scan_lines(path) -> Iterator[tuple[int, Optional[dict], str]]:
-    """Yield (lineno, parsed record or header or None, error message) per log line."""
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+# the error _read_log gives the bytes after a log's last newline
+_UNTERMINATED = "unterminated last line"
+
+
+def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[dict], str]]:
+    """Yield (lineno, record, config of the nearest header above, error) per log line.
+
+    A line counts once it ends in a newline.  Header and blank lines yield
+    nothing; a line that is no UTF-8, no JSON object, or no record
+    CertRecord.from_dict accepts yields (lineno, None, config, the
+    exception's type and message).  Bytes after the last newline yield one
+    _UNTERMINATED error.
+    """
+    config = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.endswith(b"\n"):
+                yield lineno, None, config, _UNTERMINATED
+                return
+            if not raw.strip():
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield lineno, None, f"unparseable JSON: {exc}"
+                data = json.loads(raw.decode("utf-8"))
+                if isinstance(data, dict) and data.get("header"):
+                    config = data.get("config")
+                    continue
+                if not isinstance(data, dict) or "case" not in data:
+                    raise ValueError("no JSON object with a 'case'")
+                record = CertRecord.from_dict(data)
+            except Exception as exc:
+                yield lineno, None, config, f"{type(exc).__name__}: {exc}"
                 continue
-            if "case" not in data and not data.get("header"):
-                yield lineno, None, "record missing 'case'"
-                continue
-            yield lineno, data, ""
+            yield lineno, record, config, ""
 
 
 class ResultStore:
@@ -175,9 +192,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._records
 
     def add(self, record: CertRecord):
         """Index record; it replaces an earlier record of its case only if that is an error."""
@@ -205,22 +219,29 @@ class ResultStore:
 
     @classmethod
     def load(cls, path) -> "ResultStore":
-        """Strict load: raises on corrupt interior lines or duplicates.
+        """Strict load: raises ValueError("path:line: ...") on a bad line or a duplicate.
 
-        A truncated final line (crash artifact) is tolerated and ignored.  A
-        later record of a case is no duplicate while every earlier one is an
-        error record; the latest then wins.
+        An unterminated last line (a killed writer's) is ignored.  A later
+        record of a case is no duplicate while every earlier one is an error
+        record; the latest then wins.
         """
         store = cls()
-        entries = list(_scan_lines(path))
-        for pos, (lineno, data, err) in enumerate(entries):
-            if err:
-                if pos == len(entries) - 1:
-                    continue  # partial trailing write from a killed run
-                raise ValueError(f"{path}:{lineno}: {err}")
-            if not data.get("header"):
-                store.add(CertRecord.from_dict(data))
+        for lineno, record, _, err in _read_log(path):
+            try:
+                if not err:
+                    store.add(record)
+                elif err != _UNTERMINATED:
+                    raise ValueError(err)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return store
+
+    def tally(self, d: int) -> dict[str, int]:
+        """The number of records of degree d per verdict, errors included."""
+        counts = dict.fromkeys((VERDICT_NON_SPECIAL, VERDICT_INCONCLUSIVE, VERDICT_ERROR), 0)
+        for _, _, verdict in self.cases(d):
+            counts[verdict] = counts.get(verdict, 0) + 1
+        return counts
 
 
 def _check_header(path: Path, config: CampaignConfig):
@@ -297,26 +318,21 @@ def _start_store(config: CampaignConfig) -> ResultStore:
     return ResultStore()
 
 
-def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict, list]:
-    """Per-degree counts of what done holds, and the families left to compute.
+def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict[int, int], list]:
+    """The shard's case count per degree, and the families done leaves to compute.
 
     The families come as (degree, first, family) in run order: degree by
     degree, largest head first (_families).  A case whose only records are
-    errors is left to compute, and its errors are not counted.
+    errors is left to compute.
     """
-    degrees, plan = {}, []
+    expected, plan = {}, []
     for d in range(config.degrees[0], config.degrees[1] + 1):
         cases = algorithm_b_cases(d)
         mine = _shard_indices(len(cases), config.shard)
         todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
-        stats = {"expected": len(mine), "done": len(mine) - len(todo),
-                 VERDICT_NON_SPECIAL: 0, VERDICT_INCONCLUSIVE: 0, VERDICT_ERROR: 0}
-        for case, _, verdict in done.cases(d):
-            if verdict != VERDICT_ERROR:
-                stats[verdict] = stats.get(verdict, 0) + 1
-        degrees[d] = stats
+        expected[d] = len(mine)
         plan += [(d, first, family) for first, family in _families(cases, todo)]
-    return degrees, plan
+    return expected, plan
 
 
 # BLAS libraries read these when they load.  A spawned worker loads numpy
@@ -498,8 +514,9 @@ def run_campaign(config: CampaignConfig) -> dict:
     order as its results arrive, so a log's records are in family order
     whatever the worker count.  A family whose worker died gets error
     records.  A case whose only records are errors is computed again.
-    Returns a summary with per-degree counts; any inconclusive or failed
-    case is surfaced there and must be treated as a red flag.
+    Returns a summary with the log's per-degree counts after the run; any
+    inconclusive or failed case is surfaced there and must be treated as a
+    red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -507,9 +524,10 @@ def run_campaign(config: CampaignConfig) -> dict:
         if not config.resume:
             raise FileExistsError(f"{out} exists; pass resume to continue into it")
         _check_header(out, config)
+    done = _start_store(config)  # raises on a bad line before the log is touched
+    if out.exists():
         _trim_partial_line(out)
-    done = _start_store(config)
-    degrees, plan = _plan(config, done)
+    expected, plan = _plan(config, done)
     workers = config.effective_threads(plan)
     if not (out.exists() and out.stat().st_size > 0):
         with open(out, "a") as fh:
@@ -529,34 +547,28 @@ def run_campaign(config: CampaignConfig) -> dict:
             }
             fh.write(json.dumps(header) + "\n")
 
-    summary = {
-        "degrees": degrees,
-        "computed": 0,
-        "inconclusive": 0,
-        "errors": 0,
-        "shard": list(config.shard),
-    }
+    computed = 0
     tasks = [(config, first, family) for _, first, family in plan]
     with open(out, "a") as fh:
         # _run_units first, so that zip runs it to its end, which shuts its pool down
-        for result, (d, _, family) in zip(_run_units(_family_unit, tasks, workers), plan):
+        for result, (_, _, family) in zip(_run_units(_family_unit, tasks, workers), plan):
             try:
                 records = result()
             except Exception as exc:  # the pool broke, e.g. a worker was killed
                 records = _error_records(family, f"{type(exc).__name__}: {exc}")
-            stats = summary["degrees"][d]
             for record in records:
                 fh.write(record.to_line() + "\n")
                 done.add(record)
-                stats[record.verdict] = stats.get(record.verdict, 0) + 1
-                summary["computed"] += 1
+            computed += len(records)
             fh.flush()
-    for stats in summary["degrees"].values():
-        stats["done"] = stats[VERDICT_NON_SPECIAL] + stats[VERDICT_INCONCLUSIVE] + stats[VERDICT_ERROR]
-        summary["inconclusive"] += stats[VERDICT_INCONCLUSIVE]
-        summary["errors"] += stats[VERDICT_ERROR]
-    summary["ok"] = summary["inconclusive"] == 0 and summary["errors"] == 0
-    return summary
+    degrees = {}
+    for d, n in expected.items():
+        tally = done.tally(d)
+        degrees[d] = {"expected": n, "done": sum(tally.values()), **tally}
+    inconclusive = sum(stats[VERDICT_INCONCLUSIVE] for stats in degrees.values())
+    errors = sum(stats[VERDICT_ERROR] for stats in degrees.values())
+    return {"degrees": degrees, "computed": computed, "inconclusive": inconclusive,
+            "errors": errors, "shard": list(config.shard), "ok": not (inconclusive or errors)}
 
 
 @dataclass
@@ -682,18 +694,9 @@ def verify_log(path, full: bool = False) -> VerifyReport:
     """
     report = VerifyReport()
     latest: dict[tuple, tuple[int, CertRecord, Optional[dict]]] = {}
-    config = None
-    for lineno, data, err in _scan_lines(path):
+    for lineno, record, config, err in _read_log(path):
         if err:
             report.corrupt.append({"line": lineno, "error": err})
-            continue
-        if data.get("header"):
-            config = data.get("config")
-            continue
-        try:
-            record = CertRecord.from_dict(data)
-        except Exception as exc:
-            report.corrupt.append({"line": lineno, "error": f"bad record: {exc}"})
             continue
         key = record.case.key()
         if key in latest and latest[key][1].cert is not None:
@@ -779,19 +782,10 @@ def status(path, degrees: tuple[int, int]) -> list[dict]:
     rows = []
     for d in range(degrees[0], degrees[1] + 1):
         expected = len(algorithm_b_cases(d))
-        recs = store.cases(d)
-        non_special = sum(1 for _, _, v in recs if v == VERDICT_NON_SPECIAL)
-        inconclusive = sum(1 for _, _, v in recs if v == VERDICT_INCONCLUSIVE)
-        errors = sum(1 for _, _, v in recs if v == VERDICT_ERROR)
-        rows.append(
-            {
-                "degree": d,
-                "expected": expected,
-                "done": len(recs),
-                "non_special": non_special,
-                "inconclusive": inconclusive,
-                "errors": errors,
-                "pending": expected - len(recs),
-            }
-        )
+        tally = store.tally(d)
+        done = sum(tally.values())
+        rows.append({"degree": d, "expected": expected, "done": done,
+                     "non_special": tally[VERDICT_NON_SPECIAL],
+                     "inconclusive": tally[VERDICT_INCONCLUSIVE],
+                     "errors": tally[VERDICT_ERROR], "pending": expected - done})
     return rows

@@ -150,7 +150,7 @@ def _cmd_status(args) -> int:
 
 def _cmd_audit_closure(args) -> int:
     store = ResultStore.load(args.results)
-    if not any(v == VERDICT_NON_SPECIAL for _, _, v in store.cases(args.degree)):
+    if not store.tally(args.degree)[VERDICT_NON_SPECIAL]:
         # nothing is proven, so every target would be a gap: 397 M at d = 40
         raise ValueError(f"{args.results} holds no non_special record of degree {args.degree}")
     report = closure_audit(args.degree, store)

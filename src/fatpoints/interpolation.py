@@ -77,7 +77,7 @@ MAX_ATTEMPTS = 3
 _MAX_RESAMPLE = 1000
 
 
-class MatrixTooLargeError(Exception):
+class MatrixTooLargeError(ValueError):
     """Raised when a matrix would exceed the configured memory budget."""
 
 

@@ -73,12 +73,6 @@ class SystemSpec:
         """Total number of imposed linear conditions."""
         return sum(c * conditions_count(m) for m, c in self.mults)
 
-    def count(self, m: int) -> int:
-        for mm, c in self.mults:
-            if mm == m:
-                return c
-        return 0
-
     def points(self) -> list[int]:
         """Expanded point list (one multiplicity per point), descending."""
         out: list[int] = []

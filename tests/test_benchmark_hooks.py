@@ -24,12 +24,22 @@ def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 def test_traced_cli_and_setup_probe_run(tmp_path):
     spans = tmp_path / "spans.json"
+    log = str(tmp_path / "log.jsonl")
     proc = _run([str(BENCH / "traced_cli.py"), str(spans), "campaign", "--degrees", "14",
-                 "--shard", "5/87", "--out", str(tmp_path / "log.jsonl")], tmp_path)
+                 "--shard", "5/87", "--out", log], tmp_path)
     assert proc.returncode == 0, proc.stderr
     # rank spans are recorded only where the units ran in the traced process
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"gfp.rank", "campaign.run_campaign"} <= names, sorted(names)
+
+    # 3 records verify; they cannot close the degree, so the audit may exit 1
+    for args, wanted in ((["verify", "--full", log], {"campaign.verify_log"}),
+                         (["audit-closure", "-d", "14", "--results", log],
+                          {"campaign.ResultStore.load", "reduction.closure_audit"})):
+        proc = _run([str(BENCH / "traced_cli.py"), str(spans), "--json", *args], tmp_path)
+        assert proc.returncode in (0, 1), proc.stderr
+        names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+        assert wanted <= names, sorted(names)
 
     proc = _run([str(BENCH / "setup_probe.py"), "14"], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -173,6 +173,61 @@ def test_resume_after_truncated_line(tmp_path):
     assert run_campaign(_tiny_config(out, resume=True))["computed"] == 0
 
 
+def test_a_complete_bad_last_line_stops_load_and_resume(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_bytes().splitlines(keepends=True)
+    # the last family is left to compute, after a complete line that is no record
+    out.write_bytes(b"".join(lines[:-1]) + b"garbage\n")
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=f"{out}:4: JSONDecodeError"):
+        ResultStore.load(out)
+    args = ["campaign", "--degrees", "14", "--shard", "5/87", "--seed", "7", "--out", str(out)]
+    assert main([*args, "--resume"]) == 2
+    assert f"{out}:4: " in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_a_record_without_spec_stops_status_and_the_audit_at_its_line(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    lines[1] = json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "spec"})
+    out.write_text("\n".join(lines) + "\n")
+    for args in (["status", str(out), "--degrees", "14"],
+                 ["audit-closure", "-d", "14", "--results", str(out)]):
+        assert main(args) == 2
+        assert f"{out}:2: KeyError: 'spec'" in capsys.readouterr().err
+    assert [c["line"] for c in verify_log(out).corrupt] == [2]
+
+
+def test_lines_that_hold_no_record_are_corrupt_at_their_line(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    # not an object (three kinds), not UTF-8, and an object without 'case'
+    for line in (b"5\n", b"[1, 2]\n", b'"a case"\n', b"\xff\xfe\n", b'{"index": 3}\n'):
+        bad.write_bytes(b"".join(lines[:2] + [line] + lines[2:]))
+        report = verify_log(bad, full=True)
+        assert [c["line"] for c in report.corrupt] == [3], line
+        assert report.total == report.replayed == 3 and not report.ok
+        with pytest.raises(ValueError, match=f"{bad}:3: "):
+            ResultStore.load(bad)
+
+
+def test_an_unterminated_last_line_counts_only_in_verify(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(out.read_bytes()[:-1])  # the last record whole but for its newline
+    assert len(ResultStore.load(cut)) == 2
+    assert status(cut, (14, 14))[0]["done"] == 2
+    report = verify_log(cut, full=True)
+    assert report.corrupt == [{"line": 4, "error": "unterminated last line"}]
+    assert report.total == report.replayed == 2 and not report.ok
+
+
 def test_resume_refuses_a_log_of_another_config(tmp_path):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))

@@ -63,6 +63,14 @@ def test_check_json_certificate(capsys):
     assert cert["fundamental_assignment"] == [[0, 2]]
 
 
+def test_check_refuses_a_matrix_over_the_memory_budget(capsys):
+    # a refusal, exit 2, not the exit 1 of an inconclusive verdict
+    assert main(["check", "-d", "40", "--mults", "2^200000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: 800000 x 12341 matrix needs about 55.2 GiB" in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

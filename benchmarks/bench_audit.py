@@ -46,9 +46,13 @@ class Table:
 
 
 def per_degree(repeats: int) -> list[dict]:
-    from fatpoints.reduction import KnownResults, closure_audit
+    from fatpoints.reduction import (RULE_2x5_TO_4, RULE_43_TO_10, KnownResults,
+                                     closure_audit, validate_glue_rule)
 
     known = KnownResults.bootstrap()
+    # certify the glue rules' base systems before the clock, which times the audit alone
+    if not all(validate_glue_rule(rule, known) for rule in (RULE_2x5_TO_4, RULE_43_TO_10)):
+        raise RuntimeError("a glue rule's base system did not certify")
     rows = []
     for d in DEGREES:
         table = Table(d)

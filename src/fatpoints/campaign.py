@@ -205,9 +205,6 @@ class ResultStore:
         rec = self._records.get(tuple(key))
         return rec is not None and rec.cert is not None
 
-    def records(self) -> list[CertRecord]:
-        return list(self._records.values())
-
     def cases(self, d: int) -> list[tuple[CaseSignature, int, str]]:
         """Reduction-facing view: (signature, condition total, verdict)."""
         out = []
@@ -775,10 +772,8 @@ def verify_log(path, full: bool = False) -> VerifyReport:
 
 
 def status(path, degrees: tuple[int, int]) -> list[dict]:
-    """Per-degree progress against the enumerator's expected totals."""
-    store = ResultStore()
-    if path and Path(path).exists():
-        store = ResultStore.load(path)
+    """Per-degree progress of the log at path against the enumerator's expected totals."""
+    store = ResultStore.load(path)
     rows = []
     for d in range(degrees[0], degrees[1] + 1):
         expected = len(algorithm_b_cases(d))

@@ -2,28 +2,30 @@
 
 A glue rule replaces a collection of small points by one higher-multiplicity
 point without changing the virtual dimension; non-specialty of the glued
-system implies non-specialty of the original.  Combined with two monotone
-facts (an empty system stays empty when points are added; independent
-conditions stay independent when points are removed), the window certificates
-of one degree decide every (x, y, z) signature of that degree.
+system implies non-specialty of the original.  A rule is used only once a
+rank check in this process has certified each of its base systems.  Combined
+with two monotone facts (an empty system stays empty when points are added;
+independent conditions stay independent when points are removed), the window
+certificates of one degree decide every (x, y, z) signature of that degree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .enumeration import q_values, window
+from .interpolation import Certificate, check_case
 from .model import (
     CaseSignature,
     SystemSpec,
     VERDICT_NON_SPECIAL,
     binomial,
     conditions_count,
-    vdim,
 )
 
 
@@ -33,10 +35,10 @@ class GlueRule:
 
     Exactly one of pattern / constraint_total is set: pattern is a fixed
     multiset like 2^5; constraint_total T describes the family 4^a,3^b with
-    2a+b = T.  Validity rests on the base system L(base_degree; pattern)
-    being non-special of virtual dimension -1, which forces the consumed
-    conditions to equal the conditions of the new point; that identity is
-    asserted at construction.
+    2a+b = T.  Validity rests on each of base_systems being non-special
+    of virtual dimension -1, which forces the consumed conditions to equal
+    the conditions of the new point; that identity is asserted at
+    construction.
     """
 
     base_degree: int
@@ -69,54 +71,51 @@ class GlueRule:
             return f"{body}->{self.target}"
         return f"4^a,3^b->{self.target} (2a+b={self.constraint_total})"
 
+    @cached_property
+    def base_systems(self) -> tuple[SystemSpec, ...]:
+        """L(base_degree; pattern), or L(base_degree; 4^a, 3^(T-2a)) for a = 0..T//2."""
+        if self.pattern is not None:
+            return (SystemSpec(self.base_degree, self.pattern),)
+        total = self.constraint_total
+        return tuple(SystemSpec(self.base_degree, {4: a, 3: total - 2 * a})
+                     for a in range(total // 2 + 1))
+
 
 RULE_2x5_TO_4 = GlueRule(3, pattern=((2, 5),))
 RULE_43_TO_10 = GlueRule(9, constraint_total=22)
 
 
 class KnownResults:
-    """Registry of systems already proven non-special (by citation or campaign).
+    """Rank certificates, made in this process, of the glue rules' base systems.
 
-    Degree ranges assert that every system of that degree with multiplicities
-    in {2, 3, 4} is non-special; explicit systems record individual facts.
+    A system counts as known only if its certificate is non_special with
+    N = S.  A failed certificate is kept too, so no system is checked twice.
     """
 
     def __init__(self):
-        self._ranges: list[tuple[int, Optional[int]]] = []
-        self._systems: set[SystemSpec] = set()
+        self.certificates: dict[SystemSpec, Certificate] = {}
 
-    def add_range(self, lo: int, hi: Optional[int] = None):
-        self._ranges.append((lo, hi))
+    def certify(self, spec: SystemSpec) -> bool:
+        """Whether spec was certified non-special with N = S, that is of vdim -1.
 
-    def add_system(self, spec: SystemSpec):
-        self._systems.add(spec)
-
-    def covers_degree(self, d: int) -> bool:
-        return any(lo <= d and (hi is None or d <= hi) for lo, hi in self._ranges)
-
-    def knows(self, spec: SystemSpec) -> bool:
-        if spec in self._systems:
-            return True
-        return set(spec.as_dict()) <= {2, 3, 4} and self.covers_degree(spec.degree)
+        The first call for spec runs check_case(spec, 0), on the attempt
+        schedule of a campaign, and keeps its certificate; later calls read it.
+        """
+        cert = self.certificates.get(spec)
+        if cert is None:
+            cert = self.certificates[spec] = check_case(spec, 0)
+        return cert.verdict == VERDICT_NON_SPECIAL and cert.N == cert.S
 
     @classmethod
     def bootstrap(cls) -> "KnownResults":
-        """Seed with the cited theorems (9 <= d <= 13 and d >= 41).
+        """Certify L(3; 2^5), the base system of 2^5->4.
 
-        The 2^5 -> 4 base system L(3; 2^5) predates those ranges; its
-        non-specialty is established here by a direct rank check, on the
-        attempt schedule of a campaign, before being admitted.
+        The twelve base systems of 4^a,3^b->10 are certified when that rule
+        is first validated, which only deduce and closure_audit do.
         """
-        from .interpolation import check_case
-
         known = cls()
-        known.add_range(9, 13)
-        known.add_range(41, None)
-        base = SystemSpec(3, {2: 5})
-        cert = check_case(base, 0)
-        if cert.verdict != VERDICT_NON_SPECIAL or vdim(base) != -1:
+        if not validate_glue_rule(RULE_2x5_TO_4, known):
             raise RuntimeError("bootstrap rank check of L(3; 2^5) failed")
-        known.add_system(base)
         return known
 
 
@@ -131,21 +130,13 @@ def default_known() -> KnownResults:
 
 
 def validate_glue_rule(rule: GlueRule, known: KnownResults) -> bool:
-    """True iff every base system the rule relies on is known non-special.
+    """True iff known certifies every base system of the rule.
 
     The glueing theorem's ordering condition is automatic for these rules:
     they preserve vdim, so vdim L1 = vdim L2 and one of the two orderings
-    always holds.  What remains is knowledge of the base system(s).
+    always holds.  What remains is the non-specialty of the base systems.
     """
-    if rule.pattern is not None:
-        return known.knows(SystemSpec(rule.base_degree, rule.pattern))
-    if known.covers_degree(rule.base_degree):
-        return True
-    total = rule.constraint_total
-    return all(
-        known.knows(SystemSpec(rule.base_degree, {4: a, 3: total - 2 * a}))
-        for a in range(total // 2 + 1)
-    )
+    return all(known.certify(spec) for spec in rule.base_systems)
 
 
 @dataclass

@@ -2,7 +2,10 @@ import time
 
 import pytest
 
+import fatpoints.interpolation as interpolation
+import fatpoints.reduction as reduction
 from fatpoints.campaign import CampaignConfig, run_campaign
+from fatpoints.model import SystemSpec
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +20,23 @@ def d14_run(tmp_path_factory):
     elapsed = time.perf_counter() - t0
     assert summary["ok"], f"d=14 campaign did not come back clean: {summary}"
     return {"path": out, "summary": summary, "elapsed": elapsed}
+
+
+@pytest.fixture
+def short_base_system(monkeypatch):
+    """Every rank check of L(9; 4^11), a base system of 4^a,3^b->10, comes back one short.
+
+    Its certificate is then inconclusive, so that rule is not valid.  The
+    default registry starts afresh, so a command certifies under the plant.
+    Returns the planted system.
+    """
+    run = interpolation._run_family
+    base = SystemSpec(9, {4: 11})
+
+    def short(head, members, *args):
+        ranks = run(head, members, *args)
+        return [r - 1 for r in ranks] if head == base else ranks
+
+    monkeypatch.setattr(interpolation, "_run_family", short)
+    monkeypatch.setattr(reduction, "_default_known", None)
+    return base

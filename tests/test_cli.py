@@ -104,6 +104,25 @@ def test_campaign_verify_status_audit_cycle(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "gaps"
 
 
+def test_status_of_a_missing_log_exits_two(capsys, tmp_path):
+    # as verify and audit-closure do, rather than report every case pending
+    assert main(["status", str(tmp_path / "no-such.jsonl"), "--degrees", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no-such.jsonl" in captured.err
+
+
+def test_audit_closure_without_a_certified_base_system_lists_every_target(
+        capsys, tmp_path, short_base_system):
+    out = tmp_path / "log.jsonl"
+    assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # L(9; 4^11) is inconclusive, so 4^a,3^b->10 is not valid and nothing deduces
+    assert main(["--json", "audit-closure", "-d", "14", "--results", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["targets"] == len(report["gaps"]) == 85100
+
+
 def test_audit_closure_refuses_a_degree_the_log_lacks(capsys, tmp_path):
     out = tmp_path / "log.jsonl"
     assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 import fatpoints.reduction as reduction
 from fatpoints.enumeration import algorithm_b_cases, q_values, window
-from fatpoints.interpolation import check_case
+from fatpoints.interpolation import MAX_ATTEMPTS, check_case
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
 from fatpoints.reduction import (
     RULE_2x5_TO_4,
@@ -21,7 +21,8 @@ from fatpoints.reduction import (
 
 from _oracles import rational_oracle
 
-# 4^a,3^b -> m rules on base degrees 13, 14, 17 and 19 (2a+b = 56, 68, 114, 154)
+# 4^a,3^b -> m rules on base degrees 13, 14, 17 and 19 (2a+b = 56, 68, 114, 154),
+# for the catalogue identities only
 RULE_43_TO_14 = GlueRule(13, constraint_total=56)
 RULE_43_TO_15 = GlueRule(14, constraint_total=68)
 RULE_43_TO_18 = GlueRule(17, constraint_total=114)
@@ -68,44 +69,31 @@ def test_bad_rules_rejected():
         GlueRule(9, pattern=((2, 5),), constraint_total=22)
 
 
-def test_known_results_registry():
-    known = _known()
-    assert known.covers_degree(9) and known.covers_degree(13)
-    assert not known.covers_degree(14)
-    assert known.covers_degree(41) and known.covers_degree(4000)
-    assert known.knows(SystemSpec(3, {2: 5}))
-    assert not known.knows(SystemSpec(3, {2: 4}))
-    assert known.knows(SystemSpec(11, {4: 3, 2: 7}))
-    assert not known.knows(SystemSpec(11, {5: 1}))
-    known.add_range(14, 14)
-    assert known.covers_degree(14)
-
-
 def test_bootstrap_verifies_base_system():
     known = KnownResults.bootstrap()
-    assert known.knows(SystemSpec(3, {2: 5}))
+    assert list(known.certificates) == [SystemSpec(3, {2: 5})]
+    assert known.certify(SystemSpec(3, {2: 5}))
 
 
-def test_validate_glue_rules():
+def test_validate_glue_rules(monkeypatch):
+    assert RULE_2x5_TO_4.base_systems == (SystemSpec(3, {2: 5}),)
+    assert RULE_43_TO_10.base_systems == tuple(
+        SystemSpec(9, {4: a, 3: 22 - 2 * a}) for a in range(12))
     known = _known()
-    assert validate_glue_rule(RULE_2x5_TO_4, known)
-    assert validate_glue_rule(RULE_43_TO_10, known)
-    assert validate_glue_rule(RULE_43_TO_14, known)  # base degree 13 is cited
-    assert not validate_glue_rule(RULE_43_TO_15, known)  # needs d=14 campaign
-    assert not validate_glue_rule(RULE_43_TO_18, known)
-    assert not validate_glue_rule(RULE_43_TO_20, known)
-    known.add_range(14, 14)
-    assert validate_glue_rule(RULE_43_TO_15, known)
-    known.add_range(17, 17)
-    known.add_range(19, 19)
-    assert validate_glue_rule(RULE_43_TO_18, known)
-    assert validate_glue_rule(RULE_43_TO_20, known)
-    empty = KnownResults()
-    assert not validate_glue_rule(RULE_2x5_TO_4, empty)
-    explicit = KnownResults()
-    for a in range(12):
-        explicit.add_system(SystemSpec(9, {4: a, 3: 22 - 2 * a}))
-    assert validate_glue_rule(RULE_43_TO_10, explicit)
+    checked = []
+    check = reduction.check_case
+    monkeypatch.setattr(reduction, "check_case",
+                        lambda spec, seed: checked.append(spec) or check(spec, seed))
+    for _ in range(2):
+        assert validate_glue_rule(RULE_2x5_TO_4, known)
+        assert validate_glue_rule(RULE_43_TO_10, known)
+    # each base system is checked once, and only when its rule is validated
+    assert checked == list(RULE_43_TO_10.base_systems)
+    certs = [known.certificates[spec] for spec in RULE_43_TO_10.base_systems]
+    assert [(c.verdict, c.N, c.S, c.rank) for c in certs] == [("non_special", 220, 220, 220)] * 12
+    # a non_special system of vdim 3 is no base system of a rule
+    assert not known.certify(SystemSpec(3, {2: 4}))
+    assert known.certificates[SystemSpec(3, {2: 4})].verdict == "non_special"
 
 
 def test_glue_reduce_examples():
@@ -173,10 +161,15 @@ def test_deduce_failure_is_a_value():
         deduce(SystemSpec(14, {5: 2}), store, known=_known())
 
 
-def test_deduce_requires_validated_rules():
+def test_deduce_requires_validated_rules(short_base_system):
+    known = _known()
+    assert validate_glue_rule(RULE_2x5_TO_4, known)
+    assert not validate_glue_rule(RULE_43_TO_10, known)
+    cert = known.certificates[short_base_system]
+    assert cert.verdict == "inconclusive" and cert.attempts == MAX_ATTEMPTS
     sig = CaseSignature(14, 1, 23, 0, 0)
     store = FakeStore([(sig, 680, "non_special")])
-    result = deduce(SystemSpec(14, {4: 34}), store, known=KnownResults())
+    result = deduce(SystemSpec(14, {4: 34}), store, known=known)
     assert not result.ok
     assert "not validated" in result.reason
 
@@ -373,12 +366,13 @@ def test_closure_audit_equals_deduce_on_thinned_tables(oracle, d, keep, seed, s_
     assert gaps == oracle(d, store, known, s_limit)[1]
 
 
-def test_closure_audit_without_validated_rules_lists_every_target(oracle):
+def test_closure_audit_without_validated_rules_lists_every_target(oracle, short_base_system):
+    known = _known()
     store = _store(14)
-    report = closure_audit(14, store, known=KnownResults())
+    report = closure_audit(14, store, known=known)
     assert report.targets_checked == 85100
     assert report.gaps == list(_targets(14))
-    assert _up_to(report.gaps, 300) == oracle(14, store, KnownResults(), 300)[1]
+    assert _up_to(report.gaps, 300) == oracle(14, store, known, 300)[1]
 
 
 def _boundary_targets(d, store, rng, pairs=40, rows=6):

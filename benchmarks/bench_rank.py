@@ -14,15 +14,25 @@ leading block (rank's leading), against ranking each member's block on its
 own, which is what a case-by-case run costs in the kernel.  A source tree
 whose rank has no leading reports only the second.
 
-Two rows time a real d = 30 check, D30_CASE, the first case of
-`campaign --degrees 30 --shard 1/35` (4576 x 4576 after the fundamental
-reduction), as a campaign runs it: _transposed_matrix (point sampling and
-matrix assembly), then rank, once at each of D30_PRIMES: 32003, ranked in
-float64, and 73, the campaign's first prime, ranked in float32 by a tree
-that picks the dtype from the shape.  The rank time is split into the
-column panels (_Elimination._panel), the triangular solves (the outermost
-_Elimination._trsm calls) and the rest, which is the trailing GEMMs and the
-entry reduction; the split is timed by wrappers this script installs.
+The CASES rows time one real check each, as a campaign runs it:
+_transposed_matrix (point sampling and matrix assembly), then rank.  "d30"
+and "d30_p73" are D30_CASE, the first case of `campaign --degrees 30
+--shard 1/35` (4576 x 4576 after the fundamental reduction), at 32003,
+ranked in float64, and at 73, the campaign's first prime, ranked in float32
+by a tree that picks the dtype from the shape.  "d37_p73" is D37_CASE, the
+head of a d = 37 family (9000 x 9018), at 73.
+
+The "d14.heads" row times the kernel on many small matrices: the rank of
+all 71 d = 14 family heads, each built as the campaign's attempt 1 builds
+it (base seed 0, the family's seed and prime) and ranked in place with the
+leading row counts of its members.  The matrices are built before the
+timing, which covers only the rank calls.
+
+The rank time of these rows is split into the column panels
+(_Elimination._panel, which also inverts each panel's pivot block), the
+triangular solves (the outermost _Elimination._trsm calls) and the rest,
+which is the trailing GEMMs and the entry reduction; the split is timed by
+wrappers this script installs (phase_split).
 
 Every measurement runs in a fresh process whose BLAS is pinned to one
 thread, as in a campaign's worker processes.  Every timing is repeated;
@@ -56,6 +66,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -63,6 +74,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -73,7 +85,10 @@ PRIME = 32003
 FAMILY_DEGREE = 14
 FAMILY_SEED = 20261018
 D30_CASE = "30; 10^24,3^16,2^4"
-D30_PRIMES = (32003, 73)
+D37_CASE = "37; 10^44,3^21,2^2"
+# Row key, case and prime of each single-check row.
+CASES = (("d30", D30_CASE, 32003), ("d30_p73", D30_CASE, 73), ("d37_p73", D37_CASE, 73))
+PHASES = ("rank_s", "panel_s", "trsm_s", "rest_s")
 REDUCE_SIZES = (16, 32, 48, 64, 80, 96, 128, 192, 256, 512)
 REDUCE_PRIME = 73
 # Set to one in every measuring process, as campaign and verify workers run.
@@ -167,14 +182,15 @@ def family_row(gfp, repeats: int) -> dict:
     return family
 
 
-def d30_row(gfp, repeats: int, prime: int) -> dict:
-    """Assembly and rank of D30_CASE's transposed matrix at prime, the rank split by phase."""
-    from fatpoints import interpolation
-    from fatpoints.model import parse_system
+@contextlib.contextmanager
+def phase_split(gfp):
+    """Wrap _Elimination._panel and _trsm; yields their busy seconds, reset by the caller.
 
-    spec = parse_system(D30_CASE)
-    assignment = interpolation._greedy_assignment(spec)
+    Only the outermost _trsm call of a nest is timed.  The methods are
+    restored on exit.
+    """
     elim = gfp._Elimination
+    panel_fn, trsm_fn = elim._panel, elim._trsm
     busy = {"panel": 0.0, "trsm": 0.0}
     depth = [0]
 
@@ -195,27 +211,84 @@ def d30_row(gfp, repeats: int, prime: int) -> dict:
             if not depth[0]:
                 busy["trsm"] += time.perf_counter() - t0
 
-    panel_fn, trsm_fn = elim._panel, elim._trsm
-    times = {key: [] for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s")}
     elim._panel, elim._trsm = panel, trsm
     try:
+        yield busy
+    finally:
+        elim._panel, elim._trsm = panel_fn, trsm_fn
+
+
+def _split(times: dict, busy: dict, rank_s: float):
+    """Append one run's rank time and its phase split to times."""
+    times["rank_s"].append(rank_s)
+    times["panel_s"].append(busy["panel"])
+    times["trsm_s"].append(busy["trsm"])
+    times["rest_s"].append(rank_s - busy["panel"] - busy["trsm"])
+
+
+def case_row(gfp, repeats: int, case: str, prime: int) -> dict:
+    """Assembly and rank of case's transposed matrix at prime, the rank split by phase."""
+    from fatpoints import interpolation
+    from fatpoints.model import parse_system
+
+    spec = parse_system(case)
+    assignment = interpolation._greedy_assignment(spec)
+    times = {key: [] for key in ("assembly_s", *PHASES)}
+    with phase_split(gfp) as busy:
         for _ in range(repeats):
             t0 = time.perf_counter()
             mat, n_deleted = interpolation._transposed_matrix(spec, prime, FAMILY_SEED, assignment)
             t1 = time.perf_counter()
             busy.update(panel=0.0, trsm=0.0)
             got = gfp.rank(mat, prime, overwrite=True) + n_deleted
-            t2 = time.perf_counter()
             times["assembly_s"].append(t1 - t0)
-            times["rank_s"].append(t2 - t1)
-            times["panel_s"].append(busy["panel"])
-            times["trsm_s"].append(busy["trsm"])
-            times["rest_s"].append(t2 - t1 - busy["panel"] - busy["trsm"])
-    finally:
-        elim._panel, elim._trsm = panel_fn, trsm_fn
-    row = {"case": D30_CASE, "prime": prime, "dtype": str(mat.dtype), "m": mat.shape[0],
+            _split(times, busy, time.perf_counter() - t1)
+    row = {"case": case, "prime": prime, "dtype": str(mat.dtype), "m": mat.shape[0],
            "n": mat.shape[1], "rank": got, **{key: quartiles(vals) for key, vals in times.items()}}
-    print(f"{D30_CASE} ({mat.shape[0]}x{mat.shape[1]}, p = {prime}, {mat.dtype}): "
+    print(f"{case} ({mat.shape[0]}x{mat.shape[1]}, p = {prime}, {mat.dtype}): "
+          + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
+          file=sys.stderr, flush=True)
+    return row
+
+
+def family_heads(limit: Optional[int] = None) -> list[tuple]:
+    """The d = 14 family heads as the campaign's attempt 1 ranks them, largest first.
+
+    One (prime, transposed matrix, member row counts) per family, at base
+    seed 0; limit keeps the first few.
+    """
+    from fatpoints import campaign, interpolation
+    from fatpoints.enumeration import algorithm_b_cases
+    from fatpoints.model import conditions_count
+
+    cases = algorithm_b_cases(FAMILY_DEGREE)
+    families = campaign._families(cases, list(enumerate(cases)))[:limit]
+    heads = []
+    for first, family in families:
+        specs = [case.to_system() for _, case in family]
+        prime, seed = interpolation.attempt_schedule(1, first * interpolation.MAX_ATTEMPTS, 0)
+        assignment = interpolation._greedy_assignment(specs[-1])
+        mat, _ = interpolation._transposed_matrix(specs[-1], prime, seed, assignment)
+        pinned = sum(conditions_count(m) for _, m in assignment)
+        heads.append((prime, mat, [spec.conditions_total - pinned for spec in specs]))
+    return heads
+
+
+def heads_row(gfp, repeats: int, limit: Optional[int] = None) -> dict:
+    """Rank of every d = 14 family head (the first limit), in place, split by phase."""
+    heads = family_heads(limit=limit)
+    times = {key: [] for key in PHASES}
+    with phase_split(gfp) as busy:
+        for _ in range(repeats):
+            mats = [mat.copy() for _, mat, _ in heads]
+            busy.update(panel=0.0, trsm=0.0)
+            t0 = time.perf_counter()
+            ranks = [gfp.rank(work, prime, overwrite=True, leading=rows)[-1]
+                     for work, (prime, _, rows) in zip(mats, heads)]
+            _split(times, busy, time.perf_counter() - t0)
+    row = {"degree": FAMILY_DEGREE, "heads": len(heads), "primes": sorted({h[0] for h in heads}),
+           "rank_sum": sum(ranks), **{key: quartiles(vals) for key, vals in times.items()}}
+    print(f"d{FAMILY_DEGREE} heads ({len(heads)}): "
           + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
           file=sys.stderr, flush=True)
     return row
@@ -230,12 +303,9 @@ def measure(src: Path, repeats: int) -> dict:
     return {
         "shapes": [shape_row(gfp, m, n, repeats, rng) for m, n in SHAPES],
         "family": family_row(gfp, repeats),
-        **{d30_key(prime): d30_row(gfp, repeats, prime) for prime in D30_PRIMES},
+        "d14.heads": heads_row(gfp, repeats),
+        **{key: case_row(gfp, repeats, case, prime) for key, case, prime in CASES},
     }
-
-
-def d30_key(prime: int) -> str:
-    return "d30" if prime == PRIME else f"d30_p{prime}"
 
 
 def medians(result: dict) -> dict[str, float]:
@@ -246,9 +316,10 @@ def medians(result: dict) -> dict[str, float]:
     for key in ("each_member_s", "leading_s"):
         if key in result["family"]:
             out[f"family.{key}"] = result["family"][key]["median"]
-    for row in map(d30_key, D30_PRIMES):
-        for key in ("assembly_s", "rank_s", "panel_s", "trsm_s", "rest_s"):
-            out[f"{row}.{key}"] = result[row][key]["median"]
+    for row in ("d14.heads", *(key for key, _, _ in CASES)):
+        for key in result[row]:
+            if key.endswith("_s"):
+                out[f"{row}.{key}"] = result[row][key]["median"]
     return out
 
 
@@ -311,10 +382,10 @@ def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
         order = ("against", "this") if i % 2 == 0 else ("this", "against")
         for side in order:
             runs[side].append(medians(measure_in_subprocess(sides[side], repeats)))
-        print(f"pair {i + 1}/{pairs} ({order[0]} first): d30 rank "
-              + ", ".join(f"p = {prime} {runs['against'][-1][f'{d30_key(prime)}.rank_s']:.3f}"
-                          f" -> {runs['this'][-1][f'{d30_key(prime)}.rank_s']:.3f} s"
-                          for prime in D30_PRIMES),
+        print(f"pair {i + 1}/{pairs} ({order[0]} first): rank "
+              + ", ".join(f"{row} {runs['against'][-1][f'{row}.rank_s']:.3f}"
+                          f" -> {runs['this'][-1][f'{row}.rank_s']:.3f} s"
+                          for row in ("d14.heads", *(key for key, _, _ in CASES))),
               file=sys.stderr, flush=True)
     rows = {}
     for key in runs["this"][0]:

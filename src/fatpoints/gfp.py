@@ -10,7 +10,9 @@ and rows r.. it
 1. eliminates the left half recursively (row swaps move whole rows, the
    multipliers are stored in the pivot columns),
 2. solves the k1 pivot rows of the right half against the unit-lower L11
-   taken from those pivot columns (a recursive TRSM),
+   taken from those pivot columns: a TRSM that splits at panel boundaries
+   and multiplies the rows of a single panel by the inverse of its pivot
+   block, computed once when the panel is eliminated,
 3. updates the rows below with one GEMM, C -= L21 @ U12, and
 4. recurses on the right half from row r + k1.
 
@@ -30,18 +32,24 @@ Entries are integer-valued floats holding centered residues, and reductions
 mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
 to x - floor((x + h) / p) * p, into [-h, p - 1 - h], which is [-h, h] for odd
 p.  An operand of a product (a pivot row, a multiplier, a solved U row, a
-column scanned for its pivot) is reduced when it is produced, and no other
-entry is ever reduced.  An entry absorbs at most one product per pivot, and
-a product of two reduced operands is at most h^2, so every entry of an
-m x n matrix with k = min(m, n) keeps
+column scanned for its pivot, a panel's inverse) is reduced when it is
+produced, and no other entry is ever reduced.  An entry absorbs at most one
+product per pivot, and a product of two reduced operands is at most h^2, so
+every entry of an m x n matrix with k = min(m, n) keeps
 
     |entry| <= k * h^2 + h.
 
 A sampled panel's multipliers are sums of w <= k such products before they
-are reduced, within the same bound.  The reduction is exact on every
-integer x with |x| + h <= L, where L = 2^24 in float32 and 2^53 in
-float64: the dtype holds every integer up to L (see _reduce).  So one
-check on the shape picks the dtype (_exact_dtype):
+are reduced, within the same bound.  So are the entries the triangular
+solves form from a panel of k_P <= k pivots: each step of its inverse
+(_unit_lower_inverse) and the product of the inverse with the rows it
+solves, which are reduced first, sum k_P products of two reduced operands,
+plus at most one reduced entry.
+
+The reduction is exact on every integer x with |x| + h <= L, where
+L = 2^24 in float32 and 2^53 in float64: the dtype holds every integer up
+to L (see _reduce).  So one check on the shape picks the dtype
+(_exact_dtype):
 
     k * h^2 + 2h <= 2^24  ->  float32,
     k * h^2 + 2h <= 2^53  ->  float64,
@@ -81,6 +89,9 @@ _EXACT_LIMIT = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 # Widest column range eliminated column by column; wider ranges recurse.
 _BASE_WIDTH = 32
+# Picks the strict lower part of a pivot block (_unit_lower_inverse); a
+# masked copy costs less than np.tril.
+_STRICT_LOWER = np.tri(_BASE_WIDTH, k=-1, dtype=bool)
 # Below this many entries (x + h) mod p - h, three in-place calls, beats the
 # five-pass floor-based reduction, whose cost on short vectors is mostly
 # per-call overhead: the crossover that benchmarks/bench_rank.py --reduce
@@ -149,6 +160,29 @@ def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
     return a[rows][:, piv]
 
 
+def _unit_lower_inverse(block: np.ndarray, p: int) -> np.ndarray:
+    """(I + M)^-1 mod p, reduced, for the strict lower part M of a k x k block of residues.
+
+    M is nilpotent, so with q = -M, (I + M)^-1 = (I + q)(I + q^2)(I + q^4)...
+    up to the power below k.  Each factor is one product: [q^n; inverse so
+    far] @ q^n is [q^2n; inverse times q^n], and the inverse so far is added
+    to its lower half.  Every operand has |entry| <= h, so an entry of the
+    sum is at most k * h^2 + h, with k <= min(rows, columns).
+    """
+    k = block.shape[0]
+    x = np.zeros((2 * k, k), dtype=block.dtype)
+    np.negative(block, out=x[:k], where=_STRICT_LOWER[:k, :k])
+    x[k:].flat[::k + 1] = 1
+    done = 1  # the inverse so far sums the powers of q below done
+    while done < k:
+        y = x @ x[:k]
+        y[k:] += x[k:]
+        _reduce(y, p)
+        x = y
+        done *= 2
+    return x[k:]
+
+
 def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Column-by-column elimination of a transposed panel t, in place.
 
@@ -206,24 +240,33 @@ class _Elimination:
     def __init__(self, a: np.ndarray, p: int):
         self.a = a
         self.p = p
+        # first pivot row of every panel with a pivot, ascending, and the
+        # inverse of its unit-lower pivot block
+        self.starts: list[int] = []
+        self.inverses: list[np.ndarray] = []
 
     def profile(self) -> list[int]:
         """The column rank profile, ascending."""
         return self._eliminate(0, 0, self.a.shape[1])
 
-    def _trsm(self, lo: np.ndarray, x: np.ndarray):
-        """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x."""
-        k = x.shape[0]
-        if k > _BASE_WIDTH:
-            t = k // 2
-            self._trsm(lo[:t, :t], x[:t])
-            x[t:] -= lo[t:, :t] @ x[:t]
-            self._trsm(lo[t:, t:], x[t:])
+    def _trsm(self, r: int, lo: np.ndarray, x: np.ndarray):
+        """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x.
+
+        Row 0 of lo and x is pivot row r, and their rows are the pivot rows
+        of whole panels.  The recursion splits at the middle one of those
+        panels' starts, and the rows of a single panel are one product with
+        its cached inverse.
+        """
+        starts = self.starts
+        i, j = bisect_left(starts, r), bisect_left(starts, r + x.shape[0])
+        if j - i == 1:
+            _reduce(x, self.p)
+            _reduce(self.inverses[i] @ x, self.p, out=x)
             return
-        _reduce(x[0], self.p)
-        for i in range(1, k):
-            x[i] -= lo[i, :i] @ x[:i]
-            _reduce(x[i], self.p)
+        t = starts[(i + j) // 2] - r
+        self._trsm(r, lo[:t, :t], x[:t])
+        x[t:] -= lo[t:, :t] @ x[:t]
+        self._trsm(r + t, lo[t:, t:], x[t:])
 
     def _swap_rows(self, r: int, swaps: list[tuple[int, int]]):
         a = self.a
@@ -231,15 +274,24 @@ class _Elimination:
             a[[r + k, r + i]] = a[[r + i, r + k]]
 
     def _panel(self, r: int, c0: int, c1: int) -> list[int]:
-        """Eliminate a[r:, c0:c1], at most _BASE_WIDTH columns; returns the pivot columns."""
+        """Eliminate a[r:, c0:c1], at most _BASE_WIDTH columns; returns the pivot columns.
+
+        Caches the inverse of the panel's unit-lower pivot block under r.
+        """
         a = self.a
         if self._sampled_block(r, c0, c1):
-            return list(range(c0, c1))
-        t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
-        piv, swaps = _columns(t, self.p)
-        self._swap_rows(r, swaps)
-        a[r:, c0:c1] = t.T
-        return [c0 + jj for jj in piv]
+            piv = list(range(c0, c1))
+        else:
+            t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
+            local, swaps = _columns(t, self.p)
+            self._swap_rows(r, swaps)
+            a[r:, c0:c1] = t.T
+            piv = [c0 + jj for jj in local]
+        if piv:
+            block = _pivot_block(a, slice(r, r + len(piv)), piv)
+            self.starts.append(r)
+            self.inverses.append(_unit_lower_inverse(block, self.p))
+        return piv
 
     def _sampled_block(self, r: int, c0: int, c1: int) -> bool:
         """Eliminate a[r:, c0:c1] with every pivot taken from a sample of its rows.
@@ -288,7 +340,7 @@ class _Elimination:
         k1 = len(piv)
         if k1:
             top = a[r:r + k1, h:c1]
-            self._trsm(_pivot_block(a, slice(r, r + k1), piv), top)
+            self._trsm(r, _pivot_block(a, slice(r, r + k1), piv), top)
             if r + k1 < m:
                 a[r + k1:, h:c1] -= _pivot_block(a, slice(r + k1, m), piv) @ top
         return piv + self._eliminate(r + k1, h, c1)

@@ -516,3 +516,119 @@ def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypat
     seen = _kernel_dtypes(monkeypatch)
     assert rank(a, p) == rank(np.ascontiguousarray(a.T), p) == rank_mod_p_reference(a, p) == k - 1
     assert seen == [dtype, dtype]
+
+
+# Columns where the panels of the recursion meet (31 | 32, 63 | 64, 95 | 96).
+_SEAMS = (31, 32, 33, 63, 64, 65, 95, 96, 97)
+
+
+def _panel_layout(m: int, n: int, p: int, layout: str) -> np.ndarray:
+    """A random m x n matrix mod p whose 32-column panels have all, some or no pivots.
+
+    "all": random.  "zero" and "dependent": the columns at the seams are 0,
+    or combinations of the columns left of them.  "empty": columns 32..63,
+    a whole panel, are 0 and those at 95..97 dependent.
+    """
+    rng = np.random.default_rng(m * n + p + len(layout))
+    a = rng.integers(0, p, (m, n))
+    if layout == "zero":
+        a[:, [c for c in _SEAMS if c < n]] = 0
+    elif layout in ("dependent", "empty"):
+        if layout == "empty":
+            a[:, 32:64] = 0
+        for c in _SEAMS if layout == "dependent" else (95, 96, 97):
+            if c < n:
+                a[:, c] = a[:, :c] @ rng.integers(0, p, c) % p
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 73, 32003])
+@pytest.mark.parametrize("layout", ["all", "zero", "dependent", "empty"])
+# the column loop alone; sampled panels, then fewer than 3w rows below
+# (from row 54 of 150); sampled panels throughout
+@pytest.mark.parametrize("m", [60, 150, 400])
+def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch):
+    # the rank of a[:, :k] is the number of reference pivots below k
+    n = 130
+    a = _panel_layout(m, n, p, layout)
+    want = profile_mod_p_reference(a, p)
+    seen = _panel_branches(monkeypatch)
+    ks = _leading_counts(n, np.random.default_rng(m + p))
+    assert rank(a, p, leading=ks) == [sum(c < k for c in want) for k in ks]
+    assert any(ok for _, ok in seen) == (m > 60)
+    assert rank(np.ascontiguousarray(a.T), p) == len(want)
+
+
+def _echelon_product(k: int, n: int, pivots: list[int], p: int, rng) -> np.ndarray:
+    """L @ U mod p: L k x k unit-lower, U k x n in echelon form on the given pivot columns.
+
+    Every other entry of L and of U right of its pivot is +-h, so the
+    elimination recovers multipliers and rows made of the largest residues.
+    """
+    h = p // 2
+    lo = np.tril(h * rng.choice([-1, 1], (k, k)), -1) + np.eye(k, dtype=np.int64)
+    up = np.zeros((k, n), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        up[i, c] = 1
+        up[i, c + 1:] = h * rng.choice([-1, 1], n - c - 1)
+    return lo @ up % p
+
+
+@pytest.mark.parametrize("k, dtype", [(20, F32), (21, F64)])
+def test_triangular_solve_on_both_sides_of_the_float32_edge(k, dtype, monkeypatch):
+    # p = 1831 ranks k = 20 rows in float32 and 21 in float64 (see
+    # test_dtype_check_at_its_edge).  The pivots fall half in panel 0 and
+    # half in panel 1, so the solve for columns 64.. splits at the start of
+    # panel 1 and multiplies each half by its panel's inverse
+    p = 1831
+    rng = np.random.default_rng(k)
+    pivots = sorted(rng.choice(32, k // 2, replace=False).tolist()
+                    + (32 + rng.choice(32, k - k // 2, replace=False)).tolist())
+    a = _echelon_product(k, 100, pivots, p, rng)
+    seen = _kernel_dtypes(monkeypatch)
+    assert gfp._Elimination(a.astype(dtype), p).profile() == pivots == profile_mod_p_reference(a, p)
+    ks = _leading_counts(100, rng)
+    assert rank(a, p, leading=ks) == [rank_mod_p_reference(a[:, :j], p) for j in ks]
+    assert seen == [dtype, dtype]
+
+
+@pytest.mark.parametrize("p", [2, 73, 32003])
+@pytest.mark.parametrize("layout", ["all", "zero", "empty"])
+@pytest.mark.parametrize("m", [60, 400])
+def test_cached_inverses_invert_their_pivot_blocks(p, layout, m):
+    # one inverse per panel with a pivot, keyed by its first pivot row; the
+    # panels' pivot rows are consecutive, and each inverse times the
+    # unit-lower block of its pivot rows and columns is I mod p
+    a = _panel_layout(m, 130, p, layout)
+    elim = gfp._Elimination(a.astype(_exact_dtype(p, min(a.shape))), p)
+    piv = elim.profile()
+    assert piv == profile_mod_p_reference(a, p)
+    sizes = [inv.shape[0] for inv in elim.inverses]
+    assert elim.starts == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == len(piv) and all(sizes)
+    for r, inv in zip(elim.starts, elim.inverses):
+        k = inv.shape[0]
+        block = elim.a[r:r + k][:, piv[r:r + k]].astype(np.int64)
+        unit = np.tril(block, -1) + np.eye(k, dtype=np.int64)
+        assert np.abs(inv).max() <= p // 2
+        assert (inv.astype(np.int64) @ unit % p == np.eye(k, dtype=np.int64)).all()
+
+
+def test_leading_ranks_of_a_d14_family_head():
+    # the largest d = 14 family, ranked as the campaign's attempt 1 ranks it
+    from fatpoints import interpolation
+    from fatpoints.enumeration import algorithm_b_cases
+    from fatpoints.model import conditions_count
+
+    families: dict = {}
+    for case in algorithm_b_cases(14):
+        families.setdefault((case.q, case.x, case.y), []).append(case.to_system())
+    specs = max(families.values(), key=lambda fam: (len(fam), fam[-1].conditions_total))
+    p = PRIME_LADDER[0]
+    assignment = interpolation._greedy_assignment(specs[-1])
+    mat, _ = interpolation._transposed_matrix(specs[-1], p, 0, assignment)
+    pinned = sum(conditions_count(mult) for _, mult in assignment)
+    rows = [spec.conditions_total - pinned for spec in specs]
+    assert len(rows) > 1 and mat.shape[1] == rows[-1] > 400
+    ks = rows + [k for k in _SEAMS if k < rows[0]]
+    assert rank(mat, p, leading=ks) == [rank(mat[:, :k], p) for k in ks]

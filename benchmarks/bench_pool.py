@@ -11,11 +11,9 @@ and this one:
 
 in --pairs pairs whose order alternates (before first, then after first),
 so that the machine's drift falls on both sides alike.  In every pair both
-trees must write the same records (elapsed_ms aside), verify must replay
-all 261 of them with no mismatch, and both trees must print the same
-audit with no gap.  Trees whose headers name different prime ladders
-compute other attempts at other primes, so then only each record's case,
-N, S, rank and verdict must agree.  Peak RSS is what wait4 reports,
+trees must write the same records (elapsed_ms aside; headers are not
+compared), verify must replay all 261 of them with no mismatch, and both
+trees must print the same audit with no gap.  Peak RSS is what wait4 reports,
 the largest single process among the CLI and the workers it waited for.
 Results go to BENCH_pool.json at the repository root:
 
@@ -78,11 +76,6 @@ def records(log: Path) -> list[dict]:
     return out
 
 
-def verdicts(recs: list[dict]) -> list[tuple]:
-    """(case, N, S, rank, verdict) of every record, in log order: what any ladder must agree on."""
-    return [(tuple(r["case"]), r["N"], r["S"], r["rank"], r["verdict"]) for r in recs]
-
-
 def one_side(src: Path, tmp: Path) -> tuple[dict, dict, dict]:
     """(wall s, peak RSS MiB, outputs) per stage of one tree."""
     d14, d30 = tmp / "d14.jsonl", tmp / "d30.jsonl"
@@ -128,12 +121,8 @@ def main(argv=None) -> int:
             for stage in STAGES:
                 wall[side][stage].append(round(t[stage], 4))
                 rss[side][stage].append(round(mib[stage], 1))
-        same_ladder = all(outs[side]["header"]["config"]["primes"]
-                          == outs["before"]["header"]["config"]["primes"] for side in sides)
         for stage in ("campaign_d14", "audit_d14", "campaign_d30_shard"):
             got = [outs[side][stage] for side in sides]
-            if stage != "audit_d14" and not same_ladder:
-                got = [verdicts(recs) for recs in got]
             if got[0] != got[1]:
                 raise RuntimeError(f"pair {i}: the two trees write different {stage} output")
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "

@@ -1,11 +1,13 @@
 """Campaign orchestration: run the case sweeps, persist and replay certificates.
 
-The result log is JSON-lines: a header record first, then one record per
-case, appended family by family in the order the families run.  Append-only
-writing keeps the log usable after a crash (a partial trailing line is cut
-off on resume), and a resume refuses a log whose header names another
-config; sharded runs on separate machines produce disjoint logs whose
-concatenation equals the unsharded log up to ordering.
+The result log is JSON-lines: a header record first, then one certificate
+record per case, appended family by family in the order the families run.
+Append-only writing keeps the log usable after a crash (a partial trailing
+line is cut off on resume), and a resume refuses a log whose header names
+another config; sharded runs on separate machines produce disjoint logs
+whose concatenation equals the unsharded log up to ordering.  A family that
+raises, or whose worker dies, ends the run with that exception; the
+families written before it stay in the log, and a resume computes the rest.
 
 The units of work are independent: a family in run_campaign, a family's
 replay or one record's in verify_log.  Both run them in a pool of spawned
@@ -24,9 +26,9 @@ then retries any case that fell short.  interpolation.attempt_schedule
 gives each attempt its prime and seed.  A case's first seed is its family
 seed, base_seed + first * MAX_ATTEMPTS, where first is the lowest index of
 its (q, x, y) in algorithm_b_cases(d), so it does not depend on the shard;
-its retry seed is base_seed + index * MAX_ATTEMPTS.  Headers say which rule
-their records follow ("seed_rule"); under headers without the field,
-written before families, the first seed is the retry seed.
+its retry seed is base_seed + index * MAX_ATTEMPTS.  A header counts only
+if this version writes it (_header_config); under any other header, or
+none, no record has a schedule to be checked against.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import functools
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -63,8 +65,6 @@ from .model import (
     parse_system,
 )
 
-VERDICT_ERROR = "error"
-SEED_RULE = "family"
 # verify_log also replays every _CROSS_CHECK-th member of a family other than
 # its head alone, in line order, so that each full verify compares the ranks
 # read off a head's elimination with the ranks of the members' own matrices.
@@ -107,14 +107,13 @@ class CampaignConfig:
     def digest_fields(self) -> dict:
         return {
             "degrees": list(self.degrees),
-            # the ladder attempt_schedule reads
+            # the primes attempt_schedule reads
             "primes": list(interpolation.PRIME_LADDER),
             "base_seed": self.base_seed,
             "max_attempts": MAX_ATTEMPTS,
             "shard": list(self.shard),
-            # always on; kept for the digests of the logs written since the ladder began at 73
-            "fundamental": True,
-            "seed_rule": SEED_RULE,
+            # a case's first seed is its family's
+            "seed_rule": "family",
         }
 
     def digest(self) -> str:
@@ -126,41 +125,48 @@ class CampaignConfig:
 class CertRecord:
     case: CaseSignature
     index: int
-    cert: Optional[Certificate]
-    error: str = ""
-
-    @property
-    def verdict(self) -> str:
-        return self.cert.verdict if self.cert else VERDICT_ERROR
+    cert: Certificate
 
     def to_line(self) -> str:
-        body = {"case": list(self.case.key()), "index": self.index}
-        if self.cert:
-            body.update(self.cert.to_dict())
-        else:
-            body["error"] = self.error
-        return json.dumps(body)
+        return json.dumps({"case": list(self.case.key()), "index": self.index,
+                           **self.cert.to_dict()})
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertRecord":
-        case = CaseSignature(*data["case"])
-        if "error" in data:
-            return cls(case, int(data.get("index", -1)), None, data["error"])
-        return cls(case, int(data.get("index", -1)), Certificate.from_dict(data))
+        return cls(CaseSignature(*data["case"]), int(data["index"]), Certificate.from_dict(data))
+
+
+def _header_config(header: dict, out) -> Optional[CampaignConfig]:
+    """The config a header line of this version names, or None for any other header.
+
+    The header's config must parse into a CampaignConfig (its constructor
+    validates it) whose digest_fields() it equals, and its digest must be
+    that config's digest().
+    """
+    try:
+        fields = header["config"]
+        config = CampaignConfig(tuple(fields["degrees"]), out, fields["base_seed"],
+                                tuple(fields["shard"]))
+    except (KeyError, TypeError, ValueError):
+        return None
+    if config.digest_fields() != fields or config.digest() != header.get("digest"):
+        return None
+    return config
 
 
 # the error _read_log gives the bytes after a log's last newline
 _UNTERMINATED = "unterminated last line"
 
 
-def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[dict], str]]:
+def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[CampaignConfig], str]]:
     """Yield (lineno, record, config of the nearest header above, error) per log line.
 
     A line counts once it ends in a newline.  Header and blank lines yield
-    nothing; a line that is no UTF-8, no JSON object, or no record
-    CertRecord.from_dict accepts yields (lineno, None, config, the
-    exception's type and message).  Bytes after the last newline yield one
-    _UNTERMINATED error.
+    nothing; config is _header_config's, None under a header of another
+    format or above the first header.  A line that is no UTF-8, no JSON
+    object, or no record CertRecord.from_dict accepts yields (lineno, None,
+    config, the exception's type and message).  Bytes after the last newline
+    yield one _UNTERMINATED error.
     """
     config = None
     with open(path, "rb") as fh:
@@ -173,7 +179,7 @@ def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[dict],
             try:
                 data = json.loads(raw.decode("utf-8"))
                 if isinstance(data, dict) and data.get("header"):
-                    config = data.get("config")
+                    config = _header_config(data, path)
                     continue
                 if not isinstance(data, dict) or "case" not in data:
                     raise ValueError("no JSON object with a 'case'")
@@ -194,33 +200,26 @@ class ResultStore:
         return len(self._records)
 
     def add(self, record: CertRecord):
-        """Index record; it replaces an earlier record of its case only if that is an error."""
+        """Index record; a second record of its case is a duplicate."""
         key = record.case.key()
-        if key in self._records and self._records[key].cert is not None:
+        if key in self._records:
             raise ValueError(f"duplicate record for case {key}")
         self._records[key] = record
 
     def finished(self, key) -> bool:
-        """Whether the case has a record other than an error, which a resume retries."""
-        rec = self._records.get(tuple(key))
-        return rec is not None and rec.cert is not None
+        """Whether the case has a record."""
+        return tuple(key) in self._records
 
     def cases(self, d: int) -> list[tuple[CaseSignature, int, str]]:
         """Reduction-facing view: (signature, condition total, verdict)."""
-        out = []
-        for rec in self._records.values():
-            if rec.case.degree == d:
-                s = rec.cert.S if rec.cert else rec.case.conditions_total
-                out.append((rec.case, s, rec.verdict))
-        return out
+        return [(rec.case, rec.cert.S, rec.cert.verdict)
+                for rec in self._records.values() if rec.case.degree == d]
 
     @classmethod
     def load(cls, path) -> "ResultStore":
         """Strict load: raises ValueError("path:line: ...") on a bad line or a duplicate.
 
-        An unterminated last line (a killed writer's) is ignored.  A later
-        record of a case is no duplicate while every earlier one is an error
-        record; the latest then wins.
+        An unterminated last line (a killed writer's) is ignored.
         """
         store = cls()
         for lineno, record, _, err in _read_log(path):
@@ -234,15 +233,15 @@ class ResultStore:
         return store
 
     def tally(self, d: int) -> dict[str, int]:
-        """The number of records of degree d per verdict, errors included."""
-        counts = dict.fromkeys((VERDICT_NON_SPECIAL, VERDICT_INCONCLUSIVE, VERDICT_ERROR), 0)
+        """The number of records of degree d per verdict."""
+        counts = dict.fromkeys((VERDICT_NON_SPECIAL, VERDICT_INCONCLUSIVE), 0)
         for _, _, verdict in self.cases(d):
             counts[verdict] = counts.get(verdict, 0) + 1
         return counts
 
 
 def _check_header(path: Path, config: CampaignConfig):
-    """Refuse to resume a log whose header is missing or names another config.
+    """Refuse to resume a log whose header is missing or is not the one config writes.
 
     A log holding nothing but a partial first line is a crash before the
     header was complete; it is left for _trim_partial_line to cut.
@@ -257,7 +256,8 @@ def _check_header(path: Path, config: CampaignConfig):
         header = None
     if not isinstance(header, dict) or not header.get("header"):
         raise ValueError(f"{path} has no header line; refusing to resume into it")
-    if header.get("digest") != config.digest():
+    written = _header_config(header, path)
+    if written is None or written.digest() != config.digest():
         raise ValueError(
             f"{path} was written under another config (digest {header.get('digest')},"
             f" this run's is {config.digest()}); refusing to resume into it"
@@ -319,8 +319,7 @@ def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict[int, int], li
     """The shard's case count per degree, and the families done leaves to compute.
 
     The families come as (degree, first, family) in run order: degree by
-    degree, largest head first (_families).  A case whose only records are
-    errors is left to compute.
+    degree, largest head first (_families).
     """
     expected, plan = {}, []
     for d in range(config.degrees[0], config.degrees[1] + 1):
@@ -459,7 +458,9 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     processes, which pickles fn by reference, so fn must be a module-level
     function.  Every task is submitted at once, and the workers start during
     submission, under _blas_pinned.  A worker that dies breaks the pool:
-    each task without a result then raises BrokenProcessPool.
+    each task without a result then raises BrokenProcessPool.  Closing the
+    generator (contextlib.closing) shuts the pool down and waits for its
+    workers, so a caller that stops early leaves no process behind.
     """
     if workers <= 1:
         for task in tasks:
@@ -478,28 +479,16 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
         pool.shutdown(cancel_futures=True)
 
 
-def _error_records(family: list[tuple[int, CaseSignature]], error: str) -> list[CertRecord]:
-    return [CertRecord(case, idx, None, error) for idx, case in family]
-
-
 def _family_unit(
     config: CampaignConfig, first: int, family: list[tuple[int, CaseSignature]]
 ) -> list[CertRecord]:
-    """The records of one family: attempt 1 by check_family, the retries by check_case.
-
-    A pool unit: a failure comes back as error records, not as an exception.
-    """
-    try:
-        specs = [case.to_system() for _, case in family]
-        tried = check_family(specs, config.base_seed + first * MAX_ATTEMPTS)
-        return [
-            CertRecord(case, idx, check_case(spec, config.base_seed + idx * MAX_ATTEMPTS, cert))
-            for (idx, case), spec, cert in zip(family, specs, tried)
-        ]
-    except MemoryError as exc:  # pragma: no cover - depends on host RAM
-        return _error_records(family, f"out of memory: {exc}")
-    except Exception as exc:
-        return _error_records(family, f"{type(exc).__name__}: {exc}")
+    """The records of one family: attempt 1 by check_family, the retries by check_case."""
+    specs = [case.to_system() for _, case in family]
+    tried = check_family(specs, config.base_seed + first * MAX_ATTEMPTS)
+    return [
+        CertRecord(case, idx, check_case(spec, config.base_seed + idx * MAX_ATTEMPTS, cert))
+        for (idx, case), spec, cert in zip(family, specs, tried)
+    ]
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -509,10 +498,11 @@ def run_campaign(config: CampaignConfig) -> dict:
     families left go to config.effective_threads(plan) workers
     (_run_units).  Each family's records are appended and flushed in that
     order as its results arrive, so a log's records are in family order
-    whatever the worker count.  A family whose worker died gets error
-    records.  A case whose only records are errors is computed again.
-    Returns a summary with the log's per-degree counts after the run; any
-    inconclusive or failed case is surfaced there and must be treated as a
+    whatever the worker count.  A family that raises, or whose worker dies
+    (BrokenProcessPool), ends the run with that exception once the pool is
+    shut down; the families written before it stay, and a resume computes
+    the rest.  Returns a summary with the log's per-degree counts after the
+    run; any inconclusive case is surfaced there and must be treated as a
     red flag.
     """
     out = config.out
@@ -546,13 +536,9 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     computed = 0
     tasks = [(config, first, family) for _, first, family in plan]
-    with open(out, "a") as fh:
-        # _run_units first, so that zip runs it to its end, which shuts its pool down
-        for result, (_, _, family) in zip(_run_units(_family_unit, tasks, workers), plan):
-            try:
-                records = result()
-            except Exception as exc:  # the pool broke, e.g. a worker was killed
-                records = _error_records(family, f"{type(exc).__name__}: {exc}")
+    with open(out, "a") as fh, closing(_run_units(_family_unit, tasks, workers)) as results:
+        for result in results:
+            records = result()
             for record in records:
                 fh.write(record.to_line() + "\n")
                 done.add(record)
@@ -563,9 +549,8 @@ def run_campaign(config: CampaignConfig) -> dict:
         tally = done.tally(d)
         degrees[d] = {"expected": n, "done": sum(tally.values()), **tally}
     inconclusive = sum(stats[VERDICT_INCONCLUSIVE] for stats in degrees.values())
-    errors = sum(stats[VERDICT_ERROR] for stats in degrees.values())
     return {"degrees": degrees, "computed": computed, "inconclusive": inconclusive,
-            "errors": errors, "shard": list(config.shard), "ok": not (inconclusive or errors)}
+            "shard": list(config.shard), "ok": not inconclusive}
 
 
 @dataclass
@@ -591,50 +576,55 @@ class VerifyReport:
         }
 
 
-def _family_first(case: CaseSignature, cache: dict) -> Optional[int]:
-    """Lowest index of case's (q, x, y) in algorithm_b_cases, or None if it is no such case."""
+def _case_position(case: CaseSignature, cache: dict) -> Optional[tuple[int, int]]:
+    """(index, family first) of case in algorithm_b_cases, or None if it is no such case.
+
+    The family first is the lowest index of case's (q, x, y).  cache maps
+    each degree to its cases' positions.
+    """
     d = case.degree
     if d not in cache:
         try:
             cases = algorithm_b_cases(d)
         except ValueError:
             cases = []
-        cache[d] = (_family_firsts(cases), {c.key() for c in cases})
-    firsts, keys = cache[d]
-    return firsts[(case.q, case.x, case.y)] if case.key() in keys else None
+        firsts = _family_firsts(cases)
+        cache[d] = {c.key(): (idx, firsts[(c.q, c.x, c.y)]) for idx, c in enumerate(cases)}
+    return cache[d].get(case.key())
 
 
-def _schedule_problems(record: CertRecord, config: Optional[dict], firsts: dict) -> list[str]:
-    """Where a record's attempt, seed and prime differ from what its header's config assigns.
+def _header_problems(
+    record: CertRecord, config: Optional[CampaignConfig], positions: dict
+) -> list[str]:
+    """Where a record differs from what its header's config assigns it.
 
-    The assignment is attempt_schedule's under the header's primes,
-    max_attempts, base seed and seed rule.  firsts caches _family_first per
-    degree.
+    The case must be an algorithm-B case of the header's degrees and shard,
+    logged at its index, and its attempt must run at the prime and seed
+    attempt_schedule gives it from the header's base seed.  positions
+    caches _case_position.
     """
-    cert = record.cert
-    try:
-        max_attempts = int(config["max_attempts"])
-        base = int(config["base_seed"])
-        rule = config.get("seed_rule", "per_case")
-        ladder = [int(p) for p in config["primes"]]
-    except (KeyError, TypeError, ValueError):
-        return ["no header config above the record"]
-    if rule not in ("per_case", SEED_RULE):
-        return [f"unknown seed rule {rule!r} in the header"]
-    retry_seed = first_seed = base + record.index * max_attempts
-    if rule == SEED_RULE and cert.attempts == 1:
-        first = _family_first(record.case, firsts)
-        if first is None:
-            return ["not an algorithm-B case, so it has no family seed"]
-        first_seed = base + first * max_attempts
-    try:
-        scheduled = attempt_schedule(cert.attempts, first_seed, retry_seed, ladder, max_attempts)
-    except IndexError:
-        return [f"the header's primes {ladder} name no prime for attempt {cert.attempts}"]
-    if scheduled is None:
-        return [f"attempt {cert.attempts} is outside the header's 1..{max_attempts}"]
-    prime, seed = scheduled
+    if config is None:
+        return ["no header of this version above the record"]
+    case, cert = record.case, record.cert
+    position = _case_position(case, positions)
+    if position is None:
+        return ["not an algorithm-B case"]
+    index, first = position
     problems = []
+    lo, hi = config.degrees
+    if not lo <= case.degree <= hi:
+        problems.append(f"degree {case.degree} is outside the header's {lo}..{hi}")
+    if record.index != index:
+        problems.append(f"index {record.index} is not the case's {index}")
+    i, n = config.shard
+    if index % n != i - 1:
+        problems.append(f"case index {index} is outside the header's shard {i}/{n}")
+    base = config.base_seed
+    scheduled = attempt_schedule(cert.attempts, base + first * MAX_ATTEMPTS,
+                                 base + index * MAX_ATTEMPTS)
+    if scheduled is None:
+        return problems + [f"attempt {cert.attempts} is outside 1..{MAX_ATTEMPTS}"]
+    prime, seed = scheduled
     if cert.seed != seed:
         problems.append(f"seed {cert.seed} is not the header's {seed}")
     if cert.prime != prime:
@@ -673,41 +663,38 @@ def verify_log(path, full: bool = False) -> VerifyReport:
 
     Every record is checked structurally (N, S recomputed from the system,
     verdict consistent with the recorded rank, case identity matching the
-    spec, a fundamental assignment reduce_fundamental accepts, seed and
-    prime the ones the nearest header above assigns, no duplicates).  A
-    later record of a case is no duplicate while every earlier one is an
-    error record, and the latest is the one checked.
+    spec, a fundamental assignment reduce_fundamental accepts, no
+    duplicates, and the index, degree, shard, seed and prime the nearest
+    header above assigns, _header_problems).  Under a header this version
+    does not write, or none, every record is structural.
     Ranks are recomputed for every record with full=True, else for a
     deterministic evenly-spaced sample.  Records replay by family, as
-    run_campaign computed them: the attempt-1 records of a "family" header
-    that share degree, q, x, y, prime, seed and fundamental assignment are
-    one unit, which replay_family ranks with one elimination of the largest
-    one's matrix.  Retries, escalated primes and every record under another
-    seed rule replay alone (replay_certificate), and so does every
-    _CROSS_CHECK-th member of a family other than its head, as a check of
-    the family's rank; a record is a mismatch if any of its replays differs
-    from its rank.  The units run on worker_count's workers (_run_units),
-    and mismatches are reported in line order.
+    run_campaign computed them: the attempt-1 records that share degree, q,
+    x, y, prime, seed and fundamental assignment are one unit, which
+    replay_family ranks with one elimination of the largest one's matrix.
+    Retries and escalated primes replay alone (replay_certificate), and so
+    does every _CROSS_CHECK-th member of a family other than its head, as a
+    check of the family's rank; a record is a mismatch if any of its replays
+    differs from its rank.  The units run on worker_count's workers
+    (_run_units), and mismatches are reported in line order.
     """
     report = VerifyReport()
-    latest: dict[tuple, tuple[int, CertRecord, Optional[dict]]] = {}
+    records, seen = [], set()
     for lineno, record, config, err in _read_log(path):
         if err:
             report.corrupt.append({"line": lineno, "error": err})
             continue
         key = record.case.key()
-        if key in latest and latest[key][1].cert is not None:
+        if key in seen:
             report.corrupt.append({"line": lineno, "error": f"duplicate case {key}"})
             continue
-        latest[key] = (lineno, record, config)
-    records = sorted(latest.values(), key=lambda entry: entry[0])
+        seen.add(key)
+        records.append((lineno, record, config))
     report.total = len(records)
 
     checkable = []
-    firsts: dict = {}
+    positions: dict = {}
     for lineno, record, config in records:
-        if record.cert is None:
-            continue
         cert = record.cert
         try:
             spec = parse_system(cert.spec)
@@ -728,12 +715,12 @@ def verify_log(path, full: bool = False) -> VerifyReport:
         maximal = cert.rank == min(cert.N, cert.S)
         if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
             problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
-        problems += _schedule_problems(record, config, firsts)
+        problems += _header_problems(record, config, positions)
         if problems:
             report.structural.append({"line": lineno, "error": "; ".join(problems)})
             continue
         family = None
-        if config.get("seed_rule") == SEED_RULE and cert.attempts == 1:
+        if cert.attempts == 1:
             case = record.case
             family = (case.degree, case.q, case.x, case.y, cert.prime, cert.seed,
                       tuple(cert.fundamental_assignment))
@@ -751,10 +738,11 @@ def verify_log(path, full: bool = False) -> VerifyReport:
                                     for _, record, spec, _ in unit) for unit in units])
         tasks = [([record.cert for _, record, _, _ in unit],) for unit in units]
         replays: dict[int, dict[str, int]] = {}
-        for result, unit in zip(_run_units(_replay_unit, tasks, workers), units):
-            how = "alone" if len(unit) == 1 else "family"
-            for (lineno, _, _, _), got in zip(unit, result()):
-                replays.setdefault(lineno, {})[how] = got
+        with closing(_run_units(_replay_unit, tasks, workers)) as results:
+            for result, unit in zip(results, units):
+                how = "alone" if len(unit) == 1 else "family"
+                for (lineno, _, _, _), got in zip(unit, result()):
+                    replays.setdefault(lineno, {})[how] = got
         for lineno, record, _, _ in picked:
             got = replays[lineno]
             report.replayed += 1
@@ -781,6 +769,5 @@ def status(path, degrees: tuple[int, int]) -> list[dict]:
         done = sum(tally.values())
         rows.append({"degree": d, "expected": expected, "done": done,
                      "non_special": tally[VERDICT_NON_SPECIAL],
-                     "inconclusive": tally[VERDICT_INCONCLUSIVE],
-                     "errors": tally[VERDICT_ERROR], "pending": expected - done})
+                     "inconclusive": tally[VERDICT_INCONCLUSIVE], "pending": expected - done})
     return rows

@@ -3,7 +3,8 @@
 Convention: human-readable progress and diagnostics go to stderr; the
 primary result goes to stdout, as a plain value normally or as one JSON
 object when --json is passed.  Exit codes: 0 success, 1 inconclusive or
-failed verification, 2 usage error.
+failed verification, 2 usage error or an exception that stopped the
+command, such as a campaign's family that raised or lost its worker.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from ._version import __version__
@@ -113,10 +115,10 @@ def _cmd_campaign(args) -> int:
     for d, stats in summary["degrees"].items():
         _eprint(
             f"d={d}: {stats['non_special']}/{stats['expected']} non-special,"
-            f" {stats['inconclusive']} inconclusive, {stats['error']} errors"
+            f" {stats['inconclusive']} inconclusive"
         )
-    if summary["inconclusive"] or summary["errors"]:
-        _eprint("ATTENTION: inconclusive or failed cases present; see the log")
+    if summary["inconclusive"]:
+        _eprint("ATTENTION: inconclusive cases present; see the log")
     print(json.dumps(summary))
     return 0 if summary["ok"] else 1
 
@@ -140,8 +142,7 @@ def _cmd_status(args) -> int:
     for row in rows:
         _eprint(
             f"d={row['degree']}: {row['done']}/{row['expected']} done,"
-            f" {row['pending']} pending, {row['inconclusive']} inconclusive,"
-            f" {row['errors']} errors"
+            f" {row['pending']} pending, {row['inconclusive']} inconclusive"
         )
     if args.json:
         print(json.dumps(rows))
@@ -227,8 +228,12 @@ def main(argv=None) -> int:
     _echo_config(args.command, args)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, FileExistsError, RuntimeError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError) as exc:  # a bad argument or log
         _eprint(f"error: {exc}")
+        return 2
+    except Exception as exc:  # a failure that stopped the command, such as a lost worker
+        traceback.print_exc()
+        _eprint(f"error: {type(exc).__name__}: {exc}")
         return 2
 
 

@@ -76,12 +76,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 # The primes of the rank checks (interpolation.attempt_schedule): every
-# attempt runs at the first but the last of several, which escalates to the
-# second.  All > 40 so no derivative coefficient of the systems in scope
-# vanishes spuriously.  Every matrix of the degree sweep is ranked in float32
-# at the first.  No attempt runs at the last two, but campaign headers record
-# the whole ladder and their digests cover it.
-PRIME_LADDER = (73, 32003, 65537, 104729)
+# attempt runs at the first but the last, which escalates to the second.
+# Both > 40 so no derivative coefficient of the systems in scope vanishes
+# spuriously.  Every matrix of the degree sweep is ranked in float32 at the
+# first.
+PRIME_LADDER = (73, 32003)
 
 # The kernel dtypes in the order they are tried, each with the bound L up to
 # which it holds every integer exactly.

@@ -173,8 +173,8 @@ def build_matrix(
     The arithmetic is on residues, exact while every product stays within
     the exact range of its dtype: float32 when the output is float32 and
     p^3 < 2^24 (p = 73), else float64, where a product of two residues is
-    reduced before the third factor joins it unless p^3 < 2^53 (every
-    ladder prime).  A prime whose product of two residues can pass 2^53
+    reduced before the third factor joins it unless p^3 < 2^53 (both
+    ladder primes).  A prime whose product of two residues can pass 2^53
     ((p - 1)^2 > 2^53) is refused.
     """
     d = spec.degree
@@ -339,9 +339,7 @@ class Certificate:
             spec=data["spec"],
             prime=int(data["prime"]),
             seed=int(data["seed"]),
-            fundamental_assignment=[
-                (int(i), int(m)) for i, m in data.get("fundamental_assignment", [])
-            ],
+            fundamental_assignment=[(int(i), int(m)) for i, m in data["fundamental_assignment"]],
             N=int(data["N"]),
             S=int(data["S"]),
             rank=int(data["rank"]),
@@ -444,27 +442,18 @@ def _ranks_by_family(
     ]
 
 
-def attempt_schedule(
-    attempt: int,
-    first_seed: int,
-    retry_seed: int,
-    ladder: Optional[Sequence[int]] = None,
-    attempts: int = MAX_ATTEMPTS,
-) -> Optional[tuple[int, int]]:
-    """The (prime, seed) of attempt `attempt` of a rank check, or None outside 1..attempts.
+def attempt_schedule(attempt: int, first_seed: int, retry_seed: int) -> Optional[tuple[int, int]]:
+    """The (prime, seed) of attempt `attempt` of a rank check, or None outside 1..MAX_ATTEMPTS.
 
-    Attempt 1 runs at (ladder[0], first_seed), attempt a >= 2 at seed
-    retry_seed + a - 1 and ladder[0], but the last of several attempts
-    escalates to ladder[1].  ladder defaults to PRIME_LADDER, read at call
-    time.  verify_log passes a log header's primes and max_attempts.
+    Attempt 1 runs at (PRIME_LADDER[0], first_seed), attempt a >= 2 at seed
+    retry_seed + a - 1 and PRIME_LADDER[0], but the last attempt escalates
+    to PRIME_LADDER[1].  PRIME_LADDER is read at call time.
     """
-    if ladder is None:
-        ladder = PRIME_LADDER
-    if not 1 <= attempt <= attempts:
+    if not 1 <= attempt <= MAX_ATTEMPTS:
         return None
     if attempt == 1:
-        return ladder[0], first_seed
-    return ladder[1 if attempt == attempts else 0], retry_seed + attempt - 1
+        return PRIME_LADDER[0], first_seed
+    return PRIME_LADDER[1 if attempt == MAX_ATTEMPTS else 0], retry_seed + attempt - 1
 
 
 def check_family(specs: Sequence[SystemSpec], seed: int) -> list[Certificate]:
@@ -499,7 +488,7 @@ def check_case(spec: SystemSpec, seed: int, first: Optional[Certificate] = None)
     the system is retried alone, as a family of one with attempt 1's
     fundamental assignment, at the primes and seeds of attempt_schedule
     with seed as the retry seed: attempt a uses seed + a - 1, and the last
-    attempt escalates to the ladder's second prime.  Verdict "non_special"
+    attempt escalates to PRIME_LADDER[1].  Verdict "non_special"
     means a maximal rank was witnessed; "inconclusive" means every attempt
     fell short.  elapsed_ms includes first's.
     """

@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -19,23 +21,13 @@ from fatpoints.campaign import (
 from fatpoints.cli import main
 from fatpoints.enumeration import algorithm_b_cases
 from fatpoints.gfp import PRIME_LADDER
-from fatpoints.interpolation import Certificate, check_case, check_family, replay_certificate
+from fatpoints.interpolation import Certificate, check_case, replay_certificate
 from fatpoints.model import CaseSignature
 
 SHARD = (5, 87)  # 3 of the 261 d=14 cases: keeps unit runs quick
 # 131 d=14 cases in families of up to 3: family (1, 0, 46) holds cases 3..7,
 # of which 4 and 6 are in this shard; family (1, 1, 44) holds 14, 16 and 18
 FAMILY_SHARD = (1, 2)
-
-
-# The header a campaign wrote for _tiny_config before headers carried env,
-# when the ladder began at 32003
-OLD_LADDER = (32003, 65537, 104729)
-PRE_ENV_HEADER = {
-    "header": True, "version": "0.1.0", "numpy": "2.4.6", "digest": "840c83116bc0e93a",
-    "config": {"degrees": [14, 14], "primes": list(OLD_LADDER), "base_seed": 7,
-               "max_attempts": 3, "shard": [5, 87], "fundamental": True, "seed_rule": "family"},
-}
 
 
 def _family_seed(case_key, base_seed=7, max_attempts=3):
@@ -93,11 +85,9 @@ def test_run_campaign_and_log_shape(tmp_path):
     out = tmp_path / "log.jsonl"
     summary = run_campaign(_tiny_config(out))
     stats = summary["degrees"][14]
-    assert stats["expected"] == 3
-    assert stats["non_special"] == 3
-    assert stats["inconclusive"] == stats["error"] == 0
-    assert summary["computed"] == 3
-    assert summary["ok"]
+    assert stats == {"expected": 3, "done": 3, "non_special": 3, "inconclusive": 0}
+    assert summary["computed"] == 3 and summary["inconclusive"] == 0
+    assert summary["ok"] and "errors" not in summary
 
     lines = out.read_text().splitlines()
     header = json.loads(lines[0])
@@ -126,7 +116,7 @@ def test_header_env_leaves_the_digest_alone(tmp_path):
     assert env["blas_threads_per_worker"] == (1 if env["workers"] > 1 else None)
     assert env["cpus"] >= 1 and env["mem_available_bytes"] > 0
     assert "env" not in header["config"]
-    assert header["digest"] == config.digest() == "0edd5b884c53cda9"
+    assert header["digest"] == config.digest() == "841cb4cd9e7b04ab"
 
     # a log whose header has no env field is resumed, not refused
     del header["env"]
@@ -266,18 +256,16 @@ def test_shard_certificates_match_unsharded_seeds(tmp_path):
 def test_store_duplicate_detection():
     store = ResultStore()
     case = CaseSignature(14, 1, 0, 44, 3)
-    store.add(CertRecord(case, 0, None, "boom"))
-    assert store.cases(14)[0][2] == "error" and not store.finished(case.key())
-    # a retry may follow error records; the latest wins
-    store.add(CertRecord(case, 0, None, "again"))
+    assert not store.finished(case.key())
     cert = check_case(case.to_system(), seed=1)
     store.add(CertRecord(case, 0, cert))
     assert len(store) == 1 and store.finished(case.key())
-    assert store.cases(14)[0][2] == "non_special"
-    # after a record that is not an error, any further record is a duplicate
-    for later in (CertRecord(case, 0, cert), CertRecord(case, 0, None, "late")):
-        with pytest.raises(ValueError):
-            store.add(later)
+    assert store.cases(14) == [(case, cert.S, "non_special")]
+    # any second record of a case is a duplicate, whatever its verdict
+    for later in (cert, replace(cert, rank=cert.rank - 1, verdict="inconclusive")):
+        with pytest.raises(ValueError, match="duplicate"):
+            store.add(CertRecord(case, 0, later))
+    assert len(store) == 1
 
 
 def test_verify_log_clean_and_faulty(tmp_path):
@@ -321,6 +309,8 @@ def test_verify_log_clean_and_faulty(tmp_path):
     )
     rep = verify_log(tmp_path / "dup.jsonl", full=True)
     assert any("duplicate" in c["error"] for c in rep.corrupt)
+    with pytest.raises(ValueError, match="dup.jsonl:3: duplicate"):
+        ResultStore.load(tmp_path / "dup.jsonl")
 
 
 def test_verify_checks_seed_and_prime_against_header(tmp_path):
@@ -375,7 +365,6 @@ def test_status_counts(tmp_path):
             "done": 3,
             "non_special": 3,
             "inconclusive": 0,
-            "errors": 0,
             "pending": 258,
         }
     ]
@@ -435,24 +424,6 @@ def test_shard_logs_concatenate_whatever_the_families(tmp_path):
     assert _strip(quarters) == _strip(half.read_text().splitlines())
 
 
-def test_old_header_logs_keep_the_per_case_rule(tmp_path):
-    # a log written before families: no seed_rule, check_case per case
-    config = _tiny_config(tmp_path / "old.jsonl")
-    fields = config.digest_fields()
-    del fields["seed_rule"]
-    lines = [json.dumps({"header": True, "config": fields})]
-    cases = algorithm_b_cases(14)
-    for idx in _shard_indices(len(cases), SHARD):
-        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
-        lines.append(CertRecord(cases[idx], idx, cert).to_line())
-    config.out.write_text("\n".join(lines) + "\n")
-    report = verify_log(config.out, full=True)
-    assert report.ok and report.replayed == 3 and not report.structural, report.to_dict()
-    # it cannot be resumed: the digest differs
-    with pytest.raises(ValueError):
-        run_campaign(_tiny_config(config.out, resume=True))
-
-
 def test_short_member_is_retried_alone(tmp_path, monkeypatch):
     real_rank = interpolation.rank
 
@@ -502,39 +473,10 @@ def test_member_short_twice_escalates_on_its_last_attempt(tmp_path, monkeypatch)
     assert (four.prime, four.seed) == interpolation.attempt_schedule(3, 7 + 3 * 3, 7 + 4 * 3)
     assert (four.prime, four.seed) == (PRIME_LADDER[1], 7 + 4 * 3 + 2)
     assert (six.attempts, six.prime, six.seed) == (1, PRIME_LADDER[0], 7 + 3 * 3)
-    header = json.dumps({"header": True, "config": config.digest_fields()})
+    header = json.dumps({"header": True, "digest": config.digest(),
+                         "config": config.digest_fields()})
     report = verify_log(_write(config.out, [header] + [r.to_line() for r in records]), full=True)
     assert report.ok and report.replayed == 2, report.to_dict()
-
-
-def test_error_records_are_retried_on_resume(tmp_path):
-    out = tmp_path / "log.jsonl"
-    run_campaign(_tiny_config(out))
-    lines = out.read_text().splitlines()
-    record = json.loads(lines[2])
-    error = {"case": record["case"], "index": record["index"], "error": "out of memory: x"}
-    out.write_text("\n".join(lines[:2] + [json.dumps(error)] + lines[3:]) + "\n")
-    assert not ResultStore.load(out).finished(record["case"])
-
-    summary = run_campaign(_tiny_config(out, resume=True))
-    assert summary["computed"] == 1 and summary["ok"], summary
-    assert summary["degrees"][14]["non_special"] == 3
-    lines = out.read_text().splitlines()
-    assert len(lines) == 5  # header, two records, the error and its retry
-    retry = json.loads(lines[-1])
-    assert retry["case"] == record["case"] and retry["verdict"] == "non_special"
-    store = ResultStore.load(out)
-    assert store.tally(14) == {"non_special": 3, "inconclusive": 0, "error": 0}
-    report = verify_log(out, full=True)
-    assert report.ok and report.total == report.replayed == 3, report.to_dict()
-    assert run_campaign(_tiny_config(out, resume=True))["computed"] == 0
-
-    # two records of one case that are not errors stay a duplicate
-    dup = tmp_path / "dup.jsonl"
-    dup.write_text("\n".join(lines + [lines[-1]]) + "\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        ResultStore.load(dup)
-    assert any("duplicate" in c["error"] for c in verify_log(dup).corrupt)
 
 
 @pytest.mark.parametrize("caller", [None, "4"])
@@ -630,37 +572,42 @@ def test_memory_cgroup_limits_bound_available_memory(tmp_path, monkeypatch):
 
 
 def _dying_family_unit(config, first, family):
-    """The campaign's unit, except that the worker of the biggest family dies."""
+    """The campaign's unit, except that the worker of the smallest family dies."""
     if family[-1][1].key() == DYING_HEAD:
         assert multiprocessing.parent_process() is not None, "must not end the test process"
         os._exit(3)
     return campaign._family_unit(config, first, family)
 
 
-# the biggest family of SHARD, the one submitted first
-DYING_HEAD = max((algorithm_b_cases(14)[i] for i in _shard_indices(261, SHARD)),
+# the smallest family of SHARD, the one submitted last
+DYING_HEAD = min((algorithm_b_cases(14)[i] for i in _shard_indices(261, SHARD)),
                  key=lambda case: case.conditions_total).key()
 
 
-def test_dead_worker_leaves_error_records_that_resume_retries(tmp_path, monkeypatch):
+def test_dead_worker_stops_the_run_and_resume_completes_it(tmp_path, monkeypatch):
     out = tmp_path / "log.jsonl"
-    if _tiny_config(out).effective_threads() < 2:
+    config = _tiny_config(out)
+    if config.effective_threads() < 2:
         pytest.skip("one worker runs the units in this process")
+    submitted = [family[-1][1].key() for _, _, family in campaign._plan(config, ResultStore())[1]]
+    assert submitted[-1] == DYING_HEAD
     monkeypatch.setattr(campaign, "_family_unit", _dying_family_unit)
-    summary = run_campaign(_tiny_config(out))
-    assert not summary["ok"] and summary["computed"] == 3
-    assert 1 <= summary["errors"] == summary["degrees"][14]["error"] <= 3
-    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
-    assert records[0]["case"] == list(DYING_HEAD)
-    assert "BrokenProcessPool" in records[0]["error"]
-    assert sum("error" in r for r in records) == summary["errors"]
+    with pytest.raises(BrokenProcessPool):
+        run_campaign(config)
+    assert multiprocessing.active_children() == []
+    # the header, then the families returned before the kill, in submission order
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0])["header"]
+    written = [json.loads(line) for line in lines[1:]]
+    assert [tuple(rec["case"]) for rec in written] == submitted[:len(written)]
+    assert all(rec["verdict"] == "non_special" for rec in written)
     monkeypatch.undo()
 
     again = run_campaign(_tiny_config(out, resume=True))
-    assert again["ok"] and again["computed"] == summary["errors"], again
-    assert len(ResultStore.load(out)) == 3
+    assert again["ok"] and again["computed"] == 3 - len(written), again
+    assert out.read_text().splitlines()[:len(lines)] == lines
     report = verify_log(out, full=True)
-    assert report.ok and report.replayed == 3, report.to_dict()
+    assert report.ok and report.replayed == 3 and not report.mismatches, report.to_dict()
 
 
 def test_verify_reports_mismatches_in_line_order(tmp_path):
@@ -745,13 +692,13 @@ def test_logs_keep_their_schedule(tmp_path, family_lines):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
     lines = out.read_text().splitlines()
-    assert json.loads(lines[0])["digest"] == "0edd5b884c53cda9"
+    assert json.loads(lines[0])["digest"] == "841cb4cd9e7b04ab"
     assert _schedule_rows(lines[1:]) == [
         [[14, 1, 0, 46, 1], 4, 73, 16, 1, 680, [[0, 10], [1, 3], [2, 3], [3, 3]]],
         [[14, 1, 8, 30, 0], 91, 73, 281, 2, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
         [[14, 1, 16, 13, 4], 178, 73, 535, 1, 680, [[0, 10], [1, 4], [2, 4], [3, 4]]],
     ]
-    assert json.loads(family_lines[0])["digest"] == "a42f4314348c7e03"
+    assert json.loads(family_lines[0])["digest"] == "5c8aca161eddbadd"
     rows = _schedule_rows(family_lines[1:])
     assert [row for row in rows if row[4] > 1] == [
         [[14, 1, 1, 44, 0], 14, 73, 50, 2, 680, [[0, 10], [1, 4], [2, 3], [3, 3]]],
@@ -866,21 +813,6 @@ def test_verify_replays_each_family_once_and_retries_alone(tmp_path, family_line
     assert len(calls["alone"]) == 131 - len(in_family) + len(cross)
 
 
-def test_records_under_a_header_without_seed_rule_replay_alone(tmp_path, monkeypatch):
-    config = _tiny_config(tmp_path / "old.jsonl")
-    fields = config.digest_fields()
-    del fields["seed_rule"]
-    lines = [json.dumps({"header": True, "config": fields})]
-    cases = algorithm_b_cases(14)
-    for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
-        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
-        lines.append(CertRecord(cases[idx], idx, cert).to_line())
-    calls = _count_replays(monkeypatch)
-    report = verify_log(_write(config.out, lines), full=True)
-    assert report.ok and report.replayed == 5, report.to_dict()
-    assert calls["family"] == [] and len(calls["alone"]) == 5
-
-
 def test_members_replayed_alone_check_the_family_ranks(tmp_path, family_lines, monkeypatch):
     # a family replay that echoed the recorded ranks would pass every forged
     # member; those also replayed alone still show the forgery
@@ -896,58 +828,81 @@ def test_members_replayed_alone_check_the_family_ranks(tmp_path, family_lines, m
         assert m["family_rank"] == m["recorded_rank"] == m["replayed_rank"] - 1
 
 
-def test_verify_takes_the_primes_from_the_header(tmp_path, monkeypatch):
+def test_logs_under_a_header_of_another_format_are_structural_and_refuse_a_resume(
+        tmp_path, capsys):
     out = tmp_path / "log.jsonl"
-    run_campaign(_tiny_config(out))
+    config = _tiny_config(out)
+    run_campaign(config)
     lines = out.read_text().splitlines()
     header = json.loads(lines[0])
-    ladder = [65537, 104729, 1000003]
-    assert ladder != list(PRIME_LADDER)
-    header["config"]["primes"] = ladder
-    moved = [json.dumps(header)]
-    with monkeypatch.context() as patch:
-        patch.setattr(interpolation, "PRIME_LADDER", tuple(ladder))
-        for text in lines[1:]:  # attempt 1 at the header's first prime
-            rec = json.loads(text)
-            case = CaseSignature(*rec["case"])
-            cert = check_family([case.to_system()], _family_seed(rec["case"]))[0]
-            moved.append(CertRecord(case, rec["index"], cert).to_line())
-    path = tmp_path / "moved.jsonl"
-    report = verify_log(_write(path, moved), full=True)
-    assert report.ok and report.replayed == 3, report.to_dict()
 
-    # a record at the module's first prime is not at the header's
-    report = verify_log(_write(path, moved[:1] + lines[1:2] + moved[2:]), full=True)
-    assert [p["line"] for p in report.structural] == [2] and report.replayed == 2
-    assert f"prime {PRIME_LADDER[0]} is not the header's 65537" in report.structural[0]["error"]
+    def digested(fields):
+        blob = json.dumps(fields, sort_keys=True).encode()
+        return dict(header, config=fields, digest=hashlib.sha256(blob).hexdigest()[:16])
 
-    # a header without primes assigns no prime: every header since the first has them
-    del header["config"]["primes"]
-    report = verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True)
-    assert len(report.structural) == 3 and report.replayed == 0
-    assert {p["error"] for p in report.structural} == {"no header config above the record"}
+    fields = config.digest_fields()
+    headers = {
+        # the previous format: four primes and "fundamental", under its own digest
+        "previous": digested(dict(fields, primes=[73, 32003, 65537, 104729], fundamental=True)),
+        "no_seed_rule": digested({k: v for k, v in fields.items() if k != "seed_rule"}),
+        "primes": digested(dict(fields, primes=[65537, 104729])),
+        "max_attempts": digested(dict(fields, max_attempts=2)),
+        "digest": dict(header, digest="0" * 16),
+    }
+    assert headers["previous"]["digest"] == "0edd5b884c53cda9"
+    logs = {name: [json.dumps(h)] + lines[1:] for name, h in headers.items()}
+    logs["none"] = lines[1:]
+    args = ["campaign", "--degrees", "14", "--shard", "5/87", "--seed", "7", "--resume"]
+    for name, log in logs.items():
+        # the last family is left, so that a resume would append
+        path = _write(tmp_path / f"{name}.jsonl", log[:-1])
+        report = verify_log(path, full=True)
+        assert report.total == len(report.structural) == 2, (name, report.to_dict())
+        assert report.replayed == 0 and not report.corrupt
+        assert {p["error"] for p in report.structural} == {
+            "no header of this version above the record"}
+        before = path.read_bytes()
+        assert main([*args, "--out", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert ("no header" if name == "none" else "another config") in err, name
+        assert path.read_bytes() == before
+    # the header this version writes
+    assert verify_log(_write(tmp_path / "this.jsonl", lines), full=True).ok
 
-    # a ladder without the prime an attempt needs
-    header["config"]["primes"] = []
-    report = verify_log(_write(path, [json.dumps(header)] + lines[1:]), full=True)
-    assert len(report.structural) == 3 and report.replayed == 0
-    attempts = json.loads(lines[1])["attempts"]
-    assert f"name no prime for attempt {attempts}" in report.structural[0]["error"]
 
-
-def test_logs_of_the_old_ladder_still_verify_and_refuse_a_resume(tmp_path, monkeypatch):
-    # a log written when the ladder began at 32003: its records were
-    # computed there, and its header carries that ladder and its digest
-    out = tmp_path / "old.jsonl"
-    with monkeypatch.context() as patch:
-        patch.setattr(interpolation, "PRIME_LADDER", OLD_LADDER)
-        patch.setattr(campaign, "_usable_cpus", lambda: 1)  # the units see the patch
-        run_campaign(_tiny_config(out))
+def test_verify_checks_index_degree_and_shard_against_the_header(tmp_path):
+    out = tmp_path / "log.jsonl"
+    config = _tiny_config(out)
+    run_campaign(config)
     lines = out.read_text().splitlines()
-    header = json.loads(lines[0])
-    assert {key: header[key] for key in PRE_ENV_HEADER} == PRE_ENV_HEADER
-    assert {json.loads(text)["prime"] for text in lines[1:]} == {32003}
-    report = verify_log(out, full=True)
-    assert report.ok and report.replayed == 3 and not report.mismatches, report.to_dict()
-    with pytest.raises(ValueError, match="digest"):
-        run_campaign(_tiny_config(out, resume=True))
+    rec = json.loads(lines[1])
+    # a record at another case's index of its shard, and records computed on
+    # their schedule for a case outside the shard and one outside the degrees
+    wrong_index = json.dumps(dict(rec, index=rec["index"] + 87))
+    cases = algorithm_b_cases(14)
+    assert _family_firsts(cases)[(cases[5].q, cases[5].x, cases[5].y)] == 3
+    outside_shard = campaign._family_unit(config, 3, [(5, cases[5])])[0].to_line()
+    d15 = _tiny_config(tmp_path / "d15.jsonl", degrees=(15, 15))
+    case = algorithm_b_cases(15)[4]
+    first = _family_firsts(algorithm_b_cases(15))[(case.q, case.x, case.y)]
+    outside_degrees = campaign._family_unit(d15, first, [(4, case)])[0].to_line()
+    bad = _write(tmp_path / "bad.jsonl",
+                 [lines[0], wrong_index, outside_shard, outside_degrees] + lines[2:])
+    report = verify_log(bad, full=True)
+    assert report.structural == [
+        {"line": 2, "error": f"index {rec['index'] + 87} is not the case's {rec['index']}"},
+        {"line": 3, "error": "case index 5 is outside the header's shard 5/87"},
+        {"line": 4, "error": "degree 15 is outside the header's 14..14"},
+    ]
+    assert report.replayed == 2 and not report.mismatches and not report.corrupt
+
+    # under its own header the d = 15 record verifies, and so do shard logs
+    # concatenated together
+    d15_header = json.dumps({"header": True, "digest": d15.digest(),
+                             "config": d15.digest_fields()})
+    other = tmp_path / "other.jsonl"
+    run_campaign(_tiny_config(other, shard=(6, 87)))
+    both = _write(tmp_path / "both.jsonl",
+                  lines + other.read_text().splitlines() + [d15_header, outside_degrees])
+    report = verify_log(both, full=True)
+    assert report.ok and report.replayed == 7, report.to_dict()

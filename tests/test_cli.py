@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+from fatpoints import campaign
 from fatpoints.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -152,6 +153,24 @@ def test_audit_closure_refuses_a_record_whose_S_is_not_its_cases(capsys, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"case {rec['case']} records S = {2 * rec['N'] - rec['S']}" in captured.err
+
+
+def test_a_campaign_whose_family_raises_exits_two_and_leaves_its_cases_pending(
+        capsys, tmp_path, monkeypatch):
+    def planted(specs, seed):
+        raise ArithmeticError("planted failure")
+
+    # a replaced callee also keeps the units in this process, where they see it
+    monkeypatch.setattr(campaign, "check_family", planted)
+    out = tmp_path / "log.jsonl"
+    assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: ArithmeticError: planted failure" in captured.err
+    assert len(out.read_text().splitlines()) == 1  # the header alone
+    assert main(["--json", "status", str(out), "--degrees", "14"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert (row["done"], row["pending"]) == (0, 261) and "errors" not in row
 
 
 def test_campaign_refuses_existing_log(capsys, tmp_path):

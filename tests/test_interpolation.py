@@ -433,15 +433,13 @@ def test_short_family_members_retry_at_their_own_seeds(monkeypatch):
         check_case(specs[1], 5, first=tried[0])
 
 
-def test_attempt_schedule():
-    ladder = (11, 13, 17)
-    assert [attempt_schedule(a, 100, 200, ladder) for a in range(5)] == [
-        None, (11, 100), (11, 201), (13, 202), None]
-    assert [attempt_schedule(a, 100, 200, ladder, attempts=2) for a in (1, 2, 3)] == [
-        (11, 100), (13, 201), None]
-    # a single attempt never escalates
-    assert attempt_schedule(1, 100, 200, ladder, attempts=1) == (11, 100)
-    assert attempt_schedule(1, 5, 5) == (PRIME_LADDER[0], 5)
+def test_attempt_schedule(monkeypatch):
+    assert MAX_ATTEMPTS == 3
+    assert [attempt_schedule(a, 100, 200) for a in range(5)] == [
+        None, (73, 100), (73, 201), (32003, 202), None]
+    # PRIME_LADDER is read at call time
+    _ladder(monkeypatch, 11, 13)
+    assert [attempt_schedule(a, 5, 5) for a in (1, 2, 3)] == [(11, 5), (11, 6), (13, 7)]
 
 
 @pytest.mark.parametrize("d, pick", [(14, 0), (18, 40)])

@@ -828,46 +828,91 @@ def test_members_replayed_alone_check_the_family_ranks(tmp_path, family_lines, m
         assert m["family_rank"] == m["recorded_rank"] == m["replayed_rank"] - 1
 
 
-def test_logs_under_a_header_of_another_format_are_structural_and_refuse_a_resume(
+_RESUME = ["campaign", "--degrees", "14", "--shard", "5/87", "--seed", "7", "--resume"]
+
+
+def _digested(header, fields):
+    blob = json.dumps(fields, sort_keys=True).encode()
+    return dict(header, config=fields, digest=hashlib.sha256(blob).hexdigest()[:16])
+
+
+def _assert_unread(path, capsys, records, refusal="another config"):
+    """Every record of the log at path is structural, none is replayed, and
+    a resume exits 2 and leaves the log as it was."""
+    report = verify_log(path, full=True)
+    assert report.total == len(report.structural) == records, report.to_dict()
+    assert report.replayed == 0 and not report.corrupt
+    assert {p["error"] for p in report.structural} == {
+        "no header of this version above the record"}
+    before = path.read_bytes()
+    assert main([*_RESUME, "--out", str(path)]) == 2
+    assert refusal in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_logs_of_the_previous_format_are_structural_and_refuse_a_resume(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    config = _tiny_config(out)
+    run_campaign(config)
+    lines = out.read_text().splitlines()
+    # the previous format: four primes and "fundamental", under its own digest
+    fields = dict(config.digest_fields(), primes=[73, 32003, 65537, 104729], fundamental=True)
+    previous = _digested(json.loads(lines[0]), fields)
+    assert previous["digest"] == "0edd5b884c53cda9"
+    # the last family is left, so that a resume would append
+    _assert_unread(_write(tmp_path / "previous.jsonl", [json.dumps(previous)] + lines[1:-1]),
+                   capsys, 2)
+    # the header this version writes
+    assert verify_log(_write(tmp_path / "this.jsonl", lines), full=True).ok
+
+
+def test_logs_under_a_header_without_seed_rule_are_structural_and_refuse_a_resume(
         tmp_path, capsys):
+    # a log written before families: no seed_rule and no digest, check_case per case
+    config = _tiny_config(tmp_path / "old.jsonl")
+    fields = config.digest_fields()
+    del fields["seed_rule"]
+    lines = [json.dumps({"header": True, "config": fields})]
+    cases = algorithm_b_cases(14)
+    for idx in _shard_indices(len(cases), SHARD)[:-1]:
+        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
+        lines.append(CertRecord(cases[idx], idx, cert).to_line())
+    _assert_unread(_write(config.out, lines), capsys, 2)
+
+
+def test_records_under_a_header_without_seed_rule_are_not_replayed(tmp_path, monkeypatch):
+    out = tmp_path / "log.jsonl"
+    config = _tiny_config(out)
+    run_campaign(config)
+    header = json.loads(out.read_text().splitlines()[0])
+    fields = {k: v for k, v in config.digest_fields().items() if k != "seed_rule"}
+    lines = [json.dumps(_digested(header, fields))]
+    cases = algorithm_b_cases(14)
+    for idx in range(3, 8):  # family (1, 0, 46), each case at its own seed
+        cert = check_case(cases[idx].to_system(), 7 + idx * 3)
+        lines.append(CertRecord(cases[idx], idx, cert).to_line())
+    calls = _count_replays(monkeypatch)
+    report = verify_log(_write(tmp_path / "old.jsonl", lines), full=True)
+    assert [p["line"] for p in report.structural] == [2, 3, 4, 5, 6], report.to_dict()
+    assert report.replayed == 0 and calls == {"family": [], "alone": []}
+
+
+def test_a_header_of_other_primes_attempts_or_digest_is_structural(tmp_path, capsys):
     out = tmp_path / "log.jsonl"
     config = _tiny_config(out)
     run_campaign(config)
     lines = out.read_text().splitlines()
     header = json.loads(lines[0])
-
-    def digested(fields):
-        blob = json.dumps(fields, sort_keys=True).encode()
-        return dict(header, config=fields, digest=hashlib.sha256(blob).hexdigest()[:16])
-
     fields = config.digest_fields()
     headers = {
-        # the previous format: four primes and "fundamental", under its own digest
-        "previous": digested(dict(fields, primes=[73, 32003, 65537, 104729], fundamental=True)),
-        "no_seed_rule": digested({k: v for k, v in fields.items() if k != "seed_rule"}),
-        "primes": digested(dict(fields, primes=[65537, 104729])),
-        "max_attempts": digested(dict(fields, max_attempts=2)),
+        "primes": _digested(header, dict(fields, primes=[65537, 104729])),
+        "max_attempts": _digested(header, dict(fields, max_attempts=2)),
         "digest": dict(header, digest="0" * 16),
     }
-    assert headers["previous"]["digest"] == "0edd5b884c53cda9"
-    logs = {name: [json.dumps(h)] + lines[1:] for name, h in headers.items()}
-    logs["none"] = lines[1:]
-    args = ["campaign", "--degrees", "14", "--shard", "5/87", "--seed", "7", "--resume"]
-    for name, log in logs.items():
-        # the last family is left, so that a resume would append
-        path = _write(tmp_path / f"{name}.jsonl", log[:-1])
-        report = verify_log(path, full=True)
-        assert report.total == len(report.structural) == 2, (name, report.to_dict())
-        assert report.replayed == 0 and not report.corrupt
-        assert {p["error"] for p in report.structural} == {
-            "no header of this version above the record"}
-        before = path.read_bytes()
-        assert main([*args, "--out", str(path)]) == 2, name
-        err = capsys.readouterr().err
-        assert ("no header" if name == "none" else "another config") in err, name
-        assert path.read_bytes() == before
-    # the header this version writes
-    assert verify_log(_write(tmp_path / "this.jsonl", lines), full=True).ok
+    for name, h in headers.items():
+        _assert_unread(_write(tmp_path / f"{name}.jsonl", [json.dumps(h)] + lines[1:-1]),
+                       capsys, 2)
+    _assert_unread(_write(tmp_path / "none.jsonl", lines[1:-1]), capsys, 2, "no header")
 
 
 def test_verify_checks_index_degree_and_shard_against_the_header(tmp_path):

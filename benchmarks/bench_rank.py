@@ -47,9 +47,10 @@ The machine drifts more between two runs than within one, so two trees are
 best compared with --against: it measures this tree (--src) and the tree
 DIR in fresh processes, alternately, --pairs times, and records per timing
 the median and quartiles of each side's per-run medians and the pairs each
-side won, under "against" in BENCH_rank.json:
+side won, under "against-LABEL" in BENCH_rank.json, so that a comparison
+keeps the earlier ones:
 
-    python benchmarks/bench_rank.py --against <parent checkout>/src
+    python benchmarks/bench_rank.py --against <parent checkout>/src --label panel-inverses
 
 --reduce times the two paths of gfp._reduce, the floor-based one and the
 one through np.remainder, on vectors of REDUCE_SIZES entries in float32 and
@@ -59,7 +60,8 @@ gfp._SHORT_REDUCE is set from.
 
 Usage:
     python benchmarks/bench_rank.py [--label NAME] [--src DIR] [--repeats 5]
-    python benchmarks/bench_rank.py --against DIR [--src DIR] [--pairs 10] [--repeats 3]
+    python benchmarks/bench_rank.py --against DIR [--label NAME] [--src DIR] [--pairs 10]
+                  [--repeats 3]
     python benchmarks/bench_rank.py --reduce [--repeats 15]
 """
 
@@ -409,7 +411,8 @@ def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", default="change", help="key the results are stored under")
+    ap.add_argument("--label", default="change",
+                    help="key the results are stored under (against-NAME with --against)")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree whose fatpoints package is timed")
     ap.add_argument("--repeats", type=int, default=None,
@@ -436,9 +439,10 @@ def main(argv=None) -> int:
         print(f"wrote {OUT} [reduce]")
         return 0
     if args.against is not None:
-        data["against"] = against(args.src.resolve(), args.against.resolve(), args.pairs, repeats)
+        key = f"against-{args.label}"
+        data[key] = against(args.src.resolve(), args.against.resolve(), args.pairs, repeats)
         OUT.write_text(json.dumps(data, indent=2) + "\n")
-        print(f"wrote {OUT} [against]")
+        print(f"wrote {OUT} [{key}]")
         return 0
     result = measure_in_subprocess(args.src, repeats)
     data.setdefault("runs", {})[args.label] = {

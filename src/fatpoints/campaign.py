@@ -3,7 +3,7 @@
 The result log is JSON-lines: a header record first, then one certificate
 record per case, appended family by family in the order the families run.
 Append-only writing keeps the log usable after a crash (a partial trailing
-line is cut off on resume), and a resume refuses a log whose header names
+line is cut off on resume), and a resume refuses a log with a header of
 another config; sharded runs on separate machines produce disjoint logs
 whose concatenation equals the unsharded log up to ordering.  A family that
 raises, or whose worker dies, ends the run with that exception; the
@@ -26,9 +26,14 @@ then retries any case that fell short.  interpolation.attempt_schedule
 gives each attempt its prime and seed.  A case's first seed is its family
 seed, base_seed + first * MAX_ATTEMPTS, where first is the lowest index of
 its (q, x, y) in algorithm_b_cases(d), so it does not depend on the shard;
-its retry seed is base_seed + index * MAX_ATTEMPTS.  A header counts only
-if this version writes it (_header_config); under any other header, or
-none, no record has a schedule to be checked against.
+its retry seed is base_seed + index * MAX_ATTEMPTS.
+
+Every reader takes a log by one rule, _read_log's.  A header counts only if
+this version writes it (_header_config); under any other header, or none,
+every record is structural.  verify_log reports the corrupt and structural
+lines and replays the sound records; ResultStore.load, so status,
+audit-closure and a resume, refuses the log at the first of them or at a
+header of another format, but ignores an unterminated last line.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from . import interpolation
 from ._version import __version__
-from .enumeration import algorithm_b_cases
+from .enumeration import B_DEGREE_MAX, B_DEGREE_MIN, algorithm_b_cases
 from .interpolation import (
     MAX_ATTEMPTS,
     Certificate,
@@ -83,8 +88,9 @@ class CampaignConfig:
 
     def __post_init__(self):
         lo, hi = self.degrees
-        if not (13 <= lo <= hi <= 40):
-            raise ValueError(f"degrees must lie in [13, 40], got {self.degrees}")
+        if not (B_DEGREE_MIN <= lo <= hi <= B_DEGREE_MAX):
+            raise ValueError(f"degrees must lie in [{B_DEGREE_MIN}, {B_DEGREE_MAX}],"
+                             f" got {self.degrees}")
         i, n = self.shard
         if not 1 <= i <= n:
             raise ValueError(f"shard must satisfy 1 <= i <= n, got {i}/{n}")
@@ -158,21 +164,23 @@ def _header_config(header: dict, out) -> Optional[CampaignConfig]:
 _UNTERMINATED = "unterminated last line"
 
 
-def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[CampaignConfig], str]]:
-    """Yield (lineno, record, config of the nearest header above, error) per log line.
+def _read_log(path) -> Iterator[tuple[int, str, object]]:
+    """Yield (lineno, kind, detail) for each line of the log at path but blank ones.
 
-    A line counts once it ends in a newline.  Header and blank lines yield
-    nothing; config is _header_config's, None under a header of another
-    format or above the first header.  A line that is no UTF-8, no JSON
-    object, or no record CertRecord.from_dict accepts yields (lineno, None,
-    config, the exception's type and message).  Bytes after the last newline
-    yield one _UNTERMINATED error.
+    A line counts once it ends in a newline.  kind is one of
+    - "header", with the config _header_config gives it, None for another format;
+    - "corrupt", with the error: no UTF-8, no JSON object, no record
+      CertRecord.from_dict accepts, a second record of a case, or the bytes
+      after the last newline (_UNTERMINATED);
+    - "structural", with the error: a record whose spec does not parse or
+      that _record_problems faults under the nearest header above;
+    - "sound", with (record, its parsed spec, that header's config).
     """
-    config = None
+    config, seen, positions = None, set(), {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.endswith(b"\n"):
-                yield lineno, None, config, _UNTERMINATED
+                yield lineno, "corrupt", _UNTERMINATED
                 return
             if not raw.strip():
                 continue
@@ -180,21 +188,37 @@ def _read_log(path) -> Iterator[tuple[int, Optional[CertRecord], Optional[Campai
                 data = json.loads(raw.decode("utf-8"))
                 if isinstance(data, dict) and data.get("header"):
                     config = _header_config(data, path)
+                    yield lineno, "header", config
                     continue
                 if not isinstance(data, dict) or "case" not in data:
                     raise ValueError("no JSON object with a 'case'")
                 record = CertRecord.from_dict(data)
             except Exception as exc:
-                yield lineno, None, config, f"{type(exc).__name__}: {exc}"
+                yield lineno, "corrupt", f"{type(exc).__name__}: {exc}"
                 continue
-            yield lineno, record, config, ""
+            key = record.case.key()
+            if key in seen:
+                yield lineno, "corrupt", f"duplicate case {key}"
+                continue
+            seen.add(key)
+            try:
+                spec = parse_system(record.cert.spec)
+            except ValueError as exc:
+                yield lineno, "structural", f"bad spec: {exc}"
+                continue
+            problems = _record_problems(record, spec, config, positions)
+            if problems:
+                yield lineno, "structural", "; ".join(problems)
+            else:
+                yield lineno, "sound", (record, spec, config)
 
 
 class ResultStore:
-    """In-memory index of certificate records, keyed by case identity."""
+    """Certificate records keyed by case identity, and the configs of load's headers."""
 
     def __init__(self):
         self._records: dict[tuple, CertRecord] = {}
+        self.configs: list[CampaignConfig] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -217,19 +241,21 @@ class ResultStore:
 
     @classmethod
     def load(cls, path) -> "ResultStore":
-        """Strict load: raises ValueError("path:line: ...") on a bad line or a duplicate.
+        """The records of the log at path that verify_log accepts, and its headers' configs.
 
-        An unterminated last line (a killed writer's) is ignored.
+        Strict: raises ValueError("path:line: ...") at the first corrupt or
+        structural line (_read_log) and at a header this version does not
+        write.  An unterminated last line (a killed writer's) is ignored.
         """
         store = cls()
-        for lineno, record, _, err in _read_log(path):
-            try:
-                if not err:
-                    store.add(record)
-                elif err != _UNTERMINATED:
-                    raise ValueError(err)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for lineno, kind, detail in _read_log(path):
+            if kind == "sound":
+                store.add(detail[0])
+            elif kind == "header" and detail is not None:
+                store.configs.append(detail)
+            elif detail != _UNTERMINATED:
+                detail = detail or "a header of another config or format"
+                raise ValueError(f"{path}:{lineno}: {detail}")
         return store
 
     def tally(self, d: int) -> dict[str, int]:
@@ -238,30 +264,6 @@ class ResultStore:
         for _, _, verdict in self.cases(d):
             counts[verdict] = counts.get(verdict, 0) + 1
         return counts
-
-
-def _check_header(path: Path, config: CampaignConfig):
-    """Refuse to resume a log whose header is missing or is not the one config writes.
-
-    A log holding nothing but a partial first line is a crash before the
-    header was complete; it is left for _trim_partial_line to cut.
-    """
-    with open(path, "rb") as fh:
-        first = fh.readline()
-    if not first.endswith(b"\n"):
-        return
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or not header.get("header"):
-        raise ValueError(f"{path} has no header line; refusing to resume into it")
-    written = _header_config(header, path)
-    if written is None or written.digest() != config.digest():
-        raise ValueError(
-            f"{path} was written under another config (digest {header.get('digest')},"
-            f" this run's is {config.digest()}); refusing to resume into it"
-        )
 
 
 def _trim_partial_line(path: Path):
@@ -507,16 +509,20 @@ def run_campaign(config: CampaignConfig) -> dict:
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.exists() and out.stat().st_size > 0:
-        if not config.resume:
-            raise FileExistsError(f"{out} exists; pass resume to continue into it")
-        _check_header(out, config)
+    if out.exists() and out.stat().st_size > 0 and not config.resume:
+        raise FileExistsError(f"{out} exists; pass resume to continue into it")
     done = _start_store(config)  # raises on a bad line before the log is touched
+    for written in done.configs:
+        if written.digest() != config.digest():
+            raise ValueError(
+                f"{out} was written under another config (digest {written.digest()},"
+                f" this run's is {config.digest()}); refusing to resume into it"
+            )
     if out.exists():
         _trim_partial_line(out)
     expected, plan = _plan(config, done)
     workers = config.effective_threads(plan)
-    if not (out.exists() and out.stat().st_size > 0):
+    if not done.configs:  # nor records, which load refuses above every header
         with open(out, "a") as fh:
             header = {
                 "header": True,
@@ -632,6 +638,31 @@ def _header_problems(
     return problems
 
 
+def _record_problems(record: CertRecord, spec, config, positions: dict) -> list[str]:
+    """Where a record of the parsed spec contradicts itself or its header's config.
+
+    N and S must be the spec's, the case its identity, the fundamental
+    assignment one reduce_fundamental accepts, and the verdict non_special
+    exactly when the rank is maximal; then _header_problems.
+    """
+    cert = record.cert
+    problems = []
+    if CaseSignature.from_system(spec).key() != record.case.key():
+        problems.append("case identity does not match spec")
+    if spec.n_monomials != cert.N:
+        problems.append(f"N mismatch: {spec.n_monomials} != {cert.N}")
+    if spec.conditions_total != cert.S:
+        problems.append(f"S mismatch: {spec.conditions_total} != {cert.S}")
+    try:
+        reduce_fundamental(spec, cert.fundamental_assignment)
+    except ValueError as exc:
+        problems.append(f"bad fundamental assignment: {exc}")
+    maximal = cert.rank == min(cert.N, cert.S)
+    if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
+        problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
+    return problems + _header_problems(record, config, positions)
+
+
 def _replay_unit(certs: list[Certificate]) -> list[int]:
     """The recomputed ranks of certs: one record's replay, or a family's (replay_family)."""
     if len(certs) == 1:
@@ -661,12 +692,8 @@ def _replay_units(picked: list[tuple]) -> list[list[tuple]]:
 def verify_log(path, full: bool = False) -> VerifyReport:
     """Validate a result log and replay certificates against fresh ranks.
 
-    Every record is checked structurally (N, S recomputed from the system,
-    verdict consistent with the recorded rank, case identity matching the
-    spec, a fundamental assignment reduce_fundamental accepts, no
-    duplicates, and the index, degree, shard, seed and prime the nearest
-    header above assigns, _header_problems).  Under a header this version
-    does not write, or none, every record is structural.
+    _read_log's corrupt and structural lines (_record_problems) are listed
+    in corrupt and structural, and only its sound records are replayed.
     Ranks are recomputed for every record with full=True, else for a
     deterministic evenly-spaced sample.  Records replay by family, as
     run_campaign computed them: the attempt-1 records that share degree, q,
@@ -679,47 +706,19 @@ def verify_log(path, full: bool = False) -> VerifyReport:
     (_run_units), and mismatches are reported in line order.
     """
     report = VerifyReport()
-    records, seen = [], set()
-    for lineno, record, config, err in _read_log(path):
-        if err:
-            report.corrupt.append({"line": lineno, "error": err})
-            continue
-        key = record.case.key()
-        if key in seen:
-            report.corrupt.append({"line": lineno, "error": f"duplicate case {key}"})
-            continue
-        seen.add(key)
-        records.append((lineno, record, config))
-    report.total = len(records)
-
     checkable = []
-    positions: dict = {}
-    for lineno, record, config in records:
-        cert = record.cert
-        try:
-            spec = parse_system(cert.spec)
-        except ValueError as exc:
-            report.structural.append({"line": lineno, "error": f"bad spec: {exc}"})
+    for lineno, kind, detail in _read_log(path):
+        if kind == "header":
             continue
-        problems = []
-        if CaseSignature.from_system(spec).key() != record.case.key():
-            problems.append("case identity does not match spec")
-        if spec.n_monomials != cert.N:
-            problems.append(f"N mismatch: {spec.n_monomials} != {cert.N}")
-        if spec.conditions_total != cert.S:
-            problems.append(f"S mismatch: {spec.conditions_total} != {cert.S}")
-        try:
-            reduce_fundamental(spec, cert.fundamental_assignment)
-        except ValueError as exc:
-            problems.append(f"bad fundamental assignment: {exc}")
-        maximal = cert.rank == min(cert.N, cert.S)
-        if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
-            problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
-        problems += _header_problems(record, config, positions)
-        if problems:
-            report.structural.append({"line": lineno, "error": "; ".join(problems)})
+        if kind == "corrupt":
+            report.corrupt.append({"line": lineno, "error": detail})
             continue
-        family = None
+        report.total += 1
+        if kind == "structural":
+            report.structural.append({"line": lineno, "error": detail})
+            continue
+        record, spec, _ = detail
+        cert, family = record.cert, None
         if cert.attempts == 1:
             case = record.case
             family = (case.degree, case.q, case.x, case.y, cert.prime, cert.seed,

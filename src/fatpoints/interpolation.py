@@ -277,7 +277,7 @@ def reduce_fundamental(
     for slot, (_, m) in enumerate(pairs):
         cols = np.nonzero(basis[:, slot] > d - m)[0]
         assert cols.size == conditions_count(m)
-        deleted.extend(int(c) for c in cols)
+        deleted.extend(cols.tolist())
     assert len(set(deleted)) == len(deleted), "deletion sets overlap"
 
     counts = spec.as_dict()

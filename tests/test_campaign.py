@@ -836,18 +836,29 @@ def _digested(header, fields):
     return dict(header, config=fields, digest=hashlib.sha256(blob).hexdigest()[:16])
 
 
+def _assert_refused(path, capsys, line, refusal=""):
+    """status, audit-closure and a resume each exit 2 with nothing on stdout,
+    naming path:line and refusal, and leave the log as it was."""
+    before = path.read_bytes()
+    for args in (["status", str(path), "--degrees", "14"],
+                 ["audit-closure", "-d", "14", "--results", str(path)],
+                 [*_RESUME, "--out", str(path)]):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert f"{path}:{line}: " in captured.err and refusal in captured.err, args
+    assert path.read_bytes() == before
+
+
 def _assert_unread(path, capsys, records, refusal="another config"):
     """Every record of the log at path is structural, none is replayed, and
-    a resume exits 2 and leaves the log as it was."""
+    status, audit-closure and a resume refuse the log at its first line."""
     report = verify_log(path, full=True)
     assert report.total == len(report.structural) == records, report.to_dict()
     assert report.replayed == 0 and not report.corrupt
     assert {p["error"] for p in report.structural} == {
         "no header of this version above the record"}
-    before = path.read_bytes()
-    assert main([*_RESUME, "--out", str(path)]) == 2
-    assert refusal in capsys.readouterr().err
-    assert path.read_bytes() == before
+    _assert_refused(path, capsys, 1, refusal)
 
 
 def test_logs_of_the_previous_format_are_structural_and_refuse_a_resume(tmp_path, capsys):
@@ -951,3 +962,34 @@ def test_verify_checks_index_degree_and_shard_against_the_header(tmp_path):
                   lines + other.read_text().splitlines() + [d15_header, outside_degrees])
     report = verify_log(both, full=True)
     assert report.ok and report.replayed == 7, report.to_dict()
+
+
+def test_a_record_short_of_its_verdicts_rank_is_refused_by_every_reader(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[2])
+    # one rank less, still called non_special; the last family is left to compute
+    lines[2] = json.dumps(dict(rec, rank=rec["rank"] - 1))
+    short = _write(tmp_path / "short.jsonl", lines[:-1])
+    report = verify_log(short, full=True)
+    error = f"verdict non_special inconsistent with rank {rec['rank'] - 1}"
+    assert report.structural == [{"line": 3, "error": error}], report.to_dict()
+    assert report.total == 2 and report.replayed == 1 and not report.corrupt
+    _assert_refused(short, capsys, 3, error)
+
+
+def test_resume_refuses_concatenated_shard_logs(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    other = tmp_path / "other.jsonl"
+    run_campaign(_tiny_config(out))
+    run_campaign(_tiny_config(other, shard=(6, 87)))
+    lines = out.read_text().splitlines()
+    # the last family of this shard is left, so that a resume would append
+    both = _write(tmp_path / "both.jsonl", lines[:-1] + other.read_text().splitlines())
+    assert verify_log(both, full=True).ok
+    assert len(ResultStore.load(both).configs) == 2
+    before = both.read_bytes()
+    assert main([*_RESUME, "--out", str(both)]) == 2
+    assert "another config" in capsys.readouterr().err
+    assert both.read_bytes() == before

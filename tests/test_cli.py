@@ -128,9 +128,12 @@ def test_audit_closure_refuses_a_degree_the_log_lacks(capsys, tmp_path):
     out = tmp_path / "log.jsonl"
     assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
     capsys.readouterr()
-    # the same records, none of them proven
+    # the same records, each one short of maximal rank, so none of them proven
+    header, *lines = out.read_text().splitlines()
+    short = [json.dumps(dict(rec, rank=min(rec["N"], rec["S"]) - 1, verdict="inconclusive"))
+             for rec in map(json.loads, lines)]
     doubtful = tmp_path / "inconclusive.jsonl"
-    doubtful.write_text(out.read_text().replace('"non_special"', '"inconclusive"'))
+    doubtful.write_text("\n".join([header, *short]) + "\n")
     # every target would be a gap: 397 405 430 tuples at d = 40
     for log, d in ((out, "15"), (out, "40"), (doubtful, "14")):
         assert main(["--json", "audit-closure", "-d", d, "--results", str(log)]) == 2
@@ -152,7 +155,8 @@ def test_audit_closure_refuses_a_record_whose_S_is_not_its_cases(capsys, tmp_pat
     assert main(["--json", "audit-closure", "-d", "14", "--results", str(forged)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"case {rec['case']} records S = {2 * rec['N'] - rec['S']}" in captured.err
+    # the log's reader refuses it before the audit's own S guard would
+    assert f"{forged}:3: S mismatch: {rec['S']} != {2 * rec['N'] - rec['S']}" in captured.err
 
 
 def test_a_campaign_whose_family_raises_exits_two_and_leaves_its_cases_pending(

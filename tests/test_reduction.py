@@ -1,10 +1,12 @@
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fatpoints.reduction as reduction
+from fatpoints.campaign import CertRecord, ResultStore
 from fatpoints.enumeration import algorithm_b_cases, q_values, window
 from fatpoints.interpolation import MAX_ATTEMPTS, check_case
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
@@ -246,6 +248,16 @@ def test_closure_audit_empty_store_all_gaps():
     assert report.targets_checked > 0
     assert len(report.gaps) == report.targets_checked
     assert not report.ok
+
+
+def test_closure_audit_refuses_a_record_whose_S_is_not_its_cases():
+    # a store filled in memory, not read from a log, meets the audit's own guard
+    case = CaseSignature(14, 1, 0, 44, 3)
+    cert = check_case(case.to_system(), seed=1)
+    store = ResultStore()
+    store.add(CertRecord(case, 0, replace(cert, S=cert.S + 4)))
+    with pytest.raises(ValueError, match=f"records S = {cert.S + 4}"):
+        closure_audit(14, store, known=_known())
 
 
 def test_closure_audit_partial_store():

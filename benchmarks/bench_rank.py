@@ -264,7 +264,7 @@ def family_heads(limit: Optional[int] = None) -> list[tuple]:
     from fatpoints.model import conditions_count
 
     cases = algorithm_b_cases(FAMILY_DEGREE)
-    families = campaign._families(cases, list(enumerate(cases)))[:limit]
+    families = campaign._families(list(enumerate(cases)))[:limit]
     heads = []
     for first, family in families:
         specs = [case.to_system() for _, case in family]

@@ -24,9 +24,10 @@ seed each case's matrix is a leading row block of the largest one's, and
 one elimination gives every rank (interpolation.check_family).  check_case
 then retries any case that fell short.  interpolation.attempt_schedule
 gives each attempt its prime and seed.  A case's first seed is its family
-seed, base_seed + first * MAX_ATTEMPTS, where first is the lowest index of
-its (q, x, y) in algorithm_b_cases(d), so it does not depend on the shard;
-its retry seed is base_seed + index * MAX_ATTEMPTS.
+seed, base_seed + first * MAX_ATTEMPTS, where first (the family first) is
+the lowest index of its (q, x, y) in algorithm_b_cases(d), so it does not
+depend on the shard; its retry seed is base_seed + index * MAX_ATTEMPTS.
+Both indices come from one per-degree index, _degree_cases.
 
 Every reader takes a log by one rule, _read_log's.  A header counts only if
 this version writes it (_header_config); under any other header, or none,
@@ -67,6 +68,7 @@ from .model import (
     CaseSignature,
     VERDICT_INCONCLUSIVE,
     VERDICT_NON_SPECIAL,
+    json_int,
     parse_system,
 )
 
@@ -74,6 +76,24 @@ from .model import (
 # its head alone, in line order, so that each full verify compares the ranks
 # read off a head's elimination with the ranks of the members' own matrices.
 _CROSS_CHECK = 10
+
+
+def _check_degrees(degrees: tuple[int, int]):
+    """Raise ValueError unless degrees is an integer range lo..hi in B_DEGREE_MIN..B_DEGREE_MAX."""
+    lo, hi = (json_int(d, "degrees") for d in degrees)
+    if not (B_DEGREE_MIN <= lo <= hi <= B_DEGREE_MAX):
+        raise ValueError(f"degrees must lie in [{B_DEGREE_MIN}, {B_DEGREE_MAX}],"
+                         f" got {degrees}")
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_cases(d: int) -> tuple[tuple[CaseSignature, ...], dict]:
+    """algorithm_b_cases(d), and each case key's (index, family first); shared, so read-only."""
+    cases = tuple(algorithm_b_cases(d))
+    firsts, positions = {}, {}
+    for idx, case in enumerate(cases):
+        positions[case.key()] = (idx, firsts.setdefault((case.q, case.x, case.y), idx))
+    return cases, positions
 
 
 @dataclass
@@ -87,14 +107,11 @@ class CampaignConfig:
     resume: bool = False
 
     def __post_init__(self):
-        lo, hi = self.degrees
-        if not (B_DEGREE_MIN <= lo <= hi <= B_DEGREE_MAX):
-            raise ValueError(f"degrees must lie in [{B_DEGREE_MIN}, {B_DEGREE_MAX}],"
-                             f" got {self.degrees}")
-        i, n = self.shard
+        _check_degrees(self.degrees)
+        i, n = (json_int(k, "shard") for k in self.shard)
         if not 1 <= i <= n:
             raise ValueError(f"shard must satisfy 1 <= i <= n, got {i}/{n}")
-        if self.base_seed < 0:
+        if json_int(self.base_seed, "base_seed") < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         self.out = Path(self.out)
 
@@ -139,7 +156,8 @@ class CertRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CertRecord":
-        return cls(CaseSignature(*data["case"]), int(data["index"]), Certificate.from_dict(data))
+        case = CaseSignature(*(json_int(k, "case") for k in data["case"]))
+        return cls(case, json_int(data["index"], "index"), Certificate.from_dict(data))
 
 
 def _header_config(header: dict, out) -> Optional[CampaignConfig]:
@@ -176,7 +194,7 @@ def _read_log(path) -> Iterator[tuple[int, str, object]]:
       that _record_problems faults under the nearest header above;
     - "sound", with (record, its parsed spec, that header's config).
     """
-    config, seen, positions = None, set(), {}
+    config, seen = None, set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.endswith(b"\n"):
@@ -206,7 +224,7 @@ def _read_log(path) -> Iterator[tuple[int, str, object]]:
             except ValueError as exc:
                 yield lineno, "structural", f"bad spec: {exc}"
                 continue
-            problems = _record_problems(record, spec, config, positions)
+            problems = _record_problems(record, spec, config)
             if problems:
                 yield lineno, "structural", "; ".join(problems)
             else:
@@ -283,28 +301,20 @@ def _shard_indices(n_cases: int, shard: tuple[int, int]) -> list[int]:
     return [idx for idx in range(n_cases) if idx % n == i - 1]
 
 
-def _family_firsts(cases: list[CaseSignature]) -> dict[tuple[int, int, int], int]:
-    """Lowest case index of each (q, x, y) family."""
-    first: dict[tuple[int, int, int], int] = {}
-    for idx, case in enumerate(cases):
-        first.setdefault((case.q, case.x, case.y), idx)
-    return first
-
-
 def _families(
-    cases: list[CaseSignature], todo: list[tuple[int, CaseSignature]]
+    todo: list[tuple[int, CaseSignature]]
 ) -> list[tuple[int, list[tuple[int, CaseSignature]]]]:
-    """todo grouped by (q, x, y), largest head first.
+    """todo, (index, case) pairs of one degree, grouped by (q, x, y), largest head first.
 
-    Each family comes with the lowest index of its (q, x, y) in cases, and
-    its members are in ascending z, so the last one is the head.
+    Each family comes with its family first (_degree_cases), and its members
+    are in ascending z, so the last one is the head.
     """
-    firsts = _family_firsts(cases)
-    groups: dict[tuple[int, int, int], list[tuple[int, CaseSignature]]] = {}
+    groups: dict[int, list[tuple[int, CaseSignature]]] = {}
     for idx, case in todo:
-        groups.setdefault((case.q, case.x, case.y), []).append((idx, case))
-    families = [(firsts[qxy], sorted(group, key=lambda pair: pair[1].z))
-                for qxy, group in groups.items()]
+        first = _degree_cases(case.degree)[1][case.key()][1]
+        groups.setdefault(first, []).append((idx, case))
+    families = [(first, sorted(group, key=lambda pair: pair[1].z))
+                for first, group in groups.items()]
     families.sort(key=lambda fam: (-fam[1][-1][1].conditions_total, fam[0]))
     return families
 
@@ -325,11 +335,11 @@ def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict[int, int], li
     """
     expected, plan = {}, []
     for d in range(config.degrees[0], config.degrees[1] + 1):
-        cases = algorithm_b_cases(d)
+        cases = _degree_cases(d)[0]
         mine = _shard_indices(len(cases), config.shard)
         todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
         expected[d] = len(mine)
-        plan += [(d, first, family) for first, family in _families(cases, todo)]
+        plan += [(d, first, family) for first, family in _families(todo)]
     return expected, plan
 
 
@@ -582,37 +592,20 @@ class VerifyReport:
         }
 
 
-def _case_position(case: CaseSignature, cache: dict) -> Optional[tuple[int, int]]:
-    """(index, family first) of case in algorithm_b_cases, or None if it is no such case.
-
-    The family first is the lowest index of case's (q, x, y).  cache maps
-    each degree to its cases' positions.
-    """
-    d = case.degree
-    if d not in cache:
-        try:
-            cases = algorithm_b_cases(d)
-        except ValueError:
-            cases = []
-        firsts = _family_firsts(cases)
-        cache[d] = {c.key(): (idx, firsts[(c.q, c.x, c.y)]) for idx, c in enumerate(cases)}
-    return cache[d].get(case.key())
-
-
-def _header_problems(
-    record: CertRecord, config: Optional[CampaignConfig], positions: dict
-) -> list[str]:
+def _header_problems(record: CertRecord, config: Optional[CampaignConfig]) -> list[str]:
     """Where a record differs from what its header's config assigns it.
 
-    The case must be an algorithm-B case of the header's degrees and shard,
-    logged at its index, and its attempt must run at the prime and seed
-    attempt_schedule gives it from the header's base seed.  positions
-    caches _case_position.
+    The case must be an algorithm-B case (_degree_cases) of the header's
+    degrees and shard, logged at its index, and its attempt must run at the
+    prime and seed attempt_schedule gives it from the header's base seed.
     """
     if config is None:
         return ["no header of this version above the record"]
     case, cert = record.case, record.cert
-    position = _case_position(case, positions)
+    try:
+        position = _degree_cases(case.degree)[1].get(case.key())
+    except ValueError:  # a degree outside the sweep
+        position = None
     if position is None:
         return ["not an algorithm-B case"]
     index, first = position
@@ -638,7 +631,7 @@ def _header_problems(
     return problems
 
 
-def _record_problems(record: CertRecord, spec, config, positions: dict) -> list[str]:
+def _record_problems(record: CertRecord, spec, config) -> list[str]:
     """Where a record of the parsed spec contradicts itself or its header's config.
 
     N and S must be the spec's, the case its identity, the fundamental
@@ -660,7 +653,7 @@ def _record_problems(record: CertRecord, spec, config, positions: dict) -> list[
     maximal = cert.rank == min(cert.N, cert.S)
     if (cert.verdict == VERDICT_NON_SPECIAL) != maximal:
         problems.append(f"verdict {cert.verdict} inconsistent with rank {cert.rank}")
-    return problems + _header_problems(record, config, positions)
+    return problems + _header_problems(record, config)
 
 
 def _replay_unit(certs: list[Certificate]) -> list[int]:
@@ -760,10 +753,11 @@ def verify_log(path, full: bool = False) -> VerifyReport:
 
 def status(path, degrees: tuple[int, int]) -> list[dict]:
     """Per-degree progress of the log at path against the enumerator's expected totals."""
+    _check_degrees(degrees)
     store = ResultStore.load(path)
     rows = []
     for d in range(degrees[0], degrees[1] + 1):
-        expected = len(algorithm_b_cases(d))
+        expected = len(_degree_cases(d)[0])
         tally = store.tally(d)
         done = sum(tally.values())
         rows.append({"degree": d, "expected": expected, "done": done,

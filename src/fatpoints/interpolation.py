@@ -40,6 +40,7 @@ from .model import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NON_SPECIAL,
     conditions_count,
+    json_int,
     parse_system,
 )
 from .monomials import derivative_orders, monomial_basis
@@ -242,6 +243,19 @@ def build_matrix(
 FundamentalAssignment = list[tuple[int, int]]
 
 
+@lru_cache(maxsize=None)
+def _pinned_columns(d: int, mults: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending columns deleted by pinning points of mults at coordinate points."""
+    basis = monomial_basis(d)
+    deleted: list[int] = []
+    for slot, m in enumerate(mults):
+        cols = np.nonzero(basis[:, slot] > d - m)[0]
+        assert cols.size == conditions_count(m)
+        deleted.extend(cols.tolist())
+    assert len(set(deleted)) == len(deleted), "deletion sets overlap"
+    return tuple(sorted(deleted))
+
+
 def reduce_fundamental(
     spec: SystemSpec, assignment: Sequence[tuple[int, int]]
 ) -> tuple[list[int], SystemSpec]:
@@ -251,7 +265,9 @@ def reduce_fundamental(
     placed at the j-th coordinate point.  A point of multiplicity m at
     coordinate j turns into the deletion of the C(m+2,3) columns whose j-th
     exponent exceeds d-m, and its rows leave the matrix.  Assigned pairs must
-    satisfy m_i + m_j <= d so the deletion sets cannot overlap.
+    satisfy m_i + m_j <= d so the deletion sets cannot overlap.  Every call
+    checks the assignment; _pinned_columns computes the columns once per
+    (d, multiplicities).
     """
     d = spec.degree
     expansion = spec.points()
@@ -272,19 +288,11 @@ def reduce_fundamental(
                 raise ValueError(
                     f"multiplicities {pairs[a][1]} + {pairs[b][1]} exceed degree {d}"
                 )
-    basis = monomial_basis(d)
-    deleted: list[int] = []
-    for slot, (_, m) in enumerate(pairs):
-        cols = np.nonzero(basis[:, slot] > d - m)[0]
-        assert cols.size == conditions_count(m)
-        deleted.extend(cols.tolist())
-    assert len(set(deleted)) == len(deleted), "deletion sets overlap"
-
     counts = spec.as_dict()
     for _, m in pairs:
         counts[m] -= 1
     residual = SystemSpec(d, counts.items())
-    return sorted(deleted), residual
+    return list(_pinned_columns(d, tuple(m for _, m in pairs))), residual
 
 
 def _greedy_assignment(spec: SystemSpec) -> FundamentalAssignment:
@@ -335,18 +343,13 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            spec=data["spec"],
-            prime=int(data["prime"]),
-            seed=int(data["seed"]),
-            fundamental_assignment=[(int(i), int(m)) for i, m in data["fundamental_assignment"]],
-            N=int(data["N"]),
-            S=int(data["S"]),
-            rank=int(data["rank"]),
-            verdict=data["verdict"],
-            attempts=int(data["attempts"]),
-            elapsed_ms=int(data["elapsed_ms"]),
-        )
+        """The certificate to_dict gave data; every number must be a JSON integer (json_int)."""
+        numbers = {name: json_int(data[name], name)
+                   for name in ("prime", "seed", "N", "S", "rank", "attempts", "elapsed_ms")}
+        pairs = [(json_int(i, "fundamental_assignment"), json_int(m, "fundamental_assignment"))
+                 for i, m in data["fundamental_assignment"]]
+        return cls(spec=data["spec"], fundamental_assignment=pairs, verdict=data["verdict"],
+                   **numbers)
 
 
 def _transposed_matrix(
@@ -381,8 +384,7 @@ def _run_family(
     A single system is the family [spec] of its own head.
     """
     mat, n_deleted = _transposed_matrix(head, prime, seed, assignment)
-    pinned = sum(conditions_count(m) for _, m in assignment)
-    rows = [member.conditions_total - pinned for member in members]
+    rows = [member.conditions_total - n_deleted for member in members]
     return [r + n_deleted for r in rank(mat, prime, overwrite=True, leading=rows)]
 
 

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 
+def json_int(value, name: str) -> int:
+    """value if it is an int and no bool, as a JSON integer parses; else ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; k > n yields 0."""
     if n < 0 or k < 0:

@@ -12,7 +12,7 @@ from fatpoints.campaign import (
     CampaignConfig,
     CertRecord,
     ResultStore,
-    _family_firsts,
+    _degree_cases,
     _shard_indices,
     run_campaign,
     status,
@@ -32,7 +32,7 @@ FAMILY_SHARD = (1, 2)
 
 def _family_seed(case_key, base_seed=7, max_attempts=3):
     d, q, x, y, _ = case_key
-    return base_seed + _family_firsts(algorithm_b_cases(d))[(q, x, y)] * max_attempts
+    return base_seed + _degree_cases(d)[1][tuple(case_key)][1] * max_attempts
 
 
 def _strip(lines):
@@ -68,6 +68,36 @@ def test_sharding_is_a_partition():
             shards = [_shard_indices(total, (i, n)) for i in range(1, n + 1)]
             flat = sorted(idx for shard in shards for idx in shard)
             assert flat == list(range(total))
+
+
+def test_degree_cases_index_each_case_at_its_position_and_family_first():
+    for d in range(13, 41):
+        cases, positions = _degree_cases(d)
+        assert cases == tuple(algorithm_b_cases(d))
+        assert list(positions) == [case.key() for case in cases]
+        lowest = {}
+        for idx in reversed(range(len(cases))):
+            lowest[cases[idx].q, cases[idx].x, cases[idx].y] = idx
+        for idx, case in enumerate(cases):
+            assert positions[case.key()] == (idx, lowest[case.q, case.x, case.y]), case
+    # a degree outside the sweep raises on every call, not once
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree must be in"):
+            _degree_cases(12)
+
+
+def test_families_group_by_q_x_y_largest_head_first():
+    for d in (14, 30):
+        cases = algorithm_b_cases(d)
+        groups: dict = {}
+        for idx, case in enumerate(cases):
+            groups.setdefault((case.q, case.x, case.y), []).append((idx, case))
+        want = sorted(((group[0][0], sorted(group, key=lambda pair: pair[1].z))
+                       for group in groups.values()),
+                      key=lambda fam: (-fam[1][-1][1].conditions_total, fam[0]))
+        todo = list(enumerate(cases))
+        assert campaign._families(todo) == want
+        assert campaign._families(todo[::-1]) == want
 
 
 def _families_in_log(records):
@@ -181,7 +211,8 @@ def test_a_complete_bad_last_line_stops_load_and_resume(tmp_path, capsys):
 def test_a_record_without_spec_stops_status_and_the_audit_at_its_line(tmp_path, capsys):
     out = tmp_path / "log.jsonl"
     run_campaign(_tiny_config(out))
-    lines = out.read_text().splitlines()
+    good = out.read_text().splitlines()
+    lines = list(good)
     lines[1] = json.dumps({k: v for k, v in json.loads(lines[1]).items() if k != "spec"})
     out.write_text("\n".join(lines) + "\n")
     for args in (["status", str(out), "--degrees", "14"],
@@ -189,6 +220,21 @@ def test_a_record_without_spec_stops_status_and_the_audit_at_its_line(tmp_path, 
         assert main(args) == 2
         assert f"{out}:2: KeyError: 'spec'" in capsys.readouterr().err
     assert [c["line"] for c in verify_log(out).corrupt] == [2]
+
+    # a number this version writes as a JSON integer, in a form int() would take
+    rec = json.loads(good[1])
+    (i, m), *pinned = rec["fundamental_assignment"]
+    for name, value in (("rank", rec["rank"] + 0.9), ("N", rec["N"] + 0.5),
+                        ("index", float(rec["index"])), ("seed", str(rec["seed"])),
+                        ("case", rec["case"][:4] + [float(rec["case"][4])]),
+                        ("fundamental_assignment", [[i, float(m)], *pinned])):
+        # the last family is left, so that a resume would append
+        forged = _write(tmp_path / f"{name}.jsonl",
+                        [good[0], json.dumps(dict(rec, **{name: value}))] + good[2:-1])
+        report = verify_log(forged, full=True)
+        assert [c["line"] for c in report.corrupt] == [2], name
+        assert f"{name} must be an integer" in report.corrupt[0]["error"]
+        _assert_refused(forged, capsys, 2, f"{name} must be an integer")
 
 
 def test_lines_that_hold_no_record_are_corrupt_at_their_line(tmp_path):
@@ -919,6 +965,10 @@ def test_a_header_of_other_primes_attempts_or_digest_is_structural(tmp_path, cap
         "primes": _digested(header, dict(fields, primes=[65537, 104729])),
         "max_attempts": _digested(header, dict(fields, max_attempts=2)),
         "digest": dict(header, digest="0" * 16),
+        # numbers this version writes as JSON integers, digested as written
+        "shard": _digested(header, dict(fields, shard=[5, 87.0])),
+        "base_seed": _digested(header, dict(fields, base_seed=False)),
+        "degrees": _digested(header, dict(fields, degrees=[14, 14.0])),
     }
     for name, h in headers.items():
         _assert_unread(_write(tmp_path / f"{name}.jsonl", [json.dumps(h)] + lines[1:-1]),
@@ -936,11 +986,11 @@ def test_verify_checks_index_degree_and_shard_against_the_header(tmp_path):
     # their schedule for a case outside the shard and one outside the degrees
     wrong_index = json.dumps(dict(rec, index=rec["index"] + 87))
     cases = algorithm_b_cases(14)
-    assert _family_firsts(cases)[(cases[5].q, cases[5].x, cases[5].y)] == 3
+    assert _degree_cases(14)[1][cases[5].key()] == (5, 3)
     outside_shard = campaign._family_unit(config, 3, [(5, cases[5])])[0].to_line()
     d15 = _tiny_config(tmp_path / "d15.jsonl", degrees=(15, 15))
     case = algorithm_b_cases(15)[4]
-    first = _family_firsts(algorithm_b_cases(15))[(case.q, case.x, case.y)]
+    first = _degree_cases(15)[1][case.key()][1]
     outside_degrees = campaign._family_unit(d15, first, [(4, case)])[0].to_line()
     bad = _write(tmp_path / "bad.jsonl",
                  [lines[0], wrong_index, outside_shard, outside_degrees] + lines[2:])
@@ -962,6 +1012,20 @@ def test_verify_checks_index_degree_and_shard_against_the_header(tmp_path):
                   lines + other.read_text().splitlines() + [d15_header, outside_degrees])
     report = verify_log(both, full=True)
     assert report.ok and report.replayed == 7, report.to_dict()
+
+
+def test_a_record_of_no_algorithm_b_case_is_structural(tmp_path):
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    lines = out.read_text().splitlines()
+    # a degree below the sweep's, and z = 5 where algorithm B stops at 4;
+    # both checked honestly, so only the case itself is at fault
+    extra = [CertRecord(case, 0, check_case(case.to_system(), 7)).to_line()
+             for case in (CaseSignature(12, 0, 10, 20, 3), CaseSignature(14, 1, 0, 44, 5))]
+    report = verify_log(_write(tmp_path / "bad.jsonl", lines + extra), full=True)
+    assert report.structural == [{"line": 5, "error": "not an algorithm-B case"},
+                                 {"line": 6, "error": "not an algorithm-B case"}]
+    assert report.replayed == 3 and not report.mismatches and not report.corrupt
 
 
 def test_a_record_short_of_its_verdicts_rank_is_refused_by_every_reader(tmp_path, capsys):

@@ -113,6 +113,20 @@ def test_status_of_a_missing_log_exits_two(capsys, tmp_path):
     assert "no-such.jsonl" in captured.err
 
 
+def test_status_refuses_a_degree_range_a_campaign_refuses(capsys, tmp_path):
+    out = tmp_path / "log.jsonl"
+    assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for degrees in ("10", "40..14"):
+        assert main(["--json", "status", str(out), "--degrees", degrees]) == 2, degrees
+        captured = capsys.readouterr()
+        assert captured.out == "", degrees
+        assert "degrees must lie in [13, 40]" in captured.err, degrees
+        assert main(["campaign", "--degrees", degrees, "--out", str(tmp_path / "x.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degrees must lie in [13, 40]" in captured.err, degrees
+
+
 def test_audit_closure_without_a_certified_base_system_lists_every_target(
         capsys, tmp_path, short_base_system):
     out = tmp_path / "log.jsonl"

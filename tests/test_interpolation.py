@@ -204,6 +204,30 @@ def test_reduce_fundamental_rejects_overlap():
         reduce_fundamental(SystemSpec(14, {2: 2}), [(0, 2), (0, 2)])
 
 
+def test_pinned_columns_are_computed_once_per_assignment():
+    seen = set()
+    for d in range(13, 41):
+        basis = monomial_basis(d)
+        for case in algorithm_b_cases(d):
+            spec = case.to_system()
+            assignment = _greedy_assignment(spec)
+            if (d, tuple(assignment)) in seen:
+                continue
+            seen.add((d, tuple(assignment)))
+            want = sorted(col for slot, (_, m) in enumerate(assignment)
+                          for col in np.nonzero(basis[:, slot] > d - m)[0].tolist())
+            mults = tuple(m for _, m in assignment)
+            assert list(interpolation._pinned_columns(d, mults)) == want, (d, assignment)
+            deleted, _ = reduce_fundamental(spec, assignment)
+            assert deleted == want
+            # the caller's list is its own: changing it leaves the next call's alone
+            deleted.append(-1)
+            deleted[0] = -1
+            misses = interpolation._pinned_columns.cache_info().misses
+            assert reduce_fundamental(spec, assignment)[0] == want
+            assert interpolation._pinned_columns.cache_info().misses == misses
+
+
 def _unpinned_rank(cert: Certificate) -> int:
     """The rank of cert's recorded attempt with every point random, none pinned."""
     return replay_certificate(replace(cert, fundamental_assignment=[]))

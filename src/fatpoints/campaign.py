@@ -58,9 +58,9 @@ from .interpolation import (
     Certificate,
     attempt_schedule,
     check_case,
+    check_assignment,
     check_family,
     peak_bytes,
-    reduce_fundamental,
     replay_certificate,
     replay_family,
 )
@@ -355,76 +355,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_SELF_CGROUP = Path("/proc/self/cgroup")
-_CGROUP_MOUNT = Path("/sys/fs/cgroup")
-# (directories under _CGROUP_MOUNT, limit file, usage file, memory.stat key of
-# the reclaimable page cache) for the v2 hierarchy and the v1 memory controller
-_CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", "inactive_file")
-_CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
-
-
-def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str) -> Optional[int]:
-    """Bytes group's memory limit leaves, counting inactive page cache as free; None without one."""
-    try:
-        limit = int((group / limit_file).read_text())  # "max" (no limit) raises
-        usage = int((group / usage_file).read_text())
-        stat = dict(line.split() for line in (group / "memory.stat").read_text().splitlines())
-        return max(0, limit - usage + int(stat.get(cache_key, 0)))
-    except (OSError, ValueError):
-        return None
-
-
-def _cgroup_headroom() -> Optional[int]:
-    """Bytes this process's memory cgroups leave, or None if none of them has a limit.
-
-    The least room over the process's cgroup and its ancestors, since a
-    limit on any of them binds, in the v2 hierarchy and the v1 memory
-    controller.  MemAvailable does not see these limits.
-    """
-    try:
-        entries = [line.split(":", 2) for line in _SELF_CGROUP.read_text().splitlines()]
-    except OSError:
-        return None
-    rooms = []
-    for _, controllers, path in entries:
-        if not controllers:
-            dirs, *files = _CGROUP_V2
-        elif "memory" in controllers.split(","):
-            dirs, *files = _CGROUP_V1
-        else:
-            continue
-        for top in (_CGROUP_MOUNT / name for name in dirs):
-            group = top / path.lstrip("/")
-            while True:
-                rooms.append(_cgroup_room(group, *files))
-                if group == top or top not in group.parents:
-                    break
-                group = group.parent
-    rooms = [room for room in rooms if room is not None]
-    return min(rooms) if rooms else None
-
-
-def _mem_available() -> int:
-    """Bytes that can be allocated without swapping.
-
-    MemAvailable, else the free pages, and no more than the memory cgroups
-    leave (_cgroup_headroom).
-    """
-    avail = None
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    avail = int(line.split()[1]) * 1024
-                    break
-    except OSError:
-        pass
-    if avail is None:
-        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    room = _cgroup_headroom()
-    return avail if room is None else min(avail, room)
-
-
 def _callees_replaced() -> bool:
     """Whether this process replaced a function the units call, as a tracer does.
 
@@ -438,13 +368,14 @@ def _callees_replaced() -> bool:
 def worker_count(peaks: Sequence[int]) -> int:
     """Worker processes for units with these peak memory estimates (peak_bytes).
 
-    max(1, min(usable CPUs, units, available memory // the largest peak)), so
-    the units in flight fit in memory together.  It is 1 while a function
+    max(1, min(usable CPUs, units, interpolation._mem_available() // the
+    largest peak)): the units in flight fit in memory together, and each
+    check is refused against the same budget.  It is 1 while a function
     the units call is replaced in this process, so that the units run here.
     """
     if not peaks or _callees_replaced():
         return 1
-    return max(1, min(_usable_cpus(), len(peaks), _mem_available() // max(peaks)))
+    return max(1, min(_usable_cpus(), len(peaks), interpolation._mem_available() // max(peaks)))
 
 
 @contextmanager
@@ -545,7 +476,7 @@ def run_campaign(config: CampaignConfig) -> dict:
                     "workers": workers,
                     "blas_threads_per_worker": 1 if workers > 1 else None,  # None: the caller's own
                     "cpus": _usable_cpus(),
-                    "mem_available_bytes": _mem_available(),
+                    "mem_available_bytes": interpolation._mem_available(),
                 },
             }
             fh.write(json.dumps(header) + "\n")
@@ -635,7 +566,7 @@ def _record_problems(record: CertRecord, spec, config) -> list[str]:
     """Where a record of the parsed spec contradicts itself or its header's config.
 
     N and S must be the spec's, the case its identity, the fundamental
-    assignment one reduce_fundamental accepts, and the verdict non_special
+    assignment one check_assignment accepts, and the verdict non_special
     exactly when the rank is maximal; then _header_problems.
     """
     cert = record.cert
@@ -647,7 +578,7 @@ def _record_problems(record: CertRecord, spec, config) -> list[str]:
     if spec.conditions_total != cert.S:
         problems.append(f"S mismatch: {spec.conditions_total} != {cert.S}")
     try:
-        reduce_fundamental(spec, cert.fundamental_assignment)
+        check_assignment(spec, cert.fundamental_assignment)
     except ValueError as exc:
         problems.append(f"bad fundamental assignment: {exc}")
     maximal = cert.rank == min(cert.N, cert.S)

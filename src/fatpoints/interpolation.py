@@ -26,10 +26,14 @@ record's rank off that one elimination, and replays any other record alone
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import re
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,9 +48,6 @@ from .model import (
     parse_system,
 )
 from .monomials import derivative_orders, monomial_basis
-
-# Refuse to build a matrix whose process would peak above this (peak_bytes).
-MEMORY_LIMIT_BYTES = 16 * 2**30
 
 # Resident size of a process with the package and numpy loaded, rounded up.
 _PROCESS_BYTES = 64 * 2**20
@@ -67,9 +68,82 @@ def peak_bytes(spec: SystemSpec, prime: int = PRIME_LADDER[0]) -> int:
     after reduction), and a d = 30 shard's worker peaks at 155 MiB against
     an estimate of 234 MiB.  At 32003 they are float64, twice the matrix
     (1810 MiB for that d = 40 case): a retry escalated there can take that.
+    worker_count sizes the pool by it, and _transposed_matrix refuses a
+    matrix by it, both against the one budget _mem_available.
     """
     n, s = spec.n_monomials, spec.conditions_total
     return 3 * _matrix_dtype(prime, n, s).itemsize * n * s // 2 + _PROCESS_BYTES
+
+
+_SELF_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_MOUNT = Path("/sys/fs/cgroup")
+# (directories under _CGROUP_MOUNT, limit file, usage file, memory.stat key of
+# the reclaimable page cache) for the v2 hierarchy and the v1 memory controller
+_CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", b"inactive_file")
+_CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", b"total_inactive_file")
+
+
+def _read(path) -> bytes:
+    """A procfs or cgroup file's bytes from one unbuffered read, which returns such a file whole."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+
+
+def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: bytes) -> Optional[int]:
+    """Bytes group's memory limit leaves, counting inactive page cache as free; None without one."""
+    try:
+        limit = int(_read(f"{group}/{limit_file}"))  # "max" (no limit) raises
+        usage = int(_read(f"{group}/{usage_file}"))
+        cache = re.search(rb"^%s (\d+)$" % cache_key, _read(f"{group}/memory.stat"), re.M)
+        return max(0, limit - usage + (int(cache[1]) if cache else 0))
+    except (OSError, ValueError):
+        return None
+
+
+def _cgroup_headroom() -> Optional[int]:
+    """Bytes this process's memory cgroups leave, or None if none of them has a limit.
+
+    The least room over the process's cgroup and its ancestors, since a
+    limit on any of them binds, in the v2 hierarchy and the v1 memory
+    controller.  MemAvailable does not see these limits.
+    """
+    try:
+        entries = [line.split(":", 2) for line in _read(_SELF_CGROUP).decode().splitlines()]
+    except OSError:
+        return None
+    rooms = []
+    for _, controllers, path in entries:
+        if not controllers:
+            dirs, *files = _CGROUP_V2
+        elif "memory" in controllers.split(","):
+            dirs, *files = _CGROUP_V1
+        else:
+            continue
+        parts = Path(path.lstrip("/")).parts
+        for top in (_CGROUP_MOUNT / name for name in dirs):
+            rooms += [_cgroup_room(top.joinpath(*parts[:k]), *files) for k in range(len(parts) + 1)]
+    return min((room for room in rooms if room is not None), default=None)
+
+
+def _mem_available() -> int:
+    """Bytes that can be allocated without swapping: the one memory budget.
+
+    MemAvailable, else the free pages, and no more than the memory cgroups
+    leave (_cgroup_headroom).  It sizes the pool and bounds each matrix (peak_bytes).
+    """
+    try:
+        found = re.search(rb"^MemAvailable:\s+(\d+)", _read("/proc/meminfo"), re.M)
+    except OSError:
+        found = None
+    if found:
+        avail = int(found[1]) * 1024
+    else:
+        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    room = _cgroup_headroom()
+    return avail if room is None else min(avail, room)
 
 
 # Attempts of one rank check (attempt_schedule).
@@ -79,7 +153,7 @@ _MAX_RESAMPLE = 1000
 
 
 class MatrixTooLargeError(ValueError):
-    """Raised when a matrix would exceed the configured memory budget."""
+    """Raised when a matrix's peak_bytes exceeds the free memory, _mem_available()."""
 
 
 def _projective_key(coords, p: int) -> tuple:
@@ -153,7 +227,6 @@ def build_matrix(
     spec: SystemSpec,
     points: np.ndarray,
     prime: int,
-    charts: Optional[Sequence[int]] = None,
     basis: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Assemble the interpolation matrix of spec at the given points.
@@ -165,9 +238,8 @@ def build_matrix(
     or float64, gfp._exact_dtype; float64 for a shape rank refuses), so the
     transpose is a C-contiguous array that rank(..., overwrite=True)
     consumes without a copy.
-    Each point is dehomogenized in the chart of its first nonzero coordinate
-    unless charts overrides the choice.  A basis subset may be passed to
-    restrict columns (fundamental-point reduction).
+    Each point is dehomogenized in the chart of its first nonzero coordinate.
+    A basis subset may be passed to restrict columns (fundamental-point reduction).
 
     The entry of order b at monomial x^e is prod_i G_i[b_i, e_i] over the
     three affine coordinates u_i, with G_i[b, e] = e!/(e-b)! * u_i^(e-b) mod p.
@@ -185,20 +257,15 @@ def build_matrix(
     points = np.asarray(points, dtype=np.int64)
     if points.shape != (len(mults), 4):
         raise ValueError(f"expected {len(mults)} points of 4 coordinates, got {points.shape}")
-    if charts is not None and len(charts) != len(mults):
-        raise ValueError("charts must give one chart index per point")
     if basis is None:
         basis = monomial_basis(d)
     if mults and basis.shape[0] and (prime - 1) ** 2 > 2**53:
         raise ValueError(f"p = {prime}: a product of two residues can leave the exact range"
                          " of float64")
     pts = points % prime
-    if charts is None:
-        chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
-    else:
-        chart = np.array([int(c) for c in charts], dtype=np.int64).reshape(len(mults))
+    chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
     for idx, c in enumerate(chart.tolist()):
-        if c < 0 or c > 3 or pts[idx, c] == 0:
+        if c < 0:
             raise ValueError(f"point {idx} has no usable chart (chart={c})")
     out = np.empty((spec.conditions_total, basis.shape[0]),
                    dtype=_matrix_dtype(prime, spec.conditions_total, basis.shape[0]), order="F")
@@ -256,19 +323,8 @@ def _pinned_columns(d: int, mults: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(deleted))
 
 
-def reduce_fundamental(
-    spec: SystemSpec, assignment: Sequence[tuple[int, int]]
-) -> tuple[list[int], SystemSpec]:
-    """Column deletions and residual system for points pinned at coordinate points.
-
-    assignment lists (point index, multiplicity) pairs; the j-th pair is
-    placed at the j-th coordinate point.  A point of multiplicity m at
-    coordinate j turns into the deletion of the C(m+2,3) columns whose j-th
-    exponent exceeds d-m, and its rows leave the matrix.  Assigned pairs must
-    satisfy m_i + m_j <= d so the deletion sets cannot overlap.  Every call
-    checks the assignment; _pinned_columns computes the columns once per
-    (d, multiplicities).
-    """
+def check_assignment(spec: SystemSpec, assignment: Sequence) -> FundamentalAssignment:
+    """assignment's (point index, multiplicity) pairs as ints; ValueError unless spec has them."""
     d = spec.degree
     expansion = spec.points()
     pairs = [(int(i), int(m)) for i, m in assignment]
@@ -282,12 +338,26 @@ def reduce_fundamental(
             raise ValueError(f"assignment ({i}, {m}) does not match the point list")
         if m > d:
             raise ValueError(f"multiplicity {m} exceeds the degree {d}")
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if pairs[a][1] + pairs[b][1] > d:
-                raise ValueError(
-                    f"multiplicities {pairs[a][1]} + {pairs[b][1]} exceed degree {d}"
-                )
+    for (_, m1), (_, m2) in itertools.combinations(pairs, 2):  # so no deletion sets overlap
+        if m1 + m2 > d:
+            raise ValueError(f"multiplicities {m1} + {m2} exceed degree {d}")
+    return pairs
+
+
+def reduce_fundamental(
+    spec: SystemSpec, assignment: Sequence[tuple[int, int]]
+) -> tuple[list[int], SystemSpec]:
+    """Column deletions and residual system for points pinned at coordinate points.
+
+    assignment lists (point index, multiplicity) pairs; the j-th pair is
+    placed at the j-th coordinate point.  A point of multiplicity m at
+    coordinate j turns into the deletion of the C(m+2,3) columns whose j-th
+    exponent exceeds d-m, and its rows leave the matrix.  Every call checks
+    the assignment (check_assignment); _pinned_columns computes the columns
+    once per (d, multiplicities).
+    """
+    d = spec.degree
+    pairs = check_assignment(spec, assignment)
     counts = spec.as_dict()
     for _, m in pairs:
         counts[m] -= 1
@@ -359,10 +429,10 @@ def _transposed_matrix(
     assignment: FundamentalAssignment,
 ) -> tuple[np.ndarray, int]:
     """(columns x conditions) matrix of spec's residual system, and the columns deleted."""
-    need = peak_bytes(spec, prime)
-    if need > MEMORY_LIMIT_BYTES:
-        raise MatrixTooLargeError(f"{spec.conditions_total} x {spec.n_monomials} matrix needs"
-                                  f" about {need / 2**30:.1f} GiB")
+    need, room = peak_bytes(spec, prime), _mem_available()
+    if need > room:
+        raise MatrixTooLargeError(f"{spec.conditions_total} x {spec.n_monomials} matrix needs about"
+                                  f" {need / 2**30:.1f} GiB, {room / 2**30:.1f} GiB available")
     deleted, residual = reduce_fundamental(spec, assignment)
     keep = np.ones(spec.n_monomials, dtype=bool)
     keep[deleted] = False

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
 
 
 def json_int(value, name: str) -> int:
@@ -36,7 +35,7 @@ def conditions_count(m: int) -> int:
 
 def _canonical_mults(mults) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
-    items = mults.items() if isinstance(mults, Mapping) else mults
+    items = mults.items() if isinstance(mults, dict) else mults
     for m, c in items:
         m = int(m)
         c = int(c)

@@ -21,8 +21,13 @@ from fatpoints.campaign import (
 from fatpoints.cli import main
 from fatpoints.enumeration import algorithm_b_cases
 from fatpoints.gfp import PRIME_LADDER
-from fatpoints.interpolation import Certificate, check_case, replay_certificate
-from fatpoints.model import CaseSignature
+from fatpoints.interpolation import (
+    Certificate,
+    MatrixTooLargeError,
+    check_case,
+    replay_certificate,
+)
+from fatpoints.model import CaseSignature, SystemSpec
 
 SHARD = (5, 87)  # 3 of the 261 d=14 cases: keeps unit runs quick
 # 131 d=14 cases in families of up to 3: family (1, 0, 46) holds cases 3..7,
@@ -542,7 +547,7 @@ def test_workers_run_blas_on_one_thread(monkeypatch, caller):
 def test_worker_count(monkeypatch):
     gib = 2**30
     monkeypatch.setattr(campaign, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(campaign, "_mem_available", lambda: 7 * gib)
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 7 * gib)
     assert campaign.worker_count([]) == 1
     assert campaign.worker_count([gib] * 3) == 3  # no more workers than units
     assert campaign.worker_count([gib] * 20) == 7  # memory for 7 of the largest
@@ -556,6 +561,23 @@ def test_worker_count(monkeypatch):
     # a replaced callee would not be seen by a worker: the units run here
     monkeypatch.setattr(campaign, "replay_certificate", lambda cert: 0)
     assert campaign.worker_count([gib] * 20) == 1
+
+
+def _never_sampled(*args, **kwargs):
+    raise AssertionError("points sampled for a matrix over the memory budget")
+
+
+def test_one_memory_budget_sizes_the_pool_and_refuses_a_check(monkeypatch):
+    gib = 2**30
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 2 * gib)
+    monkeypatch.setattr(interpolation, "_sample_distinct", _never_sampled)
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 8)
+    assert campaign.worker_count([gib] * 4) == 2
+    # its estimate, about 2.8 GiB, exceeds the room
+    spec = SystemSpec(40, {2: 10000})
+    with pytest.raises(MatrixTooLargeError,
+                       match=r"^40000 x 12341 matrix needs about 2\.8 GiB, 2\.0 GiB available$"):
+        check_case(spec, 0)
 
 
 def test_resume_counts_workers_over_the_families_left(tmp_path, monkeypatch):
@@ -595,26 +617,26 @@ def test_memory_cgroup_limits_bound_available_memory(tmp_path, monkeypatch):
     gib = 2**30
     mount = tmp_path / "cgroup"
     self_cgroup = tmp_path / "self_cgroup"
-    monkeypatch.setattr(campaign, "_CGROUP_MOUNT", mount)
-    monkeypatch.setattr(campaign, "_SELF_CGROUP", self_cgroup)
+    monkeypatch.setattr(interpolation, "_CGROUP_MOUNT", mount)
+    monkeypatch.setattr(interpolation, "_SELF_CGROUP", self_cgroup)
     v2 = ("memory.max", "memory.current", "inactive_file")
     self_cgroup.write_text("0::/box/job\n")
     _write_cgroup(mount / "box" / "job", "max", gib, 0, v2)
-    assert campaign._cgroup_headroom() is None  # no limit anywhere
+    assert interpolation._cgroup_headroom() is None  # no limit anywhere
     # an ancestor's limit binds; inactive page cache counts as free
     _write_cgroup(mount / "box", 3 * gib, 2 * gib, gib // 2, v2)
-    assert campaign._cgroup_headroom() == 3 * gib // 2
+    assert interpolation._cgroup_headroom() == 3 * gib // 2
     _write_cgroup(mount / "box" / "job", 2 * gib, 2 * gib, 0, v2)
-    assert campaign._cgroup_headroom() == 0
-    assert campaign._mem_available() == 0
+    assert interpolation._cgroup_headroom() == 0
+    assert interpolation._mem_available() == 0
     assert campaign.worker_count([gib] * 4) == 1
 
     # the v1 memory controller, next to a v2 line without the controller
     v1 = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
     self_cgroup.write_text("4:memory:/box\n1:cpu:/other\n0::/\n")
     _write_cgroup(mount / "memory" / "box", 5 * gib, gib, 0, v1)
-    assert campaign._cgroup_headroom() == 4 * gib
-    assert campaign._mem_available() <= 4 * gib
+    assert interpolation._cgroup_headroom() == 4 * gib
+    assert interpolation._mem_available() <= 4 * gib
 
 
 def _dying_family_unit(config, first, family):

@@ -2,7 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
-from fatpoints import campaign
+from fatpoints import campaign, interpolation
 from fatpoints.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,6 +70,19 @@ def test_check_refuses_a_matrix_over_the_memory_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: 800000 x 12341 matrix needs about 55.2 GiB" in captured.err
+
+
+def test_check_refuses_a_matrix_over_the_free_memory(capsys, monkeypatch):
+    def never_sampled(*args, **kwargs):
+        raise AssertionError("points sampled for a matrix over the memory budget")
+
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 2 * 2**30)
+    monkeypatch.setattr(interpolation, "_sample_distinct", never_sampled)
+    assert main(["check", "-d", "40", "--mults", "2^30000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: 120000 x 12341 matrix needs about 8.3 GiB, 2.0 GiB available"
+            in captured.err)
 
 
 def test_usage_errors_exit_two(capsys):

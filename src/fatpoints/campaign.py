@@ -369,9 +369,10 @@ def worker_count(peaks: Sequence[int]) -> int:
     """Worker processes for units with these peak memory estimates (peak_bytes).
 
     max(1, min(usable CPUs, units, interpolation._mem_available() // the
-    largest peak)): the units in flight fit in memory together, and each
-    check is refused against the same budget.  It is 1 while a function
-    the units call is replaced in this process, so that the units run here.
+    largest peak)): the units fit in memory together, and a check is refused
+    against the same budget, so a retry escalated to PRIME_LADDER[1] (up to
+    twice its peak) can be refused.  It is 1 while a function the units
+    call is replaced in this process, so that the units run here.
     """
     if not peaks or _callees_replaced():
         return 1

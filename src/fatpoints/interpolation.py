@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -68,8 +67,8 @@ def peak_bytes(spec: SystemSpec, prime: int = PRIME_LADDER[0]) -> int:
     after reduction), and a d = 30 shard's worker peaks at 155 MiB against
     an estimate of 234 MiB.  At 32003 they are float64, twice the matrix
     (1810 MiB for that d = 40 case): a retry escalated there can take that.
-    worker_count sizes the pool by it, and _transposed_matrix refuses a
-    matrix by it, both against the one budget _mem_available.
+    worker_count sizes the pool by it and _transposed_matrix refuses a matrix by
+    it less _PROCESS_BYTES, both against the one budget, _mem_available.
     """
     n, s = spec.n_monomials, spec.conditions_total
     return 3 * _matrix_dtype(prime, n, s).itemsize * n * s // 2 + _PROCESS_BYTES
@@ -79,26 +78,17 @@ _SELF_CGROUP = Path("/proc/self/cgroup")
 _CGROUP_MOUNT = Path("/sys/fs/cgroup")
 # (directories under _CGROUP_MOUNT, limit file, usage file, memory.stat key of
 # the reclaimable page cache) for the v2 hierarchy and the v1 memory controller
-_CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", b"inactive_file")
-_CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", b"total_inactive_file")
+_CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", "inactive_file")
+_CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
 
 
-def _read(path) -> bytes:
-    """A procfs or cgroup file's bytes from one unbuffered read, which returns such a file whole."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return os.read(fd, 1 << 16)
-    finally:
-        os.close(fd)
-
-
-def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: bytes) -> Optional[int]:
+def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str) -> Optional[int]:
     """Bytes group's memory limit leaves, counting inactive page cache as free; None without one."""
     try:
-        limit = int(_read(f"{group}/{limit_file}"))  # "max" (no limit) raises
-        usage = int(_read(f"{group}/{usage_file}"))
-        cache = re.search(rb"^%s (\d+)$" % cache_key, _read(f"{group}/memory.stat"), re.M)
-        return max(0, limit - usage + (int(cache[1]) if cache else 0))
+        limit = int((group / limit_file).read_text())  # "max" (no limit) raises
+        usage = int((group / usage_file).read_text())
+        stat = dict(line.split() for line in (group / "memory.stat").read_text().splitlines())
+        return max(0, limit - usage + int(stat.get(cache_key, 0)))
     except (OSError, ValueError):
         return None
 
@@ -111,7 +101,7 @@ def _cgroup_headroom() -> Optional[int]:
     controller.  MemAvailable does not see these limits.
     """
     try:
-        entries = [line.split(":", 2) for line in _read(_SELF_CGROUP).decode().splitlines()]
+        entries = [line.split(":", 2) for line in _SELF_CGROUP.read_text().splitlines()]
     except OSError:
         return None
     rooms = []
@@ -122,26 +112,35 @@ def _cgroup_headroom() -> Optional[int]:
             dirs, *files = _CGROUP_V1
         else:
             continue
-        parts = Path(path.lstrip("/")).parts
         for top in (_CGROUP_MOUNT / name for name in dirs):
-            rooms += [_cgroup_room(top.joinpath(*parts[:k]), *files) for k in range(len(parts) + 1)]
-    return min((room for room in rooms if room is not None), default=None)
+            group = top / path.lstrip("/")
+            while True:
+                rooms.append(_cgroup_room(group, *files))
+                if group == top or top not in group.parents:
+                    break
+                group = group.parent
+    rooms = [room for room in rooms if room is not None]
+    return min(rooms) if rooms else None
 
 
 def _mem_available() -> int:
     """Bytes that can be allocated without swapping: the one memory budget.
 
-    MemAvailable, else the free pages, and no more than the memory cgroups
-    leave (_cgroup_headroom).  It sizes the pool and bounds each matrix (peak_bytes).
+    MemAvailable, else the free pages (the physical pages where none are
+    counted), and no more than the memory cgroups leave (_cgroup_headroom).
     """
+    avail = None
     try:
-        found = re.search(rb"^MemAvailable:\s+(\d+)", _read("/proc/meminfo"), re.M)
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    avail = int(line.split()[1]) * 1024
+                    break
     except OSError:
-        found = None
-    if found:
-        avail = int(found[1]) * 1024
-    else:
-        avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        pass
+    if avail is None:
+        free = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
+        avail = os.sysconf(free) * os.sysconf("SC_PAGE_SIZE")
     room = _cgroup_headroom()
     return avail if room is None else min(avail, room)
 
@@ -153,7 +152,7 @@ _MAX_RESAMPLE = 1000
 
 
 class MatrixTooLargeError(ValueError):
-    """Raised when a matrix's peak_bytes exceeds the free memory, _mem_available()."""
+    """Raised when a matrix would not fit in the free memory, _mem_available()."""
 
 
 def _projective_key(coords, p: int) -> tuple:
@@ -429,7 +428,7 @@ def _transposed_matrix(
     assignment: FundamentalAssignment,
 ) -> tuple[np.ndarray, int]:
     """(columns x conditions) matrix of spec's residual system, and the columns deleted."""
-    need, room = peak_bytes(spec, prime), _mem_available()
+    need, room = peak_bytes(spec, prime) - _PROCESS_BYTES, _mem_available()
     if need > room:
         raise MatrixTooLargeError(f"{spec.conditions_total} x {spec.n_monomials} matrix needs about"
                                   f" {need / 2**30:.1f} GiB, {room / 2**30:.1f} GiB available")

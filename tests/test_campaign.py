@@ -580,6 +580,27 @@ def test_one_memory_budget_sizes_the_pool_and_refuses_a_check(monkeypatch):
         check_case(spec, 0)
 
 
+def test_an_escalated_retry_can_be_refused_where_its_first_attempt_fits(monkeypatch):
+    spec = SystemSpec(40, {2: 1000})
+    first, last = (interpolation.peak_bytes(spec, p) - interpolation._PROCESS_BYTES
+                   for p in PRIME_LADDER)
+    assert 2 * first - last < 2**20  # float64 at the escalation prime, twice the float32 matrix
+    room = (first + last) // 2
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: room)
+    monkeypatch.setattr(interpolation, "_sample_distinct", _never_sampled)
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 8)
+    assert campaign.worker_count([interpolation.peak_bytes(spec)]) == 1
+    # attempt 1 passes the budget and goes on to sample its points
+    with pytest.raises(AssertionError, match="points sampled"):
+        check_case(spec, 0)
+    # after two rank deficits at PRIME_LADDER[0] the last attempt is refused
+    deficient = interpolation._certificate(spec, PRIME_LADDER[0], 0, [(0, 2)], 0, 2, 0)
+    assert deficient.verdict == "inconclusive"
+    with pytest.raises(MatrixTooLargeError,
+                       match=r"^4000 x 12341 matrix needs about 0\.6 GiB, 0\.4 GiB available$"):
+        check_case(spec, 0, first=deficient)
+
+
 def test_resume_counts_workers_over_the_families_left(tmp_path, monkeypatch):
     out = tmp_path / "log.jsonl"
     monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
@@ -637,6 +658,20 @@ def test_memory_cgroup_limits_bound_available_memory(tmp_path, monkeypatch):
     _write_cgroup(mount / "memory" / "box", 5 * gib, gib, 0, v1)
     assert interpolation._cgroup_headroom() == 4 * gib
     assert interpolation._mem_available() <= 4 * gib
+
+
+def test_available_memory_without_meminfo(monkeypatch):
+    def no_meminfo(*args, **kwargs):
+        raise OSError("no /proc/meminfo")
+
+    pages = {"SC_AVPHYS_PAGES": 3, "SC_PHYS_PAGES": 5, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(interpolation, "open", no_meminfo, raising=False)
+    monkeypatch.setattr(interpolation, "_cgroup_headroom", lambda: None)
+    monkeypatch.setattr(interpolation.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(interpolation.os, "sysconf_names", dict(pages))
+    assert interpolation._mem_available() == 3 * 4096  # the free pages
+    del interpolation.os.sysconf_names["SC_AVPHYS_PAGES"]  # as on macOS
+    assert interpolation._mem_available() == 5 * 4096  # the physical pages
 
 
 def _dying_family_unit(config, first, family):

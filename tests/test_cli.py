@@ -64,7 +64,14 @@ def test_check_json_certificate(capsys):
     assert cert["fundamental_assignment"] == [[0, 2]]
 
 
-def test_check_refuses_a_matrix_over_the_memory_budget(capsys):
+def _never_sampled(*args, **kwargs):
+    raise AssertionError("points sampled for a matrix over the memory budget")
+
+
+def test_check_refuses_a_matrix_over_the_memory_budget(capsys, monkeypatch):
+    # a fixed room, so that no machine builds the 55 GiB matrix
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 16 * 2**30)
+    monkeypatch.setattr(interpolation, "_sample_distinct", _never_sampled)
     # a refusal, exit 2, not the exit 1 of an inconclusive verdict
     assert main(["check", "-d", "40", "--mults", "2^200000"]) == 2
     captured = capsys.readouterr()
@@ -73,11 +80,8 @@ def test_check_refuses_a_matrix_over_the_memory_budget(capsys):
 
 
 def test_check_refuses_a_matrix_over_the_free_memory(capsys, monkeypatch):
-    def never_sampled(*args, **kwargs):
-        raise AssertionError("points sampled for a matrix over the memory budget")
-
     monkeypatch.setattr(interpolation, "_mem_available", lambda: 2 * 2**30)
-    monkeypatch.setattr(interpolation, "_sample_distinct", never_sampled)
+    monkeypatch.setattr(interpolation, "_sample_distinct", _never_sampled)
     assert main(["check", "-d", "40", "--mults", "2^30000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

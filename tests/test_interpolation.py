@@ -309,7 +309,13 @@ def test_reported_dim_never_below_edim():
         assert (dim == edim(spec)) == (cert.verdict == "non_special")
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
+    def never_sampled(*args, **kwargs):
+        raise AssertionError("points sampled for a matrix over the memory budget")
+
+    # a fixed room, so that no machine builds the 55 GiB matrix
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 16 * 2**30)
+    monkeypatch.setattr(interpolation, "_sample_distinct", never_sampled)
     with pytest.raises(MatrixTooLargeError):
         check_case(SystemSpec(40, {2: 200000}), seed=0)
 

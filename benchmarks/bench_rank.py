@@ -11,8 +11,7 @@ and 30 after the fundamental reduction, and a square 1330 x 1330 one.
 One row times a d = 14 family: the transposed matrix of the head of the
 largest (q, x, y) family, ranked once with the ranks of every member's
 leading block (rank's leading), against ranking each member's block on its
-own, which is what a case-by-case run costs in the kernel.  A source tree
-whose rank has no leading reports only the second.
+own, which is what a case-by-case run costs in the kernel.
 
 The CASES rows time one real check each, as a campaign runs it:
 _transposed_matrix (point sampling and matrix assembly), then rank.  "d30"
@@ -168,12 +167,7 @@ def family_row(gfp, repeats: int) -> dict:
     t_each, each = timed(lambda: [gfp.rank(mat[:, :k], PRIME) for k in members], repeats)
     family = {"case": case, "m": mat.shape[0], "n": mat.shape[1], "members": members,
               "ranks": each, "each_member_s": t_each}
-    try:
-        t_once, once = timed(lambda: gfp.rank(mat, PRIME, leading=members), repeats)
-    except TypeError:  # a rank without leading
-        print(f"family {case}: each member {t_each['median']:.3f} s; no leading ranks",
-              file=sys.stderr)
-        return family
+    t_once, once = timed(lambda: gfp.rank(mat, PRIME, leading=members), repeats)
     assert once == each, (once, each)
     family["leading_s"] = t_once
     print(f"family {case} ({mat.shape[0]}x{mat.shape[1]}, {len(members)} members):"
@@ -316,8 +310,7 @@ def medians(result: dict) -> dict[str, float]:
     for row in result["shapes"]:
         out[f"{row['m']}x{row['n']}.rank_s"] = row["rank_s"]["median"]
     for key in ("each_member_s", "leading_s"):
-        if key in result["family"]:
-            out[f"family.{key}"] = result["family"][key]["median"]
+        out[f"family.{key}"] = result["family"][key]["median"]
     for row in ("d14.heads", *(key for key, _, _ in CASES)):
         for key in result[row]:
             if key.endswith("_s"):

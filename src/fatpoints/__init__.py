@@ -40,12 +40,9 @@ from .enumeration import (
 )
 from .reduction import (
     ClosureReport,
-    DeduceResult,
     GlueRule,
     KnownResults,
     closure_audit,
-    deduce,
-    glue,
     validate_glue_rule,
 )
 from .campaign import (
@@ -85,12 +82,9 @@ __all__ = [
     "q_values",
     "window",
     "ClosureReport",
-    "DeduceResult",
     "GlueRule",
     "KnownResults",
     "closure_audit",
-    "deduce",
-    "glue",
     "validate_glue_rule",
     "CampaignConfig",
     "ResultStore",

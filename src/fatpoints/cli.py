@@ -2,8 +2,10 @@
 
 Convention: human-readable progress and diagnostics go to stderr; the
 primary result goes to stdout, as a plain value normally or as one JSON
-object when --json is passed.  Exit codes: 0 success, 1 inconclusive or
-failed verification, 2 usage error or an exception that stopped the
+object when --json is passed; audit-closure prints one per degree.  The
+degrees of campaign, status and audit-closure are one degree D or a range
+A..B.  Exit codes: 0 success, 1 inconclusive or failed verification or a
+gap at any audited degree, 2 usage error or an exception that stopped the
 command, such as a campaign's family that raised or lost its worker.
 """
 
@@ -16,7 +18,8 @@ import traceback
 from pathlib import Path
 
 from ._version import __version__
-from .campaign import CampaignConfig, ResultStore, run_campaign, status, verify_log
+from .campaign import (CampaignConfig, ResultStore, _check_degrees, run_campaign, status,
+                       verify_log)
 from .enumeration import count_cases, export_csv, iter_cases
 from .interpolation import check_case
 from .model import SystemSpec, VERDICT_NON_SPECIAL, edim, parse_mults, vdim
@@ -27,17 +30,20 @@ def _eprint(*args):
     print(*args, file=sys.stderr)
 
 
-def _parse_degrees(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    d = int(text)
-    return d, d
+def _parse_degrees(text: str, name: str = "--degrees") -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"{name} takes D or A..B, got {text!r}") from None
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
-    i, n = text.split("/", 1)
-    return int(i), int(n)
+    i, _, n = text.partition("/")
+    try:
+        return int(i), int(n)
+    except ValueError:
+        raise ValueError(f"--shard takes I/N, got {text!r}") from None
 
 
 def _system_from_args(args) -> SystemSpec:
@@ -150,21 +156,25 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_audit_closure(args) -> int:
+    lo, hi = _parse_degrees(args.degree, "--degree")
+    _check_degrees((lo, hi))
     store = ResultStore.load(args.results)
-    if not store.tally(args.degree)[VERDICT_NON_SPECIAL]:
-        # nothing is proven, so every target would be a gap: 397 M at d = 40
-        raise ValueError(f"{args.results} holds no non_special record of degree {args.degree}")
-    report = closure_audit(args.degree, store)
-    _eprint(
-        f"d={args.degree}: audited {report.targets_checked} signatures,"
-        f" {len(report.gaps)} gaps"
-    )
-    if args.json:
-        print(json.dumps({"degree": report.degree, "targets": report.targets_checked,
-                          "gaps": [list(g) for g in report.gaps], "ok": report.ok}))
-    else:
-        print("ok" if report.ok else "gaps")
-    return 0 if report.ok else 1
+    degrees = range(lo, hi + 1)
+    for d in degrees:
+        if not store.tally(d)[VERDICT_NON_SPECIAL]:
+            # nothing is proven, so every target would be a gap: 397 M at d = 40
+            raise ValueError(f"{args.results} holds no non_special record of degree {d}")
+    ok = True
+    for d in degrees:
+        report = closure_audit(d, store)
+        _eprint(f"d={d}: audited {report.targets_checked} signatures, {len(report.gaps)} gaps")
+        if args.json:
+            print(json.dumps({"degree": report.degree, "targets": report.targets_checked,
+                              "gaps": [list(g) for g in report.gaps], "ok": report.ok}))
+        else:
+            print("ok" if report.ok else "gaps")
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", required=True, metavar="A..B")
     p.set_defaults(func=_cmd_status)
 
-    p = sub.add_parser("audit-closure", help="check deduction coverage of a degree")
-    p.add_argument("-d", "--degree", type=int, required=True)
+    p = sub.add_parser("audit-closure", help="check deduction coverage of each degree")
+    p.add_argument("-d", "--degree", required=True, metavar="A..B")
     p.add_argument("--results", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_audit_closure)
     return parser

@@ -142,6 +142,23 @@ def test_status_refuses_a_degree_range_a_campaign_refuses(capsys, tmp_path):
         assert main(["campaign", "--degrees", degrees, "--out", str(tmp_path / "x.jsonl")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "degrees must lie in [13, 40]" in captured.err, degrees
+        assert main(["--json", "audit-closure", "-d", degrees, "--results", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degrees must lie in [13, 40]" in captured.err, degrees
+        assert "audited" not in captured.err, degrees
+    # a malformed range or shard is named, not reported as a failed int()
+    for argv, message in (
+            (["campaign", "--degrees", "14..", "--out", str(tmp_path / "x.jsonl")],
+             "--degrees takes D or A..B, got '14..'"),
+            (["status", str(out), "--degrees", "14..x"], "--degrees takes D or A..B, got '14..x'"),
+            (["audit-closure", "-d", "14..", "--results", str(out)],
+             "--degree takes D or A..B, got '14..'"),
+            (["campaign", "--degrees", "14", "--shard", "3", "--out", str(tmp_path / "x.jsonl")],
+             "--shard takes I/N, got '3'")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err, argv
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_audit_closure_without_a_certified_base_system_lists_every_target(
@@ -166,11 +183,33 @@ def test_audit_closure_refuses_a_degree_the_log_lacks(capsys, tmp_path):
     doubtful = tmp_path / "inconclusive.jsonl"
     doubtful.write_text("\n".join([header, *short]) + "\n")
     # every target would be a gap: 397 405 430 tuples at d = 40
-    for log, d in ((out, "15"), (out, "40"), (doubtful, "14")):
-        assert main(["--json", "audit-closure", "-d", d, "--results", str(log)]) == 2
+    for log, degrees, d in ((out, "15", 15), (out, "40", 40), (doubtful, "14", 14),
+                            (out, "14..15", 15)):
+        assert main(["--json", "audit-closure", "-d", degrees, "--results", str(log)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"holds no non_special record of degree {d}" in captured.err
+        assert "audited" not in captured.err  # d = 14 of 14..15 neither
+
+
+def test_audit_closure_of_a_range_prints_each_degree_as_its_own_run(capsys, tmp_path):
+    out = tmp_path / "log.jsonl"
+    assert main(["campaign", "--degrees", "13..15", "--shard", "5/87", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 1 + 10
+    for flags in ([], ["--json"]):
+        alone_out, alone_err = "", []
+        for d in ("13", "14", "15"):
+            assert main([*flags, "audit-closure", "-d", d, "--results", str(out)]) == 1
+            captured = capsys.readouterr()
+            alone_out += captured.out
+            alone_err += [line for line in captured.err.splitlines() if line.startswith("d=")]
+        assert main([*flags, "audit-closure", "-d", "13..15", "--results", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == alone_out
+        assert [line for line in captured.err.splitlines() if line.startswith("d=")] == alone_err
+    # a handful of records leaves gaps at every degree
+    assert [json.loads(line)["ok"] for line in alone_out.splitlines()] == [False] * 3
 
 
 def test_audit_closure_refuses_a_record_whose_S_is_not_its_cases(capsys, tmp_path):

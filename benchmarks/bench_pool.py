@@ -15,13 +15,14 @@ trees must write the same records (elapsed_ms aside; headers are not
 compared), verify must replay all 261 of them with no mismatch, and both
 trees must print the same audit with no gap.  Peak RSS is what wait4 reports,
 the largest single process among the CLI and the workers it waited for.
-Results go to BENCH_pool.json at the repository root:
+Results are merged into BENCH_pool.json at the repository root under
+"against-LABEL", so that a comparison keeps the earlier ones:
 
     git archive <parent> | tar -x -C <dir>
-    python benchmarks/bench_pool.py --before <dir>/src
+    python benchmarks/bench_pool.py --before <dir>/src --label block-inverse
 
 Usage:
-    python benchmarks/bench_pool.py --before DIR [--pairs 10]
+    python benchmarks/bench_pool.py --before DIR [--label NAME] [--pairs 10]
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def one_side(src: Path, tmp: Path) -> tuple[dict, dict, dict]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True, help="source tree timed against this one")
+    ap.add_argument("--label", default="change", help="results are stored under against-NAME")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     if args.pairs < 3:
@@ -145,8 +147,11 @@ def main(argv=None) -> int:
                        for side in sides},
             "peak_rss_mib": {side: max(rss[side][stage]) for side in sides},
         }
-    OUT.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {OUT}")
+    key = f"against-{args.label}"
+    merged = json.loads(OUT.read_text()) if OUT.exists() else {}
+    merged[key] = data
+    OUT.write_text(json.dumps(merged, indent=2) + "\n")
+    print(f"wrote {OUT} [{key}]")
     return 0
 
 

@@ -12,39 +12,44 @@ and rows r.. it
 2. solves the k1 pivot rows of the right half against the unit-lower L11
    taken from those pivot columns: a TRSM that splits at panel boundaries
    and multiplies the rows of a single panel by the inverse of its pivot
-   block, computed once when the panel is eliminated,
+   block, computed once when the panel is eliminated (I after a block
+   step),
 3. updates the rows below with one GEMM, C -= L21 @ U12, and
 4. recurses on the right half from row r + k1.
 
-A range of at most _BASE_WIDTH columns is a panel, and a panel of w columns
-over 3w rows or more first seeks its pivots in a sample: its w leading
-rows and w rows spread evenly below them.  The column loop runs on the
-sample stacked over a w x w identity; when every pivot falls in the sample,
-the identity's multipliers are U^-1, and those of every other row are one
-GEMM, A2 @ U^-1.  Otherwise, and on a shorter panel, the column loop runs on
-the whole panel, one column at a time, on a transposed copy so that every
-column is contiguous.  High derivatives vanish on runs of monomials, so the
-leading rows of an interpolation matrix are often dependent; rows spread
-over the panel rarely are.  Nearly all flops run in the GEMMs of steps 2 and
-3, at BLAS speed.
+A range of at most _BASE_WIDTH columns is a panel.  A panel of w < p
+columns over 3w rows or more first tries a block step: the w rows spread
+evenly below its w leading rows form a block B, inverted through its
+characteristic polynomial in log2(w) batched products (_inverse_by_charpoly).
+When B is invertible, every column is a pivot: B's rows move up, L's
+diagonal block is I and U's is B, and the multipliers of every other row
+are one GEMM, A2 @ B^-1.  Otherwise, and on a shorter panel, the column
+loop runs on the whole panel, one column at a time, on a transposed copy so
+that every column is contiguous.  High derivatives vanish on runs of
+monomials, so the leading rows of an interpolation matrix are often
+dependent; rows spread over the panel rarely are.  Nearly all flops run in
+the GEMMs of steps 2 and 3, at BLAS speed.
 
 Entries are integer-valued floats holding centered residues, and reductions
 mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
 to x - floor((x + h) / p) * p, into [-h, p - 1 - h], which is [-h, h] for odd
 p.  An operand of a product (a pivot row, a multiplier, a solved U row, a
-column scanned for its pivot, a panel's inverse) is reduced when it is
-produced, and no other entry is ever reduced.  An entry absorbs at most one
-product per pivot, and a product of two reduced operands is at most h^2, so
-every entry of an m x n matrix with k = min(m, n) keeps
+column scanned for its pivot, a block B and its powers, a panel's inverse)
+is reduced when it is produced, and no other entry is ever reduced.  An
+entry absorbs at most one product per pivot, and a product of two reduced
+operands is at most h^2, so every entry of an m x n matrix with
+k = min(m, n) keeps
 
     |entry| <= k * h^2 + h.
 
-A sampled panel's multipliers are sums of w <= k such products before they
-are reduced, within the same bound.  So are the entries the triangular
-solves form from a panel of k_P <= k pivots: each step of its inverse
-(_unit_lower_inverse) and the product of the inverse with the rows it
-solves, which are reduced first, sum k_P products of two reduced operands,
-plus at most one reduced entry.
+Every other sum the kernel forms adds at most k products of two reduced
+operands, plus at most one reduced entry, so it stays within the same
+bound.  A block step's sums add w <= k products: each doubling product of
+B's powers, the Cayley-Hamilton sum of its inverse, the check B B^-1 = I
+and the multipliers A2 @ B^-1, whose rows are reduced first.  A
+column-loop panel of k_P <= k pivots gives the triangular solves sums of
+k_P products: each step of its inverse (_unit_lower_inverse) and the
+product of the inverse with the rows it solves, which are reduced first.
 
 The reduction is exact on every integer x with |x| + h <= L, where
 L = 2^24 in float32 and 2^53 in float64: the dtype holds every integer up
@@ -182,6 +187,44 @@ def _unit_lower_inverse(block: np.ndarray, p: int) -> np.ndarray:
     return x[k:]
 
 
+def _inverse_by_charpoly(b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """B^-1 mod p, reduced, for a w x w block B of reduced residues with w < p; None if det B = 0.
+
+    By the characteristic polynomial x^w + c_1 x^(w-1) + ... + c_w (L. Csanky,
+    "Fast parallel matrix inversion algorithms", SIAM J. Comput. 5(4), 1976):
+    B..B^w by doubling, [B; ...; B^n] @ B^n = [B^(n+1); ...; B^2n]; the c_k
+    from the powers' traces t_k by Newton's identities,
+    k c_k = -(t_k + c_1 t_(k-1) + ... + c_(k-1) t_1), so k <= w < p; then
+    det B = (-1)^w c_w and B^-1 = -c_w^-1 (B^(w-1) + c_1 B^(w-2) + ... + c_(w-1) I).
+    B B^-1 = I mod p is checked before the inverse is returned; a failed
+    check is a fault, not a singular block, and raises ArithmeticError.
+    """
+    w = b.shape[0]
+    powers = np.empty((w, w, w), dtype=b.dtype)  # powers[i] = B^(i+1)
+    powers[0] = b
+    n = 1
+    while n < w:
+        k = min(n, w - n)
+        _reduce(powers[:k].reshape(-1, w) @ powers[n - 1], p, out=powers[n:n + k].reshape(-1, w))
+        n += k
+    t = [int(x) for x in powers.trace(axis1=1, axis2=2).tolist()]
+    c = [1]
+    for k in range(1, w + 1):
+        c.append(-(t[k - 1] + sum(c[i] * t[k - 1 - i] for i in range(1, k))) * pow(k, -1, p) % p)
+    if c[w] == 0:
+        return None
+    scale, h = -pow(c[w], -1, p), p // 2
+    coef = [(scale * c[w - 1 - j] + h) % p - h for j in range(w)]  # of B^j
+    inv = np.tensordot(np.array(coef[1:], dtype=b.dtype), powers[:w - 1], axes=1)
+    inv.flat[::w + 1] += coef[0]
+    _reduce(inv, p)
+    check = b @ inv - np.eye(w, dtype=b.dtype)
+    _reduce(check, p)
+    if check.any():
+        raise ArithmeticError(f"a {w} x {w} block inverse fails B B^-1 = I mod {p}")
+    return inv
+
+
 def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Column-by-column elimination of a transposed panel t, in place.
 
@@ -240,9 +283,9 @@ class _Elimination:
         self.a = a
         self.p = p
         # first pivot row of every panel with a pivot, ascending, and the
-        # inverse of its unit-lower pivot block
+        # inverse of its unit-lower pivot block (None where that block is I)
         self.starts: list[int] = []
-        self.inverses: list[np.ndarray] = []
+        self.inverses: list[Optional[np.ndarray]] = []
 
     def profile(self) -> list[int]:
         """The column rank profile, ascending."""
@@ -254,13 +297,14 @@ class _Elimination:
         Row 0 of lo and x is pivot row r, and their rows are the pivot rows
         of whole panels.  The recursion splits at the middle one of those
         panels' starts, and the rows of a single panel are one product with
-        its cached inverse.
+        its cached inverse, or only reduced after a block step.
         """
         starts = self.starts
         i, j = bisect_left(starts, r), bisect_left(starts, r + x.shape[0])
         if j - i == 1:
             _reduce(x, self.p)
-            _reduce(self.inverses[i] @ x, self.p, out=x)
+            if self.inverses[i] is not None:
+                _reduce(self.inverses[i] @ x, self.p, out=x)
             return
         t = starts[(i + j) // 2] - r
         self._trsm(r, lo[:t, :t], x[:t])
@@ -275,54 +319,49 @@ class _Elimination:
     def _panel(self, r: int, c0: int, c1: int) -> list[int]:
         """Eliminate a[r:, c0:c1], at most _BASE_WIDTH columns; returns the pivot columns.
 
-        Caches the inverse of the panel's unit-lower pivot block under r.
+        Caches under r the inverse of the panel's unit-lower pivot block,
+        or None after a block step, whose block is I.
         """
         a = self.a
-        if self._sampled_block(r, c0, c1):
-            piv = list(range(c0, c1))
-        else:
-            t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
-            local, swaps = _columns(t, self.p)
-            self._swap_rows(r, swaps)
-            a[r:, c0:c1] = t.T
-            piv = [c0 + jj for jj in local]
+        if self._block_step(r, c0, c1):
+            self.starts.append(r)
+            self.inverses.append(None)
+            return list(range(c0, c1))
+        t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
+        local, swaps = _columns(t, self.p)
+        self._swap_rows(r, swaps)
+        a[r:, c0:c1] = t.T
+        piv = [c0 + jj for jj in local]
         if piv:
             block = _pivot_block(a, slice(r, r + len(piv)), piv)
             self.starts.append(r)
             self.inverses.append(_unit_lower_inverse(block, self.p))
         return piv
 
-    def _sampled_block(self, r: int, c0: int, c1: int) -> bool:
-        """Eliminate a[r:, c0:c1] with every pivot taken from a sample of its rows.
+    def _block_step(self, r: int, c0: int, c1: int) -> bool:
+        """Eliminate a[r:, c0:c1] at once if w rows spread below its w leading ones are independent.
 
-        The sample is the w leading rows and w rows at stride s >= 2 below
-        them.  The column loop runs on it stacked over a w x w identity.
-        When every pivot falls in the sample (P^T A1 = L1 U on its pivot rows
-        A1), the identity's multipliers are U^-1, and those of every other
-        row x are x U^-1: one GEMM instead of a pass over all rows per
-        column.  Returns False, with a unchanged, when the panel has fewer
-        than 3w rows or a pivot falls in the identity.
+        Those rows, at stride s >= 2 from r + w, form B.  When B is
+        invertible mod p every column is a pivot: B's rows move up to r..,
+        and the multipliers of every row x below are x B^-1, one GEMM.
+        Returns False, with a unchanged, when w >= p, the panel has fewer
+        than 3w rows or B is singular.
         """
         a, p = self.a, self.p
         w = c1 - c0
-        hb = 2 * w
         s = (a.shape[0] - r - w) // w
-        if s < 2:
+        if w >= p or s < 2:
             return False
-        sample = np.concatenate([np.arange(r, r + w), np.arange(r + w, r + w + s * w, s)])
-        trial = np.zeros((w, hb + w), dtype=a.dtype)
-        trial[:, :hb] = a[sample, c0:c1].T
-        trial[:, hb:] = np.eye(w, dtype=a.dtype)
-        _, local = _columns(trial, p)
-        if any(i >= hb for _, i in local):
+        spread = np.arange(r + w, r + w + s * w, s)
+        b = a[spread, c0:c1]
+        _reduce(b, p)
+        inv = _inverse_by_charpoly(b, p)
+        if inv is None:
             return False
-        # a pivot position k < w is sampled row r + k, so the trial's swaps
-        # repeated on the sampled rows put its pivot rows on r, r+1, ...
-        self._swap_rows(r, [(k, int(sample[i]) - r) for k, i in local])
-        a[r:r + w, c0:c1] = trial[:, :w].T
+        a[np.r_[r:r + w, spread]] = a[np.r_[spread, r:r + w]]
         below = a[r + w:, c0:c1]
         _reduce(below, p)
-        _reduce(below @ trial[:, hb:].T, p, out=below)
+        _reduce(below @ inv, p, out=below)
         return True
 
     def _eliminate(self, r: int, c0: int, c1: int) -> list[int]:

@@ -370,16 +370,16 @@ def _reduce_up_to_the_admitted_magnitude(p, dtype):
 
 
 def _panel_branches(monkeypatch) -> list[tuple[int, bool]]:
-    """Record (first column, taken) of every try of the sampled-block branch."""
+    """Record (first column, taken) of every panel's try of the block step."""
     seen = []
-    sampled = gfp._Elimination._sampled_block
+    step = gfp._Elimination._block_step
 
     def spy(self, r, c0, c1):
-        taken = sampled(self, r, c0, c1)
+        taken = step(self, r, c0, c1)
         seen.append((c0, taken))
         return taken
 
-    monkeypatch.setattr(gfp._Elimination, "_sampled_block", spy)
+    monkeypatch.setattr(gfp._Elimination, "_block_step", spy)
     return seen
 
 
@@ -400,9 +400,13 @@ def _planted(m: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, ints
 
 
-@pytest.mark.parametrize("m", [90, 400])  # the column loop alone, and the sampled block
+@pytest.mark.parametrize("m", [90, 400])  # the column loop alone, and with block steps
 @pytest.mark.parametrize("n", [32, 130])  # a panel at recursion depth 0, and at depths 2 and 3
 def test_pivot_test_reduces_planted_multiples_of_p(m, n, monkeypatch):
+    # at m = 400 and n = 130, planted rows 32 and 64 lead the spread rows
+    # of panels 0 and 1 and vanish on those panels' columns, so both panels
+    # run the column loop over the planted entries; the other panels, and
+    # the one panel of n = 32, take the block step over reduced rows
     a, ints = _planted(m, n, P)
     seen = _panel_branches(monkeypatch)
     assert gfp._Elimination(a, P).profile() == profile_mod_p_reference(ints, P)
@@ -410,17 +414,17 @@ def test_pivot_test_reduces_planted_multiples_of_p(m, n, monkeypatch):
     if m == 90:
         assert not taken
     else:
-        assert 0 in taken and (n == 32 or {32, 64} <= set(taken))
+        assert taken == ([0] if n == 32 else [64, 96, 128])
 
 
 @pytest.mark.parametrize("n", [32, 130])
 def test_sampled_block_falls_back_when_its_sample_is_singular(n, monkeypatch):
-    # column 5 vanishes on every sampled row of the first panel (rows 0..31
-    # and 32, 43, ..., 373 of 400), but not on the others
+    # column 5 vanishes on the spread rows of the first panel (rows 32, 43,
+    # ..., 373 of 400), so its block B is singular, but not on the others
     m, w = 400, 32
     a = np.random.default_rng(n).integers(0, P, (m, n))
     s = (m - w) // w
-    a[list(range(w)) + list(range(w, w + s * w, s)), 5] = 0
+    a[list(range(w, w + s * w, s)), 5] = 0
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, np.random.default_rng(1))
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
@@ -430,10 +434,11 @@ def test_sampled_block_falls_back_when_its_sample_is_singular(n, monkeypatch):
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (32, 16), (32, 32)])
 def test_sampled_block_moves_pivot_rows_from_anywhere_in_the_sample(rows, cols, monkeypatch):
-    # a[:rows, :cols] vanishes, so those pivots come from lower rows, and a
-    # leading row displaced by one of them can still become a later pivot
-    # (row 0 at column 1 when rows = cols = 1).  a = x @ y has rank 70 < 100,
-    # so rows put in the wrong order leave a nonzero Schur complement.
+    # a[:rows, :cols] vanishes; the block step moves the spread rows up to
+    # rows 0..31 and the leading rows down into their places, where a
+    # displaced leading row can still become a later pivot.  a = x @ y has
+    # rank 70 < 100, so rows put in the wrong order leave a nonzero Schur
+    # complement.
     m, n, k = 300, 100, 70
     rng = np.random.default_rng(rows * cols)
     x, y = rng.integers(0, P, (m, k)), rng.integers(0, P, (k, n))
@@ -492,13 +497,14 @@ def test_dtype_check_at_its_edge():
 
 
 @pytest.mark.parametrize("k, dtype", [(20, F32), (21, F64)])
-@pytest.mark.parametrize("rows", [40, 100])  # the column loop alone, and the sampled block
+@pytest.mark.parametrize("rows", [40, 100])  # the column loop alone, and the block step too
 @pytest.mark.parametrize("signs", ["same", "random"])
 def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypatch):
     # a = L @ U over p = 1831 (h = 915), with k columns: L unit-lower, U
     # unit-upper of rank k - 1, every other entry of both +-h.  The
     # elimination recovers L's multipliers and U's rows, so its products
-    # are h^2; with one sign throughout an entry sums up to k - 1 of them
+    # are h^2; with one sign throughout an entry sums up to k - 1 of them.
+    # Every k x k block of a is singular, so the column loop runs
     p = 1831
     h = p // 2
     rng = np.random.default_rng(k * rows + len(signs))
@@ -516,6 +522,19 @@ def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypat
     seen = _kernel_dtypes(monkeypatch)
     assert rank(a, p) == rank(np.ascontiguousarray(a.T), p) == rank_mod_p_reference(a, p) == k - 1
     assert seen == [dtype, dtype]
+    if rows == 40:
+        return
+    # full rank, the spread rows of the panel's block step at h times a
+    # symmetric +-1 matrix: the first power of its block B is B^2, whose
+    # diagonal entries are k h^2, the largest sum the bound admits
+    s = (rows - k) // k
+    sym = np.triu(rng.choice([-1, 1], (k, k)))
+    full = entries((rows, k))
+    full[k:k + s * k:s] = h * (sym + np.triu(sym, 1).T)
+    full %= p
+    branches = _panel_branches(monkeypatch)
+    assert rank(full, p) == rank_mod_p_reference(full, p) == k
+    assert branches == [(0, True)] and seen == [dtype] * 3
 
 
 # Columns where the panels of the recursion meet (31 | 32, 63 | 64, 95 | 96).
@@ -544,8 +563,8 @@ def _panel_layout(m: int, n: int, p: int, layout: str) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [2, 3, 17, 73, 32003])
 @pytest.mark.parametrize("layout", ["all", "zero", "dependent", "empty"])
-# the column loop alone; sampled panels, then fewer than 3w rows below
-# (from row 54 of 150); sampled panels throughout
+# the column loop alone; block steps, then fewer than 3w rows below (from
+# row 54 of 150); block steps throughout
 @pytest.mark.parametrize("m", [60, 150, 400])
 def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch):
     # the rank of a[:, :k] is the number of reference pivots below k
@@ -555,7 +574,11 @@ def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, np.random.default_rng(m + p))
     assert rank(a, p, leading=ks) == [sum(c < k for c in want) for k in ks]
-    assert any(ok for _, ok in seen) == (m > 60)
+    # a 32-column panel takes the block step only over 3w rows and for
+    # p > 32, and every one of them has a dependent column in the "zero"
+    # and "dependent" layouts; columns 128..129 are a 2-column panel
+    wide = [ok for c0, ok in seen if c0 < 128]
+    assert any(wide) == (m > 60 and p > 32 and layout in ("all", "empty"))
     assert rank(np.ascontiguousarray(a.T), p) == len(want)
 
 
@@ -596,22 +619,99 @@ def test_triangular_solve_on_both_sides_of_the_float32_edge(k, dtype, monkeypatc
 @pytest.mark.parametrize("layout", ["all", "zero", "empty"])
 @pytest.mark.parametrize("m", [60, 400])
 def test_cached_inverses_invert_their_pivot_blocks(p, layout, m):
-    # one inverse per panel with a pivot, keyed by its first pivot row; the
-    # panels' pivot rows are consecutive, and each inverse times the
-    # unit-lower block of its pivot rows and columns is I mod p
+    # one entry per panel with a pivot, keyed by its first pivot row, and
+    # the panels' pivot rows are consecutive.  After the column loop the
+    # entry times the unit-lower block of its pivot rows and columns is I
+    # mod p; after a block step it is None, L's block is I, and the block
+    # holds U's, the invertible B, over all of the panel's columns
     a = _panel_layout(m, 130, p, layout)
     elim = gfp._Elimination(a.astype(_exact_dtype(p, min(a.shape))), p)
     piv = elim.profile()
     assert piv == profile_mod_p_reference(a, p)
-    sizes = [inv.shape[0] for inv in elim.inverses]
-    assert elim.starts == [sum(sizes[:i]) for i in range(len(sizes))]
-    assert sum(sizes) == len(piv) and all(sizes)
-    for r, inv in zip(elim.starts, elim.inverses):
-        k = inv.shape[0]
+    ends = elim.starts[1:] + [len(piv)]
+    sizes = [end - r for r, end in zip(elim.starts, ends)]
+    assert elim.starts[:1] == [0] and all(k > 0 for k in sizes)
+    assert any(inv is None for inv in elim.inverses) == (m == 400 and p > 2)
+    for r, k, inv in zip(elim.starts, sizes, elim.inverses):
         block = elim.a[r:r + k][:, piv[r:r + k]].astype(np.int64)
+        if inv is None:
+            assert piv[r:r + k] == list(range(piv[r], piv[r] + k)) and k in (2, 32)
+            assert rank_mod_p_reference(block, p) == k
+            continue
         unit = np.tril(block, -1) + np.eye(k, dtype=np.int64)
-        assert np.abs(inv).max() <= p // 2
+        assert inv.shape == (k, k) and np.abs(inv).max() <= p // 2
         assert (inv.astype(np.int64) @ unit % p == np.eye(k, dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("p", [37, 73, 1831, 32003])
+@pytest.mark.parametrize("w", [1, 2, 7, 31, 32])
+def test_block_inverse_by_the_characteristic_polynomial(w, p):
+    # in the dtype a w-column panel takes at p: B B^-1 = I mod p with every
+    # entry of B^-1 in [-h, h]; a block with a row that combines the
+    # others, and so a zero determinant, has no inverse
+    h = p // 2
+    rng = np.random.default_rng(w * p)
+    dtype = _exact_dtype(p, w)
+    for _ in range(3):
+        b = rng.integers(-h, h + 1, (w, w))
+        if rank_mod_p_reference(b, p) == w:
+            break
+    assert rank_mod_p_reference(b, p) == w
+    inv = gfp._inverse_by_charpoly(b.astype(dtype), p)
+    assert inv.dtype == dtype and inv.shape == (w, w)
+    assert np.abs(inv).max() <= h
+    assert (b @ inv.astype(np.int64) % p == np.eye(w, dtype=np.int64)).all()
+    b[-1] = rng.integers(0, p, w - 1) @ b[:-1]
+    b[-1] = (b[-1] + h) % p - h
+    assert rank_mod_p_reference(b, p) == w - 1
+    assert gfp._inverse_by_charpoly(b.astype(dtype), p) is None
+
+
+def test_block_inverse_that_fails_its_check_raises(monkeypatch):
+    # B B^-1 = I mod p certifies the panel's pivots: a wrong Cayley-Hamilton
+    # sum is a fault, raised, not taken for a singular block
+    p = PRIME_LADDER[0]
+    b = np.random.default_rng(5).integers(-36, 37, (32, 32)).astype(np.float32)
+    assert gfp._inverse_by_charpoly(b, p) is not None
+    tensordot = np.tensordot
+    monkeypatch.setattr(gfp.np, "tensordot", lambda *args, **kw: tensordot(*args, **kw) + 1)
+    with pytest.raises(ArithmeticError, match="B B\\^-1 = I mod 73"):
+        gfp._inverse_by_charpoly(b, p)
+
+
+def test_block_steps_reduce_the_rows_they_multiply_at_the_float32_edge(monkeypatch):
+    # p = 719 ranks 128 columns in float32 with little room to spare.  Panel
+    # 1 meets rows that absorbed panel 0's 32 products; its GEMM with B^-1
+    # is exact only on those rows reduced, and wrong multipliers leave the
+    # columns planted dependent in panel 3 independent
+    p, m, n = 719, 400, 128
+    assert _exact_dtype(p, n) == F32 and _exact_dtype(p, 131) == F64
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (m, n))
+    for c in (100, 127):
+        a[:, c] = a[:, :c] @ rng.integers(0, p, c) % p
+    seen = _kernel_dtypes(monkeypatch)
+    branches = _panel_branches(monkeypatch)
+    ks = _leading_counts(n, rng)
+    assert rank(a, p, leading=ks) == [rank_mod_p_reference(a[:, :k], p) for k in ks]
+    assert ks[-1] == n and rank(a, p) == n - 2
+    assert seen == [F32] * 2 and (32, True) in branches
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 31, 37])
+def test_block_step_needs_the_panel_width_below_p(p, monkeypatch):
+    # Newton's identities divide by 1..w, so a 32-column panel runs the
+    # column loop for p <= 32, and for p = 37 too where its spread rows
+    # (32, 43, ..., 373 of 400) are singular, here through column 5
+    m, n, w = 400, 130, 32
+    a = np.random.default_rng(p).integers(0, p, (m, n))
+    s = (m - w) // w
+    a[list(range(w, w + s * w, s)), 5] = 0
+    seen = _panel_branches(monkeypatch)
+    elim = gfp._Elimination(a.astype(_exact_dtype(p, n)), p)
+    assert elim.profile() == profile_mod_p_reference(a, p)
+    wide = [(c0, ok) for c0, ok in seen if c0 < 128]  # columns 128..129 are a 2-column panel
+    assert wide[0] == (0, False) and any(ok for _, ok in wide) == (p > w)
 
 
 def test_leading_ranks_of_a_d14_family_head():

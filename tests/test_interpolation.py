@@ -12,6 +12,7 @@ from fatpoints.interpolation import (
     MAX_ATTEMPTS,
     Certificate,
     MatrixTooLargeError,
+    _coordinate_point,
     _greedy_assignment,
     _sample_distinct,
     _transposed_matrix,
@@ -46,6 +47,23 @@ def test_sample_points_deterministic_and_distinct():
         keys.add(tuple(int(v) * inv % P for v in row))
     assert len(keys) == 7
     assert _sample_distinct(0, P, 1).shape == (0, 4)
+
+
+def test_point_stream_is_pinned():
+    # the points of attempt 1 (73, seed 0), a retry (73, 20261018) and an
+    # escalated attempt (32003, 7), and of seed 1 avoiding the coordinate
+    # points as the campaign's pinned checks do, as literals: a numpy whose
+    # Generator(PCG64(seed)).integers drew another stream would change every
+    # logged certificate's matrix
+    assert _sample_distinct(5, 73, 0).tolist() == [
+        [62, 46, 37, 19], [22, 2, 5, 1], [12, 59, 47, 66], [36, 44, 70, 53], [46, 39, 40, 68]]
+    assert _sample_distinct(5, 73, 20261018).tolist() == [
+        [50, 63, 61, 28], [42, 2, 51, 53], [2, 62, 33, 56], [50, 48, 63, 1], [33, 0, 67, 70]]
+    assert _sample_distinct(3, 32003, 7).tolist() == [
+        [30239, 20004, 21895, 28713], [18507, 24824, 26679, 7207], [1777, 9606, 9123, 27956]]
+    avoid = [_coordinate_point(slot) for slot in range(4)]
+    assert _sample_distinct(4, 73, 1, avoid=avoid).tolist() == [
+        [34, 37, 55, 69], [2, 10, 60, 69], [18, 22, 63, 30], [19, 60, 18, 29]]
 
 
 def test_build_matrix_shapes_and_plane_case():

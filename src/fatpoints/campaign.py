@@ -10,13 +10,13 @@ raises, or whose worker dies, ends the run with that exception; the
 families written before it stay in the log, and a resume computes the rest.
 
 The units of work are independent: a family in run_campaign, a family's
-replay or one record's in verify_log.  Both run them in a pool of spawned
-worker processes, each with its BLAS pinned to one thread, and consume the
-results in submission order, so the log and verify's report keep their
-order.  The worker count is worker_count's: max(1, min(usable CPUs, units,
-available memory // the largest unit's peak estimate)).  With one worker the
-units run in the calling process with its own BLAS threads; shard splits the
-work across processes or machines.
+replay or one record's in verify_log.  Both run them in a pool of worker
+processes (forked on Linux with numpy's OpenBLAS, else spawned), each with
+its BLAS on one thread, and consume the results in submission order, so the
+log and verify's report keep their order.  The worker count is worker_count's:
+max(1, min(usable CPUs, units, available memory // the largest unit's peak
+estimate)).  With one worker the units run in the calling process with its
+own BLAS threads; shard splits the work across processes or machines.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -43,6 +43,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -343,9 +344,30 @@ def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict[int, int], li
     return expected, plan
 
 
-# BLAS libraries read these when they load.  A spawned worker loads numpy
-# before it runs a unit, so they are set while the workers start.
+# BLAS libraries read these when they load, so they pin a spawned worker's
+# BLAS; a forked worker inherits the loaded one, which _openblas("set") pins.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas(verb: str):
+    """numpy's OpenBLAS `verb`_num_threads ("set" or "get") by dlsym on its extension; None off Linux."""
+    if sys.platform != "linux":
+        return None
+    import ctypes  # here, as multiprocessing is in _run_units
+    core = getattr(np, "_core", None) or np.core  # numpy 2, or 1.x
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)  # dlsym also searches what it links
+    names = [f"{prefix}_{verb}_num_threads{tail}" for prefix in ("scipy_openblas", "openblas")
+             for tail in ("64_", "")]
+    fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if fn is not None:
+        fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+    return fn
+
+
+def _start_method(workers: int) -> Optional[str]:
+    """How _run_units starts its workers: "fork", "spawn", or None when the units run here."""
+    return None if workers <= 1 else "spawn" if _openblas("set") is None else "fork"
 
 
 def _usable_cpus() -> int:
@@ -358,8 +380,8 @@ def _usable_cpus() -> int:
 def _callees_replaced() -> bool:
     """Whether this process replaced a function the units call, as a tracer does.
 
-    A spawned worker imports the package afresh, so the replacement would
-    see none of the units' calls.
+    A spawned worker imports the package afresh, so the replacement would see
+    none of the units' calls; a forked one's would not report back.
     """
     return any(globals()[name] is not getattr(interpolation, name)
                for name in ("check_family", "check_case", "replay_certificate", "replay_family"))
@@ -398,13 +420,17 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     """For each task in order, a function that returns fn(*task) or raises what it raised.
 
     With one worker each task runs in this process when its function is
-    called.  With more, the tasks go to a pool of that many spawned worker
+    called.  With more, the tasks go to a pool of that many worker
     processes, which pickles fn by reference, so fn must be a module-level
     function.  Every task is submitted at once, and the workers start during
-    submission, under _blas_pinned.  A worker that dies breaks the pool:
-    each task without a result then raises BrokenProcessPool.  Closing the
-    generator (contextlib.closing) shuts the pool down and waits for its
-    workers, so a caller that stops early leaves no process behind.
+    submission, under _blas_pinned.  They are forked (_start_method), all at
+    the first submission, before the pool's manager thread starts, and each
+    pins numpy's OpenBLAS to one thread (_openblas); spawned ones import the
+    caller's main module, which needs an `if __name__ == "__main__":` guard.
+    A worker that dies breaks the pool: each task without a result then
+    raises BrokenProcessPool.  Closing the generator (contextlib.closing)
+    shuts the pool down and waits for its workers, so a caller that stops
+    early leaves no process behind.
     """
     if workers <= 1:
         for task in tasks:
@@ -413,7 +439,8 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     import multiprocessing  # here, so that importing the CLI does not pay for the pool
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(_start_method(workers)),
+                               initializer=_openblas("set"), initargs=(1,))
     try:
         with _blas_pinned():
             futures = [pool.submit(fn, *task) for task in tasks]
@@ -476,6 +503,7 @@ def run_campaign(config: CampaignConfig) -> dict:
                 "env": {
                     "workers": workers,
                     "blas_threads_per_worker": 1 if workers > 1 else None,  # None: the caller's own
+                    "start_method": _start_method(workers),  # None: in this process
                     "cpus": _usable_cpus(),
                     "mem_available_bytes": interpolation._mem_available(),
                 },

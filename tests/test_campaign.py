@@ -146,9 +146,12 @@ def test_header_env_leaves_the_digest_alone(tmp_path):
     run_campaign(config)
     header = json.loads(out.read_text().splitlines()[0])
     env = header["env"]
-    assert set(env) == {"workers", "blas_threads_per_worker", "cpus", "mem_available_bytes"}
+    assert set(env) == {"workers", "blas_threads_per_worker", "start_method", "cpus",
+                        "mem_available_bytes"}
     assert env["workers"] == config.effective_threads()
     assert env["blas_threads_per_worker"] == (1 if env["workers"] > 1 else None)
+    assert env["start_method"] == (campaign._start_method(2) if env["workers"] > 1 else None)
+    assert env["start_method"] in (None, "fork", "spawn")
     assert env["cpus"] >= 1 and env["mem_available_bytes"] > 0
     assert "env" not in header["config"]
     assert header["digest"] == config.digest() == "841cb4cd9e7b04ab"
@@ -530,15 +533,33 @@ def test_member_short_twice_escalates_on_its_last_attempt(tmp_path, monkeypatch)
     assert report.ok and report.replayed == 2, report.to_dict()
 
 
+def _blas_threads(name):
+    """The environment variable name's value, and numpy's OpenBLAS thread count (None: no getter)."""
+    getter = campaign._openblas("get")
+    return os.getenv(name), getter and getter()
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
 @pytest.mark.parametrize("caller", [None, "4"])
-def test_workers_run_blas_on_one_thread(monkeypatch, caller):
+def test_workers_run_blas_on_one_thread(monkeypatch, caller, method):
     if caller is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    getter = campaign._openblas("get")
+    threads = getter and getter()
+    if method == "spawn":  # as where no setter is found; a spawned worker looks up afresh
+        monkeypatch.setattr(campaign, "_openblas", lambda verb: None)
+    elif campaign._start_method(2) != "fork":
+        pytest.skip("no OpenBLAS thread setter found: workers are spawned here")
+    assert campaign._start_method(2) == method
     before = dict(os.environ)
     tasks = [("OPENBLAS_NUM_THREADS",)] * 4
-    assert [got() for got in campaign._run_units(os.getenv, tasks, 2)] == ["1"] * 4
+    got = [result() for result in campaign._run_units(_blas_threads, tasks, 2)]
+    assert [env for env, _ in got] == ["1"] * 4
+    if getter is not None:  # the library's own count, not just the variable
+        assert [count for _, count in got] == [1] * 4
+        assert getter() == threads  # the caller's BLAS keeps its threads
     assert dict(os.environ) == before
     # one worker is this process, with the caller's own setting
     assert [got() for got in campaign._run_units(os.getenv, tasks, 1)] == [caller] * 4
@@ -674,12 +695,17 @@ def test_available_memory_without_meminfo(monkeypatch):
     assert interpolation._mem_available() == 5 * 4096  # the physical pages
 
 
+# the unit as imported: a forked worker inherits the patch below, and
+# _dying_family_unit calling campaign._family_unit there would call itself
+_real_family_unit = campaign._family_unit
+
+
 def _dying_family_unit(config, first, family):
     """The campaign's unit, except that the worker of the smallest family dies."""
     if family[-1][1].key() == DYING_HEAD:
         assert multiprocessing.parent_process() is not None, "must not end the test process"
         os._exit(3)
-    return campaign._family_unit(config, first, family)
+    return _real_family_unit(config, first, family)
 
 
 # the smallest family of SHARD, the one submitted last

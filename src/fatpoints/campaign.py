@@ -15,8 +15,12 @@ processes (forked on Linux with numpy's OpenBLAS, else spawned), each with
 its BLAS on one thread, and consume the results in submission order, so the
 log and verify's report keep their order.  The worker count is worker_count's:
 max(1, min(usable CPUs, units, available memory // the largest unit's peak
-estimate)).  With one worker the units run in the calling process with its
-own BLAS threads; shard splits the work across processes or machines.
+estimate)), or one worker per unit when the units number between the CPUs
+and twice as many, fit in memory together, and are predicted to end sooner
+all at once on shared CPUs than in the pool's rounds; the guard keeps one
+dominant unit from running slower shared.  With one worker the units run in
+the calling process with its own BLAS threads; shard splits the work across
+processes or machines.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -387,18 +391,52 @@ def _callees_replaced() -> bool:
                for name in ("check_family", "check_case", "replay_certificate", "replay_family"))
 
 
+def _pool_makespan(costs: list[float], workers: int) -> float:
+    """When a pool of workers ends costs, each unit taken in order by the first worker free."""
+    free = [0.0] * workers
+    for cost in costs:
+        free[free.index(min(free))] += cost
+    return max(free)
+
+
+def _shared_makespan(costs: list[float], cpus: int) -> float:
+    """When costs end if all start at once, each on min(1, cpus / units still running) CPUs."""
+    end = done = 0.0
+    for running, cost in zip(range(len(costs), 0, -1), sorted(costs)):
+        end, done = end + (cost - done) * max(1.0, running / cpus), cost
+    return end
+
+
 def worker_count(peaks: Sequence[int]) -> int:
     """Worker processes for units with these peak memory estimates (peak_bytes).
 
     max(1, min(usable CPUs, units, interpolation._mem_available() // the
     largest peak)): the units fit in memory together, and a check is refused
     against the same budget, so a retry escalated to PRIME_LADDER[1] (up to
-    twice its peak) can be refused.  It is 1 while a function the units
-    call is replaced in this process, so that the units run here.
+    twice its peak) can be refused.  One case more: with U units, CPUs <
+    U < 2 CPUs and memory for U workers, it is U, every unit at once on
+    CPUs the kernel shares, when that is predicted to end sooner than the
+    pool's rounds (_shared_makespan, and _pool_makespan of the peaks in
+    submission order), so that no core idles through the last round.  From
+    2 CPUs units on the pool runs two rounds or more, largest first, and
+    stays.  A unit's cost is its matrix bytes (peak less _PROCESS_BYTES) to
+    the power 3/2: peak_bytes is linear in N*S, and every matrix of the
+    sweep is within 3 % of square, so this is N*S*min(N, S), its
+    elimination's flops, up to a constant.  Sharing is slower where one
+    unit dominates: three units of costs a >= b >= c on 2 CPUs end at
+    a + c/2 shared and at max(a, b + c) in the pool.  It is 1 while a
+    function the units call is replaced in this process, so that the units
+    run here.
     """
     if not peaks or _callees_replaced():
         return 1
-    return max(1, min(_usable_cpus(), len(peaks), interpolation._mem_available() // max(peaks)))
+    cpus, units = _usable_cpus(), len(peaks)
+    fits = interpolation._mem_available() // max(peaks)
+    if cpus < units < 2 * cpus and units <= fits:
+        costs = [(peak - interpolation._PROCESS_BYTES) ** 1.5 for peak in peaks]
+        if _shared_makespan(costs, cpus) < _pool_makespan(costs, cpus):
+            return units
+    return max(1, min(cpus, units, fits))
 
 
 @contextmanager

@@ -579,6 +579,15 @@ def test_worker_count(monkeypatch):
     # two d = 40 cases fit in 7 GiB
     d40 = max(algorithm_b_cases(40), key=lambda case: case.conditions_total)
     assert campaign.worker_count([interpolation.peak_bytes(d40.to_system())] * 4) == 2
+    # between 2 and 4 units: one worker each when sharing the CPUs ends sooner
+    # and memory fits them all
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 16 * gib)
+    assert campaign.worker_count([gib] * 3) == 3
+    # one unit costs more than the other two together: the pool ends sooner
+    assert campaign.worker_count([4 * gib, gib, gib]) == 2
+    assert campaign.worker_count([gib] * 4) == 2
+    monkeypatch.setattr(interpolation, "_mem_available", lambda: 2 * gib)
+    assert campaign.worker_count([gib] * 3) == 2  # memory for two
     # a replaced callee would not be seen by a worker: the units run here
     monkeypatch.setattr(campaign, "replay_certificate", lambda cert: 0)
     assert campaign.worker_count([gib] * 20) == 1
@@ -626,7 +635,7 @@ def test_resume_counts_workers_over_the_families_left(tmp_path, monkeypatch):
     out = tmp_path / "log.jsonl"
     monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
     config = _tiny_config(out)
-    assert config.effective_threads() == 2  # three families of one
+    assert config.effective_threads() == 3  # three families of one, sharing 2 CPUs
     run_campaign(config)
     lines = out.read_text().splitlines()
     out.write_text("\n".join(lines[:-1]) + "\n")  # the last family is left
@@ -645,6 +654,24 @@ def test_resume_counts_workers_over_the_families_left(tmp_path, monkeypatch):
     assert summary["ok"] and summary["computed"] == 1, summary
     assert seen == [(1, 1)]  # in this process, with its own BLAS threads
     assert out.read_text().splitlines()[:-1] == lines[:-1]
+
+
+def test_three_workers_on_two_cpus_write_the_records_of_one(tmp_path, monkeypatch):
+    def records(path):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in lines[1:]:
+            rec.pop("elapsed_ms")
+        return lines[0]["env"], lines[1:]
+
+    monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+    shared = _tiny_config(tmp_path / "shared.jsonl")
+    run_campaign(shared)
+    env, written = records(shared.out)
+    assert (env["workers"], env["cpus"]) == (3, 2)  # three families of one
+    monkeypatch.setattr(campaign, "worker_count", lambda peaks: 1)
+    alone = _tiny_config(tmp_path / "alone.jsonl")
+    run_campaign(alone)
+    assert records(alone.out)[1] == written  # in log order
 
 
 def _write_cgroup(group, limit, usage, cache, names):

@@ -21,11 +21,11 @@ ranked in float64, and at 73, the campaign's first prime, ranked in float32
 by a tree that picks the dtype from the shape.  "d37_p73" is D37_CASE, the
 head of a d = 37 family (9000 x 9018), at 73.
 
-The "d14.heads" row times the kernel on many small matrices: the rank of
-all 71 d = 14 family heads, each built as the campaign's attempt 1 builds
-it (base seed 0, the family's seed and prime) and ranked in place with the
-leading row counts of its members.  The matrices are built before the
-timing, which covers only the rank calls.
+The "d14.heads" row times the small systems: all 71 d = 14 family heads,
+each built as the campaign's attempt 1 builds it (base seed 0, the
+family's seed and prime) by _transposed_matrix, point sampling and matrix
+assembly, timed as assembly_s, and then ranked in place with the leading
+row counts of its members, timed as rank_s.
 
 The rank time of these rows is split into the column panels
 (_Elimination._panel, which also inverts each panel's pivot block), the
@@ -247,44 +247,48 @@ def case_row(gfp, repeats: int, case: str, prime: int) -> dict:
     return row
 
 
-def family_heads(limit: Optional[int] = None) -> list[tuple]:
-    """The d = 14 family heads as the campaign's attempt 1 ranks them, largest first.
+def head_checks(limit: Optional[int] = None) -> list[tuple]:
+    """The d = 14 family heads' attempt 1 checks, largest first.
 
-    One (prime, transposed matrix, member row counts) per family, at base
-    seed 0; limit keeps the first few.
+    One (head system, prime, seed, fundamental assignment, member row counts
+    after the reduction) per family, at base seed 0; limit keeps the first few.
     """
     from fatpoints import campaign, interpolation
     from fatpoints.enumeration import algorithm_b_cases
     from fatpoints.model import conditions_count
 
     cases = algorithm_b_cases(FAMILY_DEGREE)
-    families = campaign._families(list(enumerate(cases)))[:limit]
-    heads = []
-    for first, family in families:
+    checks = []
+    for first, family in campaign._families(list(enumerate(cases)))[:limit]:
         specs = [case.to_system() for _, case in family]
         prime, seed = interpolation.attempt_schedule(1, first * interpolation.MAX_ATTEMPTS, 0)
         assignment = interpolation._greedy_assignment(specs[-1])
-        mat, _ = interpolation._transposed_matrix(specs[-1], prime, seed, assignment)
         pinned = sum(conditions_count(m) for _, m in assignment)
-        heads.append((prime, mat, [spec.conditions_total - pinned for spec in specs]))
-    return heads
+        checks.append((specs[-1], prime, seed, assignment,
+                       [spec.conditions_total - pinned for spec in specs]))
+    return checks
 
 
 def heads_row(gfp, repeats: int, limit: Optional[int] = None) -> dict:
-    """Rank of every d = 14 family head (the first limit), in place, split by phase."""
-    heads = family_heads(limit=limit)
-    times = {key: [] for key in PHASES}
+    """Assembly and rank of every d = 14 family head (the first limit), the rank split by phase."""
+    from fatpoints import interpolation
+
+    checks = head_checks(limit=limit)
+    times = {key: [] for key in ("assembly_s", *PHASES)}
     with phase_split(gfp) as busy:
         for _ in range(repeats):
-            mats = [mat.copy() for _, mat, _ in heads]
-            busy.update(panel=0.0, trsm=0.0)
             t0 = time.perf_counter()
-            ranks = [gfp.rank(work, prime, overwrite=True, leading=rows)[-1]
-                     for work, (prime, _, rows) in zip(mats, heads)]
-            _split(times, busy, time.perf_counter() - t0)
-    row = {"degree": FAMILY_DEGREE, "heads": len(heads), "primes": sorted({h[0] for h in heads}),
+            mats = [interpolation._transposed_matrix(spec, prime, seed, assignment)[0]
+                    for spec, prime, seed, assignment, _ in checks]
+            t1 = time.perf_counter()
+            busy.update(panel=0.0, trsm=0.0)
+            ranks = [gfp.rank(work, check[1], overwrite=True, leading=check[4])[-1]
+                     for work, check in zip(mats, checks)]
+            times["assembly_s"].append(t1 - t0)
+            _split(times, busy, time.perf_counter() - t1)
+    row = {"degree": FAMILY_DEGREE, "heads": len(checks), "primes": sorted({c[1] for c in checks}),
            "rank_sum": sum(ranks), **{key: quartiles(vals) for key, vals in times.items()}}
-    print(f"d{FAMILY_DEGREE} heads ({len(heads)}): "
+    print(f"d{FAMILY_DEGREE} heads ({len(checks)}): "
           + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
           file=sys.stderr, flush=True)
     return row

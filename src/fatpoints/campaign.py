@@ -465,6 +465,8 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     the first submission, before the pool's manager thread starts, and each
     pins numpy's OpenBLAS to one thread (_openblas); spawned ones import the
     caller's main module, which needs an `if __name__ == "__main__":` guard.
+    numpy.random, which every unit's point sampling needs, is imported
+    first, so that forked workers inherit it loaded.
     A worker that dies breaks the pool: each task without a result then
     raises BrokenProcessPool.  Closing the generator (contextlib.closing)
     shuts the pool down and waits for its workers, so a caller that stops
@@ -476,6 +478,8 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
         return
     import multiprocessing  # here, so that importing the CLI does not pay for the pool
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy.random  # noqa: F401  (once, before the fork, not in each worker's first draw)
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(_start_method(workers)),
                                initializer=_openblas("set"), initargs=(1,))

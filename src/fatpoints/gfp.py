@@ -18,17 +18,18 @@ and rows r.. it
 4. recurses on the right half from row r + k1.
 
 A range of at most _BASE_WIDTH columns is a panel.  A panel of w < p
-columns over 3w rows or more first tries a block step: the w rows spread
-evenly below its w leading rows form a block B, inverted through its
-characteristic polynomial in log2(w) batched products (_inverse_by_charpoly).
-When B is invertible, every column is a pivot: B's rows move up, L's
-diagonal block is I and U's is B, and the multipliers of every other row
-are one GEMM, A2 @ B^-1.  Otherwise, and on a shorter panel, the column
-loop runs on the whole panel, one column at a time, on a transposed copy so
-that every column is contiguous.  High derivatives vanish on runs of
-monomials, so the leading rows of an interpolation matrix are often
-dependent; rows spread over the panel rarely are.  Nearly all flops run in
-the GEMMs of steps 2 and 3, at BLAS speed.
+columns over 2w rows or more first tries a block step: w rows spread
+evenly below its w leading rows (the next w, on fewer than 3w rows) form a
+block B, inverted through its characteristic polynomial in log2(w) batched
+products (_inverse_by_charpoly).  When B is invertible, every column is a
+pivot: B's rows move up, L's diagonal block is I and U's is B, and the
+multipliers of every other row are one GEMM, A2 @ B^-1.  Otherwise, and on
+a shorter panel, the column loop runs on the whole panel, one column at a
+time, on a transposed copy so that every column is contiguous.  High
+derivatives vanish on runs of monomials, so the leading rows of an
+interpolation matrix are often dependent; rows spread over the panel
+rarely are.  Nearly all flops run in the GEMMs of steps 2 and 3, at BLAS
+speed.
 
 Entries are integer-valued floats holding centered residues, and reductions
 mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
@@ -75,7 +76,9 @@ transpose of a matrix these are the ranks of its leading row blocks.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -187,13 +190,19 @@ def _unit_lower_inverse(block: np.ndarray, p: int) -> np.ndarray:
     return x[k:]
 
 
+@lru_cache(maxsize=None)
+def _reciprocals(p: int, n: int) -> tuple[int, ...]:
+    """(0, 1^-1, 2^-1, ..., n^-1) mod p, for n < p."""
+    return (0, *(pow(k, -1, p) for k in range(1, n + 1)))
+
+
 def _inverse_by_charpoly(b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """B^-1 mod p, reduced, for a w x w block B of reduced residues with w < p; None if det B = 0.
 
     By the characteristic polynomial x^w + c_1 x^(w-1) + ... + c_w (L. Csanky,
     "Fast parallel matrix inversion algorithms", SIAM J. Comput. 5(4), 1976):
     B..B^w by doubling, [B; ...; B^n] @ B^n = [B^(n+1); ...; B^2n]; the c_k
-    from the powers' traces t_k by Newton's identities,
+    from the powers' traces t_k, reduced mod p, by Newton's identities,
     k c_k = -(t_k + c_1 t_(k-1) + ... + c_(k-1) t_1), so k <= w < p; then
     det B = (-1)^w c_w and B^-1 = -c_w^-1 (B^(w-1) + c_1 B^(w-2) + ... + c_(w-1) I).
     B B^-1 = I mod p is checked before the inverse is returned; a failed
@@ -207,10 +216,11 @@ def _inverse_by_charpoly(b: np.ndarray, p: int) -> Optional[np.ndarray]:
         k = min(n, w - n)
         _reduce(powers[:k].reshape(-1, w) @ powers[n - 1], p, out=powers[n:n + k].reshape(-1, w))
         n += k
-    t = [int(x) for x in powers.trace(axis1=1, axis2=2).tolist()]
+    t = [int(x) % p for x in powers.trace(axis1=1, axis2=2).tolist()]
+    recip = _reciprocals(p, w)
     c = [1]
-    for k in range(1, w + 1):
-        c.append(-(t[k - 1] + sum(c[i] * t[k - 1 - i] for i in range(1, k))) * pow(k, -1, p) % p)
+    for k in range(1, w + 1):  # c_0 t_k + c_1 t_(k-1) + ... + c_(k-1) t_1, c reversed against t
+        c.append(-sum(map(operator.mul, reversed(c), t)) * recip[k] % p)
     if c[w] == 0:
         return None
     scale, h = -pow(c[w], -1, p), p // 2
@@ -341,16 +351,17 @@ class _Elimination:
     def _block_step(self, r: int, c0: int, c1: int) -> bool:
         """Eliminate a[r:, c0:c1] at once if w rows spread below its w leading ones are independent.
 
-        Those rows, at stride s >= 2 from r + w, form B.  When B is
-        invertible mod p every column is a pivot: B's rows move up to r..,
-        and the multipliers of every row x below are x B^-1, one GEMM.
-        Returns False, with a unchanged, when w >= p, the panel has fewer
-        than 3w rows or B is singular.
+        Those rows, at stride s = (rows - w) // w >= 1 from r + w, form B;
+        s = 1, rows r + w.. r + 2w - 1, on a panel of fewer than 3w rows.
+        When B is invertible mod p every column is a pivot: B's rows move up
+        to r.., and the multipliers of every row x below are x B^-1, one
+        GEMM.  Returns False, with a unchanged, when w >= p, the panel has
+        fewer than 2w rows or B is singular.
         """
         a, p = self.a, self.p
         w = c1 - c0
         s = (a.shape[0] - r - w) // w
-        if w >= p or s < 2:
+        if w >= p or s < 1:
             return False
         spread = np.arange(r + w, r + w + s * w, s)
         b = a[spread, c0:c1]
@@ -358,7 +369,8 @@ class _Elimination:
         inv = _inverse_by_charpoly(b, p)
         if inv is None:
             return False
-        a[np.r_[r:r + w, spread]] = a[np.r_[spread, r:r + w]]
+        lead = np.arange(r, r + w)
+        a[np.concatenate((lead, spread))] = a[np.concatenate((spread, lead))]
         below = a[r + w:, c0:c1]
         _reduce(below, p)
         _reduce(below @ inv, p, out=below)

@@ -82,10 +82,17 @@ _CGROUP_V2 = (("", "unified"), "memory.max", "memory.current", "inactive_file")
 _CGROUP_V1 = (("memory",), "memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
 
 
-def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str) -> Optional[int]:
-    """Bytes group's memory limit leaves, counting inactive page cache as free; None without one."""
+def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str,
+                 ceiling: Optional[int] = None) -> Optional[int]:
+    """Bytes group's memory limit leaves, counting inactive page cache as free.
+
+    None without a limit, or with one of at least ceiling, which is then
+    not read further.
+    """
     try:
         limit = int((group / limit_file).read_text())  # "max" (no limit) raises
+        if ceiling is not None and limit >= ceiling:
+            return None
         usage = int((group / usage_file).read_text())
         stat = dict(line.split() for line in (group / "memory.stat").read_text().splitlines())
         return max(0, limit - usage + int(stat.get(cache_key, 0)))
@@ -93,12 +100,13 @@ def _cgroup_room(group: Path, limit_file: str, usage_file: str, cache_key: str) 
         return None
 
 
-def _cgroup_headroom() -> Optional[int]:
+def _cgroup_headroom(ceiling: Optional[int] = None) -> Optional[int]:
     """Bytes this process's memory cgroups leave, or None if none of them has a limit.
 
     The least room over the process's cgroup and its ancestors, since a
     limit on any of them binds, in the v2 hierarchy and the v1 memory
-    controller.  MemAvailable does not see these limits.
+    controller.  MemAvailable does not see these limits.  A limit of at
+    least ceiling counts as none (_cgroup_room).
     """
     try:
         entries = [line.split(":", 2) for line in _SELF_CGROUP.read_text().splitlines()]
@@ -115,7 +123,7 @@ def _cgroup_headroom() -> Optional[int]:
         for top in (_CGROUP_MOUNT / name for name in dirs):
             group = top / path.lstrip("/")
             while True:
-                rooms.append(_cgroup_room(group, *files))
+                rooms.append(_cgroup_room(group, *files, ceiling))
                 if group == top or top not in group.parents:
                     break
                 group = group.parent
@@ -128,20 +136,27 @@ def _mem_available() -> int:
 
     MemAvailable, else the free pages (the physical pages where none are
     counted), and no more than the memory cgroups leave (_cgroup_headroom).
+    A cgroup's usage is at most MemTotal, so a limit of MemTotal +
+    MemAvailable or more leaves at least MemAvailable and is not read
+    further.
     """
-    avail = None
+    info = {}
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
-                    avail = int(line.split()[1]) * 1024
-                    break
+                key, _, value = line.partition(":")
+                if key in ("MemTotal", "MemAvailable"):
+                    info[key] = int(value.split()[0]) * 1024
+                    if len(info) == 2:
+                        break
     except OSError:
         pass
+    avail = info.get("MemAvailable")
     if avail is None:
         free = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
         avail = os.sysconf(free) * os.sysconf("SC_PAGE_SIZE")
-    room = _cgroup_headroom()
+    total = info.get("MemTotal")
+    room = _cgroup_headroom() if total is None else _cgroup_headroom(total + avail)
     return avail if room is None else min(avail, room)
 
 
@@ -150,15 +165,30 @@ MAX_ATTEMPTS = 3
 
 _MAX_RESAMPLE = 1000
 
+# Rows build_matrix assembles at once: one 10-point's.
+_RUN_ROWS = conditions_count(10)
+
 
 class MatrixTooLargeError(ValueError):
     """Raised when a matrix would not fit in the free memory, _mem_available()."""
 
 
-def _projective_key(coords, p: int) -> tuple:
-    lead = next(int(c) for c in coords if int(c) % p != 0)
-    inv = pow(lead % p, -1, p)
-    return tuple(int(c) * inv % p for c in coords)
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p elementwise, for 0 <= x < p < 2**31: the inverse of every nonzero x, 0 at 0."""
+    out, base, e = np.ones_like(x), x.copy(), p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _projective_keys(pts: np.ndarray, p: int) -> list[tuple]:
+    """Each row of pts mod p scaled so that its first nonzero coordinate is 1; a zero row stays 0."""
+    pts = np.asarray(pts, dtype=np.int64).reshape(-1, 4) % p
+    lead = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
+    return list(map(tuple, (pts * _inverses(lead, p)[:, None] % p).tolist()))
 
 
 def _coordinate_point(slot: int) -> np.ndarray:
@@ -168,25 +198,34 @@ def _coordinate_point(slot: int) -> np.ndarray:
 
 
 def _sample_distinct(count: int, prime: int, seed: int, avoid=()) -> np.ndarray:
-    """count distinct random projective points, deterministic in seed."""
+    """count distinct random projective points, deterministic in seed.
+
+    Candidates are rows of integers(0, prime, 4) from Generator(PCG64(seed)),
+    taken in order: a zero row, or a row projectively equal to a point of
+    avoid or to one taken before, is skipped, and after _MAX_RESAMPLE skipped
+    rows in a row the call fails.  The rows are drawn in batches of the
+    points still missing, which is the stream of as many single draws.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    seen = {_projective_key(a, prime) for a in avoid}
+    seen = {(0, 0, 0, 0), *_projective_keys(avoid, prime)}
     out = np.empty((count, 4), dtype=np.int64)
-    for i in range(count):
-        for _ in range(_MAX_RESAMPLE):
-            cand = rng.integers(0, prime, size=4, dtype=np.int64)
-            if not cand.any():
+    done = skipped = 0
+    while done < count:
+        cand = rng.integers(0, prime, (count - done, 4), dtype=np.int64)
+        taken = []
+        for i, key in enumerate(_projective_keys(cand, prime)):
+            if key not in seen:
+                seen.add(key)
+                taken.append(i)
+                skipped = 0
                 continue
-            key = _projective_key(cand, prime)
-            if key in seen:
-                continue
-            seen.add(key)
-            out[i] = cand
-            break
-        else:
-            raise RuntimeError(
-                f"could not sample {count} distinct points mod {prime}; prime too small"
-            )
+            skipped += 1
+            if skipped == _MAX_RESAMPLE:
+                raise RuntimeError(
+                    f"could not sample {count} distinct points mod {prime}; prime too small"
+                )
+        out[done:done + len(taken)] = cand[taken]
+        done += len(taken)
     return out
 
 
@@ -194,14 +233,16 @@ def _sample_distinct(count: int, prime: int, seed: int, avoid=()) -> np.ndarray:
 _OTHER = np.array([[j for j in range(4) if j != chart] for chart in range(4)])
 
 
-def _residues(x: np.ndarray, fp: float, out: Optional[np.ndarray] = None):
+def _residues(x: np.ndarray, fp: float, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None):
     """x mod p into [0, p), into out (default x), for integer-valued 0 <= x <= L.
 
     L is 2**24 in float32 and 2**53 in float64.  x - floor(x / p) * p:
     floor(fl(x / p)) = floor(x / p) on that range, and the product, at most
-    x, is exact.
+    x, is exact.  The quotient goes to scratch, an array of x's shape, if
+    given.
     """
-    q = x / fp
+    q = np.divide(x, fp, out=scratch)
     np.floor(q, out=q)
     q *= fp
     np.subtract(x, q, out=x if out is None else out)
@@ -247,7 +288,10 @@ def build_matrix(
     p^3 < 2^24 (p = 73), else float64, where a product of two residues is
     reduced before the third factor joins it unless p^3 < 2^53 (both
     ladder primes).  A prime whose product of two residues can pass 2^53
-    ((p - 1)^2 > 2^53) is refused.
+    ((p - 1)^2 > 2^53) is refused.  The rows of a run of consecutive points
+    with the same multiplicity and chart, up to _RUN_ROWS of them, are
+    gathered, multiplied and reduced by one set of calls: each entry takes
+    the same operations as alone, so the output does not depend on the runs.
     """
     d = spec.degree
     if prime <= d:
@@ -263,16 +307,14 @@ def build_matrix(
                          " of float64")
     pts = points % prime
     chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
-    for idx, c in enumerate(chart.tolist()):
-        if c < 0:
-            raise ValueError(f"point {idx} has no usable chart (chart={c})")
+    if (chart < 0).any():
+        raise ValueError(f"point {int(np.argmin(chart))} has no usable chart (chart=-1)")
     out = np.empty((spec.conditions_total, basis.shape[0]),
                    dtype=_matrix_dtype(prime, spec.conditions_total, basis.shape[0]), order="F")
     work = out.dtype if prime**3 < 2**24 else np.dtype(np.float64)
     fp = float(prime)
     once = prime**3 < 2**53
-    inv = np.array([pow(int(pts[idx, c]), -1, prime) for idx, c in enumerate(chart)],
-                   dtype=np.int64)
+    inv = _inverses(pts[np.arange(len(mults)), chart], prime)
     affine = (np.take_along_axis(pts, _OTHER[chart], axis=1) * inv[:, None] % prime).astype(work)
     powers = np.empty((len(mults), 3, d + 1), dtype=work)  # powers[j, i, e] = u_ji^e mod p
     powers[:, :, 0] = 1.0
@@ -282,26 +324,34 @@ def build_matrix(
     exps = {int(c): np.ascontiguousarray(basis[:, _OTHER[c]].T) for c in set(chart.tolist())}
 
     block = out.T  # C-contiguous: row block j of out is the column slab block[:, rows]
-    size = basis.shape[0] * (conditions_count(max(mults)) if mults else 0)
+    runs = []  # (first point, points, multiplicity, chart): alike and consecutive
+    first = 0
+    for (m, c), group in itertools.groupby(zip(mults, chart.tolist())):
+        n, step = len(list(group)), max(1, _RUN_ROWS // conditions_count(m))
+        runs += [(first + i, min(step, n - i), m, c) for i in range(0, n, step)]
+        first += n
+    size = basis.shape[0] * max((k * conditions_count(m) for _, k, m, _ in runs), default=0)
     prod, factor = np.empty(size, dtype=work), np.empty(size, dtype=work)
     row = 0
-    for idx, m in enumerate(mults):
+    for first, k, m, c in runs:
         orders = derivative_orders(m)
-        rows = orders.shape[0]
+        rows = k * orders.shape[0]
         shift = np.maximum(np.arange(d + 1) - np.arange(m)[:, None], 0)
-        g = np.multiply(_falling(m, d, prime), powers[idx][:, shift], dtype=work)  # below p^2
-        np.remainder(g, fp, out=g)
-        ex = exps[int(chart[idx])]
+        # g[i, e, j, b] = e!/(e-b)! * u^(e-b) mod p at coordinate i of point first + j
+        g = np.multiply(_falling(m, d, prime).T[:, None],
+                        powers[first:first + k][:, :, shift.T].transpose(1, 2, 0, 3), dtype=work)
+        _residues(g, fp)
+        ex = exps[c]
         x = prod[: basis.shape[0] * rows].reshape(-1, rows)
         y = factor[: basis.shape[0] * rows].reshape(-1, rows)
-        np.take(g[0].T[:, orders[:, 0]], ex[0], axis=0, out=x, mode="clip")
-        np.take(g[1].T[:, orders[:, 1]], ex[1], axis=0, out=y, mode="clip")
+        np.take(g[0][:, :, orders[:, 0]].reshape(d + 1, rows), ex[0], axis=0, out=x, mode="clip")
+        np.take(g[1][:, :, orders[:, 1]].reshape(d + 1, rows), ex[1], axis=0, out=y, mode="clip")
         x *= y
         if not once:
-            _residues(x, fp)
-        np.take(g[2].T[:, orders[:, 2]], ex[2], axis=0, out=y, mode="clip")
+            _residues(x, fp, scratch=y)
+        np.take(g[2][:, :, orders[:, 2]].reshape(d + 1, rows), ex[2], axis=0, out=y, mode="clip")
         x *= y
-        _residues(x, fp, out=block[:, row:row + rows])
+        _residues(x, fp, out=block[:, row:row + rows], scratch=y)
         row += rows
     return out
 

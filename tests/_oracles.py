@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: straight loops, Fractions, dict-based
 polynomials.  None of it shares code with the package's computational paths;
-rational_oracle takes only the package's monomial and derivative-order lists,
-which fix the order of a matrix's columns and rows.
+rational_oracle and build_matrix_per_point take only the package's monomial
+and derivative-order lists, which fix the order of a matrix's columns and
+rows.
 """
 
 import random
@@ -211,3 +212,61 @@ def rational_oracle(spec: SystemSpec, seed: int = 0) -> int:
             rows.append(row)
 
     return spec.n_monomials - 1 - rank_rational_reference(rows)
+
+
+def sample_distinct_per_point(count: int, prime: int, seed: int, avoid=(),
+                              max_resample: int = 1000) -> tuple[np.ndarray, int]:
+    """The points _sample_distinct draws, one draw of 4 coordinates at a time, and the draws made.
+
+    Each point takes the first draw of Generator(PCG64(seed)).integers(0,
+    prime, 4) that is not zero and not projectively equal to a point of
+    avoid or to one taken before; max_resample draws in a row without one
+    raise RuntimeError.
+    """
+    def key(coords):
+        lead = next(int(c) for c in coords if int(c) % prime)
+        inv = pow(lead, -1, prime)
+        return tuple(int(c) * inv % prime for c in coords)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seen = {key(a) for a in avoid}
+    out, draws = [], 0
+    for _ in range(count):
+        for _ in range(max_resample):
+            cand = rng.integers(0, prime, size=4, dtype=np.int64)
+            draws += 1
+            if cand.any() and key(cand) not in seen:
+                seen.add(key(cand))
+                out.append(cand)
+                break
+        else:
+            raise RuntimeError(f"no new point mod {prime} in {max_resample} draws")
+    return np.array(out, dtype=np.int64).reshape(-1, 4), draws
+
+
+def build_matrix_per_point(spec: SystemSpec, points, prime: int, basis=None) -> np.ndarray:
+    """The interpolation matrix of spec at points, assembled point by point in int64.
+
+    Row block j is point j's, one row per derivative order b of
+    derivative_orders(m), one column per monomial x^e of basis (default
+    monomial_basis(d)); the point is dehomogenized in the chart of its first
+    nonzero coordinate, with affine coordinates u, and the entry is
+    prod_i e_i!/(e_i-b_i)! u_i^(e_i-b_i) mod p, 0 where some b_i > e_i.
+    """
+    d = spec.degree
+    basis = monomial_basis(d) if basis is None else basis
+    rows = []
+    for pt, m in zip(np.asarray(points, dtype=np.int64) % prime, spec.points()):
+        chart = int(np.flatnonzero(pt)[0])
+        other = [i for i in range(4) if i != chart]
+        u = pt[other] * pow(int(pt[chart]), -1, prime) % prime
+        e = basis[:, other]
+        upow = [np.array([pow(int(ui), k, prime) for k in range(d + 1)]) for ui in u]
+        for b in derivative_orders(m):
+            row = np.ones(basis.shape[0], dtype=np.int64)
+            for i in range(3):
+                for k in range(int(b[i])):  # the falling factorial e!/(e-b)!, 0 for b > e
+                    row = row * np.maximum(e[:, i] - k, 0) % prime
+                row = row * upow[i][np.maximum(e[:, i] - b[i], 0)] % prime
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, basis.shape[0])

@@ -393,25 +393,27 @@ def _planted(m: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     ints = np.random.default_rng(m * n).integers(0, p, (m, n))
     a = ints.astype(np.float64)
     for c, v in zip((0, 31, 32, 64), (p, 2 * p, -p, p)):
-        if c < n:
+        if c < min(m, n):
             ints[c, :c + 1] = 0
             a[c, :c] = 0.0
             a[c, c] = v
     return a, ints
 
 
-@pytest.mark.parametrize("m", [90, 400])  # the column loop alone, and with block steps
+# the column loop alone (every panel has fewer than 2w rows), and with block steps
+@pytest.mark.parametrize("m", [60, 400])
 @pytest.mark.parametrize("n", [32, 130])  # a panel at recursion depth 0, and at depths 2 and 3
 def test_pivot_test_reduces_planted_multiples_of_p(m, n, monkeypatch):
     # at m = 400 and n = 130, planted rows 32 and 64 lead the spread rows
     # of panels 0 and 1 and vanish on those panels' columns, so both panels
     # run the column loop over the planted entries; the other panels, and
-    # the one panel of n = 32, take the block step over reduced rows
+    # the one panel of n = 32, take the block step over reduced rows.  At
+    # m = 60 the planted rows 0, 31 and 32 meet the column loop alone
     a, ints = _planted(m, n, P)
     seen = _panel_branches(monkeypatch)
     assert gfp._Elimination(a, P).profile() == profile_mod_p_reference(ints, P)
     taken = [c0 for c0, ok in seen if ok]
-    if m == 90:
+    if m == 60:
         assert not taken
     else:
         assert taken == ([0] if n == 32 else [64, 96, 128])
@@ -430,6 +432,42 @@ def test_sampled_block_falls_back_when_its_sample_is_singular(n, monkeypatch):
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
     assert seen[0] == (0, False)
     assert any(ok for _, ok in seen) == (n > w)
+
+
+@pytest.mark.parametrize("m", [64, 80, 95])  # from 2w rows to one short of 3w
+def test_short_panel_takes_the_block_step_from_the_rows_below_its_leading_ones(m, monkeypatch):
+    # rows w..2w-1 form B, at stride 1; the leading rows 0..w-1, dependent
+    # on the panel's columns, move down into B's places and still take
+    # part in the later panels' pivots
+    w, n = 32, 70
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, P, (m, n))
+    a[:w, :w] = a[:w, :4] @ rng.integers(0, P, (4, w)) % P
+    seen = _panel_branches(monkeypatch)
+    ks = _leading_counts(n, rng)
+    assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
+    assert seen[0] == (0, True)
+    elim = gfp._Elimination(a.astype(np.float64), P)
+    assert elim.profile() == profile_mod_p_reference(a, P)
+    assert elim.inverses[0] is None and elim.starts[:2] == [0, w]
+
+
+@pytest.mark.parametrize("m", [64, 95])
+def test_short_panel_falls_back_to_the_column_loop_when_its_block_is_singular(m, monkeypatch):
+    # column 5 vanishes on rows w..2w-1, B of the short panel, but not on
+    # the leading rows, so the panel's columns are independent and the
+    # column loop finds all of them
+    w, n = 32, 40
+    rng = np.random.default_rng(m + 1)
+    a = rng.integers(0, P, (m, n))
+    a[w:2 * w, 5] = 0
+    seen = _panel_branches(monkeypatch)
+    ks = _leading_counts(n, rng)
+    assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
+    assert seen[0] == (0, False)
+    elim = gfp._Elimination(a.astype(np.float64), P)
+    assert elim.profile()[:w] == list(range(w)) == profile_mod_p_reference(a, P)[:w]
+    assert elim.inverses[0] is not None
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (32, 16), (32, 32)])
@@ -563,8 +601,8 @@ def _panel_layout(m: int, n: int, p: int, layout: str) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [2, 3, 17, 73, 32003])
 @pytest.mark.parametrize("layout", ["all", "zero", "dependent", "empty"])
-# the column loop alone; block steps, then fewer than 3w rows below (from
-# row 54 of 150); block steps throughout
+# the column loop alone; block steps, then fewer than 2w rows below (54,
+# from row 96 of 150); block steps throughout
 @pytest.mark.parametrize("m", [60, 150, 400])
 def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch):
     # the rank of a[:, :k] is the number of reference pivots below k
@@ -574,7 +612,7 @@ def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, np.random.default_rng(m + p))
     assert rank(a, p, leading=ks) == [sum(c < k for c in want) for k in ks]
-    # a 32-column panel takes the block step only over 3w rows and for
+    # a 32-column panel takes the block step only over 2w rows and for
     # p > 32, and every one of them has a dependent column in the "zero"
     # and "dependent" layouts; columns 128..129 are a 2-column panel
     wide = [ok for c0, ok in seen if c0 < 128]

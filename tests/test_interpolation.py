@@ -27,7 +27,13 @@ from fatpoints.interpolation import (
 from fatpoints.model import SystemSpec, conditions_count, edim
 from fatpoints.monomials import derivative_orders, monomial_basis
 
-from _oracles import derivative_coefficient, rank_mod_p_reference, rational_oracle
+from _oracles import (
+    build_matrix_per_point,
+    derivative_coefficient,
+    rank_mod_p_reference,
+    rational_oracle,
+    sample_distinct_per_point,
+)
 
 P = 32003
 
@@ -64,6 +70,68 @@ def test_point_stream_is_pinned():
     avoid = [_coordinate_point(slot) for slot in range(4)]
     assert _sample_distinct(4, 73, 1, avoid=avoid).tolist() == [
         [34, 37, 55, 69], [2, 10, 60, 69], [18, 22, 63, 30], [19, 60, 18, 29]]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_batched_sampling_equals_the_per_point_reference(p, monkeypatch):
+    # at tiny primes the draws hit zero rows and points taken before, which
+    # are skipped one by one as the per-point draws skip them
+    points = (p**4 - 1) // (p - 1)  # of P^3(F_p)
+    avoid = [_coordinate_point(slot) for slot in range(4)]
+    zero_rows = repeats = 0
+    for seed in range(8):
+        for av in ((), avoid):
+            count = points * 7 // 8
+            want, draws = sample_distinct_per_point(count, p, seed, avoid=av)
+            assert _sample_distinct(count, p, seed, avoid=av).tolist() == want.tolist()
+            stream = np.random.Generator(np.random.PCG64(seed)).integers(0, p, (draws, 4))
+            zeros = int((stream == 0).all(axis=1).sum())
+            zero_rows += zeros
+            repeats += draws - count - zeros
+    assert zero_rows > 0 and repeats > 0
+    # more points than P^3(F_p) has, less the four avoided: both give up
+    with pytest.raises(RuntimeError, match=f"could not sample {points - 3} distinct points"):
+        _sample_distinct(points - 3, p, 0, avoid=avoid)
+    with pytest.raises(RuntimeError):
+        sample_distinct_per_point(points - 3, p, 0, avoid=avoid)
+    # after _MAX_RESAMPLE skipped draws in a row, on the same calls
+    monkeypatch.setattr(interpolation, "_MAX_RESAMPLE", 3)
+    outcomes = []
+    for seed in range(12):
+        got = want = None
+        try:
+            got = _sample_distinct(points // 4, p, seed).tolist()
+        except RuntimeError:
+            pass
+        try:
+            want = sample_distinct_per_point(points // 4, p, seed, max_resample=3)[0].tolist()
+        except RuntimeError:
+            pass
+        assert got == want
+        outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("p", [PRIME_LADDER[0], 32003])
+def test_batched_assembly_equals_the_per_point_reference(p):
+    # runs longer than one batch of 220 rows (12 4-points, 25 3-points, 60
+    # 2-points), 10-points one per batch, and inside the runs points in
+    # charts 1, 2 and 3 and points with zero affine coordinates, which
+    # split them; in the dtype and layout build_matrix promises
+    spec = SystemSpec(12, {10: 2, 4: 12, 3: 25, 2: 60, 1: 2})
+    pts = _sample_distinct(spec.r, p, 12)
+    pts[5] = [0, 3, 4, 5]
+    pts[20] = [0, 0, p + 2, 9]
+    pts[40] = [7, 0, 5, 0]
+    pts[70] = [p, 1, 0, 2]
+    pts[100] = [0, 0, 0, 3]
+    full = monomial_basis(12)
+    for basis in (None, full[::3]):
+        got = build_matrix(spec, pts, p, basis=basis)
+        cols = full if basis is None else basis
+        assert got.dtype == _exact_dtype(p, min(got.shape)) and got.flags.f_contiguous
+        assert got.shape == (spec.conditions_total, cols.shape[0]) == (1172, cols.shape[0])
+        assert (got.astype(np.int64) == build_matrix_per_point(spec, pts, p, basis=basis)).all()
 
 
 def test_build_matrix_shapes_and_plane_case():

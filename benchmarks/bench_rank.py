@@ -27,11 +27,13 @@ family's seed and prime) by _transposed_matrix, point sampling and matrix
 assembly, timed as assembly_s, and then ranked in place with the leading
 row counts of its members, timed as rank_s.
 
-The rank time of these rows is split into the column panels
-(_Elimination._panel, which also inverts each panel's pivot block), the
-triangular solves (the outermost _Elimination._trsm calls) and the rest,
-which is the trailing GEMMs and the entry reduction; the split is timed by
-wrappers this script installs (phase_split).
+The rank time of these rows is split into the leaves (_Elimination._panel:
+the block steps, each with its block inverse, the steps declined and the
+one-column pivot searches), the triangular solves (the outermost
+_Elimination._trsm calls) and the rest, which is the trailing GEMMs, the
+entry reduction and the halving of the ranges the leaves decline; the
+split is timed by wrappers this script installs (phase_split).  Leaves do
+not nest and no leaf solves, so no time is counted twice.
 
 Every measurement runs in a fresh process whose BLAS is pinned to one
 thread, as in a campaign's worker processes.  Every timing is repeated;
@@ -49,7 +51,7 @@ the median and quartiles of each side's per-run medians and the pairs each
 side won, under "against-LABEL" in BENCH_rank.json, so that a comparison
 keeps the earlier ones:
 
-    python benchmarks/bench_rank.py --against <parent checkout>/src --label panel-inverses
+    python benchmarks/bench_rank.py --against <parent checkout>/src --label one-panel-path
 
 --reduce times the two paths of gfp._reduce, the floor-based one and the
 one through np.remainder, on vectors of REDUCE_SIZES entries in float32 and

@@ -10,36 +10,37 @@ and rows r.. it
 1. eliminates the left half recursively (row swaps move whole rows, the
    multipliers are stored in the pivot columns),
 2. solves the k1 pivot rows of the right half against the unit-lower L11
-   taken from those pivot columns: a TRSM that splits at panel boundaries
-   and multiplies the rows of a single panel by the inverse of its pivot
-   block, computed once when the panel is eliminated (I after a block
-   step),
+   taken from those pivot columns: a TRSM that splits at the first pivot
+   rows of the leaves below, where L's diagonal blocks are I, so a leaf's
+   rows are only reduced,
 3. updates the rows below with one GEMM, C -= L21 @ U12, and
 4. recurses on the right half from row r + k1.
 
-A range of at most _BASE_WIDTH columns is a panel.  A panel of w < p
-columns over 2w rows or more first tries a block step: w rows spread
-evenly below its w leading rows (the next w, on fewer than 3w rows) form a
-block B, inverted through its characteristic polynomial in log2(w) batched
-products (_inverse_by_charpoly).  When B is invertible, every column is a
-pivot: B's rows move up, L's diagonal block is I and U's is B, and the
-multipliers of every other row are one GEMM, A2 @ B^-1.  Otherwise, and on
-a shorter panel, the column loop runs on the whole panel, one column at a
-time, on a transposed copy so that every column is contiguous.  High
-derivatives vanish on runs of monomials, so the leading rows of an
-interpolation matrix are often dependent; rows spread over the panel
-rarely are.  Nearly all flops run in the GEMMs of steps 2 and 3, at BLAS
-speed.
+A wider range splits at a multiple of _BASE_WIDTH columns.  A range of at
+most _BASE_WIDTH columns is first tried as a leaf (_Elimination._panel),
+and splits in halves when the leaf declines, down to single columns.  A
+leaf of w >= 2 columns is a block step: w rows spread evenly below its w
+leading rows (the next w, on fewer than 3w rows) form a block B, inverted
+through its characteristic polynomial in log2(w) batched products
+(_inverse_by_charpoly).  When B is invertible every column is a pivot:
+B's rows move up, L's diagonal block is I and U's is B, and the
+multipliers of every other row are one GEMM, A2 @ B^-1.  The step declines
+when B is singular, on fewer than 2w rows, and for w >= p.  A leaf of one
+column is a pivot search: the reduced column's first nonzero entry moves
+up, and its centered inverse scales the entries below it into
+multipliers.  High derivatives vanish on runs of monomials, so the leading
+rows of an interpolation matrix are often dependent; rows spread over the
+range rarely are.  Nearly all flops run in the GEMMs of steps 2 and 3, at
+BLAS speed.
 
 Entries are integer-valued floats holding centered residues, and reductions
 mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
 to x - floor((x + h) / p) * p, into [-h, p - 1 - h], which is [-h, h] for odd
 p.  An operand of a product (a pivot row, a multiplier, a solved U row, a
-column scanned for its pivot, a block B and its powers, a panel's inverse)
-is reduced when it is produced, and no other entry is ever reduced.  An
-entry absorbs at most one product per pivot, and a product of two reduced
-operands is at most h^2, so every entry of an m x n matrix with
-k = min(m, n) keeps
+column searched for its pivot, a block B and its powers, B^-1) is reduced
+when it is produced, and no other entry is ever reduced.  An entry absorbs
+at most one product per pivot, and a product of two reduced operands is at
+most h^2, so every entry of an m x n matrix with k = min(m, n) keeps
 
     |entry| <= k * h^2 + h.
 
@@ -47,10 +48,9 @@ Every other sum the kernel forms adds at most k products of two reduced
 operands, plus at most one reduced entry, so it stays within the same
 bound.  A block step's sums add w <= k products: each doubling product of
 B's powers, the Cayley-Hamilton sum of its inverse, the check B B^-1 = I
-and the multipliers A2 @ B^-1, whose rows are reduced first.  A
-column-loop panel of k_P <= k pivots gives the triangular solves sums of
-k_P products: each step of its inverse (_unit_lower_inverse) and the
-product of the inverse with the rows it solves, which are reduced first.
+and the multipliers A2 @ B^-1, whose rows are reduced first.  A pivot
+search forms one product of reduced operands per multiplier, the entry
+times the pivot's inverse, at most h^2.
 
 The reduction is exact on every integer x with |x| + h <= L, where
 L = 2^24 in float32 and 2^53 in float64: the dtype holds every integer up
@@ -94,11 +94,8 @@ PRIME_LADDER = (73, 32003)
 # which it holds every integer exactly.
 _EXACT_LIMIT = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
-# Widest column range eliminated column by column; wider ranges recurse.
+# Widest column range tried as a leaf (_Elimination._panel); wider ranges split.
 _BASE_WIDTH = 32
-# Picks the strict lower part of a pivot block (_unit_lower_inverse); a
-# masked copy costs less than np.tril.
-_STRICT_LOWER = np.tri(_BASE_WIDTH, k=-1, dtype=bool)
 # Below this many entries (x + h) mod p - h, three in-place calls, beats the
 # five-pass floor-based reduction, whose cost on short vectors is mostly
 # per-call overhead: the crossover that benchmarks/bench_rank.py --reduce
@@ -167,29 +164,6 @@ def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
     return a[rows][:, piv]
 
 
-def _unit_lower_inverse(block: np.ndarray, p: int) -> np.ndarray:
-    """(I + M)^-1 mod p, reduced, for the strict lower part M of a k x k block of residues.
-
-    M is nilpotent, so with q = -M, (I + M)^-1 = (I + q)(I + q^2)(I + q^4)...
-    up to the power below k.  Each factor is one product: [q^n; inverse so
-    far] @ q^n is [q^2n; inverse times q^n], and the inverse so far is added
-    to its lower half.  Every operand has |entry| <= h, so an entry of the
-    sum is at most k * h^2 + h, with k <= min(rows, columns).
-    """
-    k = block.shape[0]
-    x = np.zeros((2 * k, k), dtype=block.dtype)
-    np.negative(block, out=x[:k], where=_STRICT_LOWER[:k, :k])
-    x[k:].flat[::k + 1] = 1
-    done = 1  # the inverse so far sums the powers of q below done
-    while done < k:
-        y = x @ x[:k]
-        y[k:] += x[k:]
-        _reduce(y, p)
-        x = y
-        done *= 2
-    return x[k:]
-
-
 @lru_cache(maxsize=None)
 def _reciprocals(p: int, n: int) -> tuple[int, ...]:
     """(0, 1^-1, 2^-1, ..., n^-1) mod p, for n < p."""
@@ -235,67 +209,15 @@ def _inverse_by_charpoly(b: np.ndarray, p: int) -> Optional[np.ndarray]:
     return inv
 
 
-def _columns(t: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Column-by-column elimination of a transposed panel t, in place.
-
-    Row jj of t is a column of the panel and column i of t one of its rows.
-    Returns the pivot indices jj and the row swaps (k, i) made, in order, for
-    the caller to repeat on the rest of those rows.  The leading entry of a
-    reduced column is tested as a scalar, and only a 0 there costs a search.
-    The rank-1 updates use the reduced column and g, the pivot row reduced
-    into [0, p), scaled by the pivot's centered inverse and then reduced:
-    before that, with h = p // 2, |g| <= (p - 1) * h <= 2h^2, so
-    |g| + h <= 2h^2 + h, within the exact range of any matrix with a panel
-    of two or more rows and columns.
-    The pivot columns are scaled into multipliers at the end, in one pass.
-    That also scales the upper part of the pivot rows, left unreduced, which
-    nothing reads: the caller needs only the multipliers.
-    """
-    w, m = t.shape
-    piv: list[int] = []
-    invs: list[float] = []
-    swaps: list[tuple[int, int]] = []
-    k = 0
-    for jj in range(w):
-        col = t[jj, k:]
-        _reduce(col, p)
-        if col[0] == 0.0:
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            i = k + int(nz[0])
-            t[:, [k, i]] = t[:, [i, k]]
-            swaps.append((k, i))
-        inv = pow(int(col[0]), -1, p)
-        inv = float(inv - p if inv > p // 2 else inv)  # centered, like every operand
-        piv.append(jj)
-        invs.append(inv)
-        k += 1
-        if k == m:
-            break
-        if jj + 1 < w:
-            g = np.remainder(t[jj + 1:, k - 1], p)
-            g *= inv
-            _reduce(g, p)
-            t[jj + 1:, k:] -= g[:, None] * col[1:]
-    if piv:
-        rows = t[piv]
-        rows *= np.array(invs, dtype=t.dtype)[:, None]
-        _reduce(rows, p)
-        t[piv] = rows
-    return piv, swaps
-
-
 class _Elimination:
     """One recursive elimination of a reduced matrix, in place, in its own dtype."""
 
     def __init__(self, a: np.ndarray, p: int):
         self.a = a
         self.p = p
-        # first pivot row of every panel with a pivot, ascending, and the
-        # inverse of its unit-lower pivot block (None where that block is I)
+        # first pivot row of every leaf with a pivot, ascending; each leaf's
+        # unit-lower pivot block is I
         self.starts: list[int] = []
-        self.inverses: list[Optional[np.ndarray]] = []
 
     def profile(self) -> list[int]:
         """The column rank profile, ascending."""
@@ -305,57 +227,55 @@ class _Elimination:
         """x := L^-1 x for the unit-lower L whose strict lower part is lo's; reduces x.
 
         Row 0 of lo and x is pivot row r, and their rows are the pivot rows
-        of whole panels.  The recursion splits at the middle one of those
-        panels' starts, and the rows of a single panel are one product with
-        its cached inverse, or only reduced after a block step.
+        of whole leaves.  The recursion splits at the middle one of those
+        leaves' starts; the rows of a single leaf, whose block of L is I,
+        are only reduced.
         """
         starts = self.starts
         i, j = bisect_left(starts, r), bisect_left(starts, r + x.shape[0])
         if j - i == 1:
             _reduce(x, self.p)
-            if self.inverses[i] is not None:
-                _reduce(self.inverses[i] @ x, self.p, out=x)
             return
         t = starts[(i + j) // 2] - r
         self._trsm(r, lo[:t, :t], x[:t])
         x[t:] -= lo[t:, :t] @ x[:t]
         self._trsm(r + t, lo[t:, t:], x[t:])
 
-    def _swap_rows(self, r: int, swaps: list[tuple[int, int]]):
-        a = self.a
-        for k, i in swaps:
-            a[[r + k, r + i]] = a[[r + i, r + k]]
+    def _panel(self, r: int, c0: int, c1: int) -> Optional[list[int]]:
+        """Eliminate a[r:, c0:c1] as a leaf; returns the pivot columns, or None to split it.
 
-    def _panel(self, r: int, c0: int, c1: int) -> list[int]:
-        """Eliminate a[r:, c0:c1], at most _BASE_WIDTH columns; returns the pivot columns.
-
-        Caches under r the inverse of the panel's unit-lower pivot block,
-        or None after a block step, whose block is I.
+        One column is a pivot search: the reduced column's first nonzero
+        entry moves up to row r and scales the entries below it by its
+        centered inverse into multipliers.  Wider ranges take the block step,
+        or return None, with a unchanged, where it declines.
         """
-        a = self.a
-        if self._block_step(r, c0, c1):
-            self.starts.append(r)
-            self.inverses.append(None)
-            return list(range(c0, c1))
-        t = a[r:, c0:c1].T.copy()  # row jj of t is column c0 + jj of a
-        local, swaps = _columns(t, self.p)
-        self._swap_rows(r, swaps)
-        a[r:, c0:c1] = t.T
-        piv = [c0 + jj for jj in local]
-        if piv:
-            block = _pivot_block(a, slice(r, r + len(piv)), piv)
-            self.starts.append(r)
-            self.inverses.append(_unit_lower_inverse(block, self.p))
-        return piv
+        a, p = self.a, self.p
+        if c1 - c0 > 1:
+            if not self._block_step(r, c0, c1):
+                return None
+        else:
+            col = a[r:, c0]
+            _reduce(col, p)
+            if col[0] == 0.0:
+                nz = np.flatnonzero(col)
+                if nz.size == 0:
+                    return []
+                i = r + int(nz[0])
+                a[[r, i]] = a[[i, r]]
+            inv = pow(int(col[0]), -1, p)
+            col[1:] *= inv - p if inv > p // 2 else inv
+            _reduce(col[1:], p)
+        self.starts.append(r)
+        return list(range(c0, c1))
 
     def _block_step(self, r: int, c0: int, c1: int) -> bool:
         """Eliminate a[r:, c0:c1] at once if w rows spread below its w leading ones are independent.
 
         Those rows, at stride s = (rows - w) // w >= 1 from r + w, form B;
-        s = 1, rows r + w.. r + 2w - 1, on a panel of fewer than 3w rows.
+        s = 1, rows r + w.. r + 2w - 1, on a range of fewer than 3w rows.
         When B is invertible mod p every column is a pivot: B's rows move up
         to r.., and the multipliers of every row x below are x B^-1, one
-        GEMM.  Returns False, with a unchanged, when w >= p, the panel has
+        GEMM.  Returns False, with a unchanged, when w >= p, the range has
         fewer than 2w rows or B is singular.
         """
         a, p = self.a, self.p
@@ -377,15 +297,23 @@ class _Elimination:
         return True
 
     def _eliminate(self, r: int, c0: int, c1: int) -> list[int]:
-        """Eliminate a[r:, c0:c1]; pivots land on rows r, r+1, ...; returns their columns."""
+        """Eliminate a[r:, c0:c1]; pivots land on rows r, r+1, ...; returns their columns.
+
+        A range of at most _BASE_WIDTH columns is first tried as a leaf
+        (_panel); a wider range, or one the leaf declines, splits in two.
+        """
         a = self.a
         m = a.shape[0]
         if r == m:
             return []
         if c1 - c0 <= _BASE_WIDTH:
-            return self._panel(r, c0, c1)
-        blocks = -(-(c1 - c0) // _BASE_WIDTH)
-        h = c0 + (blocks // 2) * _BASE_WIDTH
+            piv = self._panel(r, c0, c1)
+            if piv is not None:
+                return piv
+            h = (c0 + c1) // 2
+        else:
+            blocks = -(-(c1 - c0) // _BASE_WIDTH)
+            h = c0 + (blocks // 2) * _BASE_WIDTH
         piv = self._eliminate(r, c0, h)
         k1 = len(piv)
         if k1:

@@ -133,7 +133,7 @@ def test_rank_never_exceeds_rational_rank():
         assert rank(a % P, P) <= rank_rational_reference(a)
 
 
-def test_rank_blocked_exhaustive_tiny():
+def test_rank_exhaustive_on_tiny_matrices():
     for p in (2, 3):
         for shape in ((2, 2), (3, 3)):
             cells = shape[0] * shape[1]
@@ -142,7 +142,7 @@ def test_rank_blocked_exhaustive_tiny():
                 assert rank(a, p) == rank_mod_p_reference(a, p)
 
 
-def test_rank_blocked_equals_rank_random():
+def test_rank_against_reference_on_shapes_up_to_300():
     rng = np.random.default_rng(2024)
     for trial in range(200):
         m = int(rng.integers(1, 301))
@@ -152,12 +152,6 @@ def test_rank_blocked_equals_rank_random():
             k = int(rng.integers(0, min(m, n) + 1))
             a = (rng.integers(0, P, (m, k)) @ rng.integers(0, P, (k, n))) % P
         assert rank(a, P) == rank_mod_p_reference(a, P)
-
-
-def test_backends_agree():
-    rng = np.random.default_rng(31)
-    mats = [rng.integers(0, P, (int(rng.integers(1, 120)), int(rng.integers(1, 120)))) for _ in range(12)]
-    assert [rank(a, P) for a in mats] == [rank_mod_p_reference(a, P) for a in mats]
 
 
 @pytest.mark.parametrize("kind", ["zero", "duplicate"])
@@ -369,17 +363,31 @@ def _reduce_up_to_the_admitted_magnitude(p, dtype):
         assert out.astype(np.int64).tolist() == want
 
 
-def _panel_branches(monkeypatch) -> list[tuple[int, bool]]:
-    """Record (first column, taken) of every panel's try of the block step."""
+def _panel_branches(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Record (first column, width, taken) of every try of the block step."""
     seen = []
     step = gfp._Elimination._block_step
 
     def spy(self, r, c0, c1):
         taken = step(self, r, c0, c1)
-        seen.append((c0, taken))
+        seen.append((c0, c1 - c0, taken))
         return taken
 
     monkeypatch.setattr(gfp._Elimination, "_block_step", spy)
+    return seen
+
+
+def _searches(monkeypatch) -> list[tuple[int, float]]:
+    """Record (column, leading entry as met) of every one-column pivot search."""
+    seen = []
+    panel = gfp._Elimination._panel
+
+    def spy(self, r, c0, c1):
+        if c1 - c0 == 1:
+            seen.append((c0, float(self.a[r, c0])))
+        return panel(self, r, c0, c1)
+
+    monkeypatch.setattr(gfp._Elimination, "_panel", spy)
     return seen
 
 
@@ -400,23 +408,28 @@ def _planted(m: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a, ints
 
 
-# the column loop alone (every panel has fewer than 2w rows), and with block steps
+# block steps on 32 or 16 columns, and ranges split down to single columns
 @pytest.mark.parametrize("m", [60, 400])
 @pytest.mark.parametrize("n", [32, 130])  # a panel at recursion depth 0, and at depths 2 and 3
 def test_pivot_test_reduces_planted_multiples_of_p(m, n, monkeypatch):
-    # at m = 400 and n = 130, planted rows 32 and 64 lead the spread rows
-    # of panels 0 and 1 and vanish on those panels' columns, so both panels
-    # run the column loop over the planted entries; the other panels, and
-    # the one panel of n = 32, take the block step over reduced rows.  At
-    # m = 60 the planted rows 0, 31 and 32 meet the column loop alone
-    a, ints = _planted(m, n, P)
-    seen = _panel_branches(monkeypatch)
-    assert gfp._Elimination(a, P).profile() == profile_mod_p_reference(ints, P)
-    taken = [c0 for c0, ok in seen if ok]
-    if m == 60:
-        assert not taken
-    else:
-        assert taken == ([0] if n == 32 else [64, 96, 128])
+    # a search whose leading entry is p, 2p or -p must reduce it before its
+    # zero test.  At p = 2 no block step is taken, and every planted entry
+    # leads its column's search.  At 32003 a planted row that vanishes left
+    # of its column makes B singular wherever it is a spread row there: so
+    # at m = 60 every range over columns 0 and 31, and at m = 400 every one
+    # over column 31, halves down to that column alone; other planted
+    # entries are reduced by the block steps they meet
+    for p in (2, P):
+        with monkeypatch.context() as patch:
+            a, ints = _planted(m, n, p)
+            seen, met = _panel_branches(patch), _searches(patch)
+            assert gfp._Elimination(a, p).profile() == profile_mod_p_reference(ints, p)
+        planted = [c for c in (0, 31, 32, 64) if c < min(m, n)]
+        lead = [c for c, v in met if c in planted and v != 0 and v % p == 0]
+        if p == 2:
+            assert lead == planted and not any(ok for _, _, ok in seen)
+        else:
+            assert lead == {(60, 32): [], (60, 130): [0, 31], (400, 32): [], (400, 130): [31]}[m, n]
 
 
 @pytest.mark.parametrize("n", [32, 130])
@@ -427,11 +440,13 @@ def test_sampled_block_falls_back_when_its_sample_is_singular(n, monkeypatch):
     a = np.random.default_rng(n).integers(0, P, (m, n))
     s = (m - w) // w
     a[list(range(w, w + s * w, s)), 5] = 0
+    # the halves of the first panel sample other rows (from rows 16 and
+    # 32, at stride 24) and take the block step; so does every later panel
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, np.random.default_rng(1))
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
-    assert seen[0] == (0, False)
-    assert any(ok for _, ok in seen) == (n > w)
+    later = [(32, 32, True), (64, 32, True), (96, 32, True), (128, 2, True)] if n > w else []
+    assert seen == [(0, 32, False), (0, 16, True), (16, 16, True)] + later
 
 
 @pytest.mark.parametrize("m", [64, 80, 95])  # from 2w rows to one short of 3w
@@ -446,17 +461,17 @@ def test_short_panel_takes_the_block_step_from_the_rows_below_its_leading_ones(m
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, rng)
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
-    assert seen[0] == (0, True)
+    assert seen[0] == (0, w, True)
     elim = gfp._Elimination(a.astype(np.float64), P)
     assert elim.profile() == profile_mod_p_reference(a, P)
-    assert elim.inverses[0] is None and elim.starts[:2] == [0, w]
+    assert elim.starts[:2] == [0, w]
 
 
 @pytest.mark.parametrize("m", [64, 95])
-def test_short_panel_falls_back_to_the_column_loop_when_its_block_is_singular(m, monkeypatch):
+def test_short_panel_falls_back_to_halves_when_its_block_is_singular(m, monkeypatch):
     # column 5 vanishes on rows w..2w-1, B of the short panel, but not on
-    # the leading rows, so the panel's columns are independent and the
-    # column loop finds all of them
+    # the leading rows, so the panel's columns are independent: its halves
+    # sample rows spread over the whole range and each takes the block step
     w, n = 32, 40
     rng = np.random.default_rng(m + 1)
     a = rng.integers(0, P, (m, n))
@@ -464,10 +479,10 @@ def test_short_panel_falls_back_to_the_column_loop_when_its_block_is_singular(m,
     seen = _panel_branches(monkeypatch)
     ks = _leading_counts(n, rng)
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :k], P) for k in ks]
-    assert seen[0] == (0, False)
+    assert seen[:3] == [(0, w, False), (0, w // 2, True), (w // 2, w // 2, True)]
     elim = gfp._Elimination(a.astype(np.float64), P)
     assert elim.profile()[:w] == list(range(w)) == profile_mod_p_reference(a, P)[:w]
-    assert elim.inverses[0] is not None
+    assert elim.starts[:3] == [0, w // 2, w]
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 2), (32, 16), (32, 32)])
@@ -486,7 +501,7 @@ def test_sampled_block_moves_pivot_rows_from_anywhere_in_the_sample(rows, cols, 
     assert not a[:rows, :cols].any()
     seen = _panel_branches(monkeypatch)
     assert gfp._Elimination(a.astype(np.float64), P).profile() == profile_mod_p_reference(a, P)
-    assert seen[0] == (0, True)
+    assert seen[0] == (0, 32, True)
     ks = _leading_counts(n, rng)
     assert rank(a, P, leading=ks) == [rank_mod_p_reference(a[:, :j], P) for j in ks]
 
@@ -535,14 +550,15 @@ def test_dtype_check_at_its_edge():
 
 
 @pytest.mark.parametrize("k, dtype", [(20, F32), (21, F64)])
-@pytest.mark.parametrize("rows", [40, 100])  # the column loop alone, and the block step too
+@pytest.mark.parametrize("rows", [40, 100])  # halves only, and a full-width block step too
 @pytest.mark.parametrize("signs", ["same", "random"])
 def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypatch):
     # a = L @ U over p = 1831 (h = 915), with k columns: L unit-lower, U
     # unit-upper of rank k - 1, every other entry of both +-h.  The
     # elimination recovers L's multipliers and U's rows, so its products
     # are h^2; with one sign throughout an entry sums up to k - 1 of them.
-    # Every k x k block of a is singular, so the column loop runs
+    # Every k x k block of a is singular, so the block step on all k
+    # columns declines and the range halves
     p = 1831
     h = p // 2
     rng = np.random.default_rng(k * rows + len(signs))
@@ -572,7 +588,7 @@ def test_rank_on_both_sides_of_the_float32_edge(k, dtype, rows, signs, monkeypat
     full %= p
     branches = _panel_branches(monkeypatch)
     assert rank(full, p) == rank_mod_p_reference(full, p) == k
-    assert branches == [(0, True)] and seen == [dtype] * 3
+    assert branches == [(0, k, True)] and seen == [dtype] * 3
 
 
 # Columns where the panels of the recursion meet (31 | 32, 63 | 64, 95 | 96).
@@ -601,8 +617,8 @@ def _panel_layout(m: int, n: int, p: int, layout: str) -> np.ndarray:
 
 @pytest.mark.parametrize("p", [2, 3, 17, 73, 32003])
 @pytest.mark.parametrize("layout", ["all", "zero", "dependent", "empty"])
-# the column loop alone; block steps, then fewer than 2w rows below (54,
-# from row 96 of 150); block steps throughout
+# too few rows for 32-column steps; 32-column steps, then fewer than 2w rows
+# below (54, from row 96 of 150); 32-column steps throughout
 @pytest.mark.parametrize("m", [60, 150, 400])
 def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch):
     # the rank of a[:, :k] is the number of reference pivots below k
@@ -614,9 +630,14 @@ def test_rank_across_panels_with_all_some_or_no_pivots(p, layout, m, monkeypatch
     assert rank(a, p, leading=ks) == [sum(c < k for c in want) for k in ks]
     # a 32-column panel takes the block step only over 2w rows and for
     # p > 32, and every one of them has a dependent column in the "zero"
-    # and "dependent" layouts; columns 128..129 are a 2-column panel
-    wide = [ok for c0, ok in seen if c0 < 128]
-    assert any(wide) == (m > 60 and p > 32 and layout in ("all", "empty"))
+    # and "dependent" layouts; columns 128..129 are a 2-column panel.  A
+    # range that declines splits in halves, so every step taken is on w < p
+    # columns from a multiple of w, and none is taken at p = 2
+    assert any(ok for _, w, ok in seen if w == 32) == (
+        m > 60 and p > 32 and layout in ("all", "empty"))
+    taken = [(c0, w) for c0, w, ok in seen if ok]
+    assert all(w < p and c0 % w == 0 and w in (32, 16, 8, 4, 2) for c0, w in taken)
+    assert bool(taken) == (p > 2)
     assert rank(np.ascontiguousarray(a.T), p) == len(want)
 
 
@@ -656,12 +677,11 @@ def test_triangular_solve_on_both_sides_of_the_float32_edge(k, dtype, monkeypatc
 @pytest.mark.parametrize("p", [2, 73, 32003])
 @pytest.mark.parametrize("layout", ["all", "zero", "empty"])
 @pytest.mark.parametrize("m", [60, 400])
-def test_cached_inverses_invert_their_pivot_blocks(p, layout, m):
-    # one entry per panel with a pivot, keyed by its first pivot row, and
-    # the panels' pivot rows are consecutive.  After the column loop the
-    # entry times the unit-lower block of its pivot rows and columns is I
-    # mod p; after a block step it is None, L's block is I, and the block
-    # holds U's, the invertible B, over all of the panel's columns
+def test_leaves_start_runs_of_consecutive_pivots(p, layout, m):
+    # one start per leaf with a pivot, its first pivot row: a leaf's pivot
+    # rows and columns are consecutive, and its block of L is I, so its
+    # block of U, B after a block step and the pivot after a search, has
+    # full rank mod p.  At p = 2 every leaf is a one-column search
     a = _panel_layout(m, 130, p, layout)
     elim = gfp._Elimination(a.astype(_exact_dtype(p, min(a.shape))), p)
     piv = elim.profile()
@@ -669,16 +689,11 @@ def test_cached_inverses_invert_their_pivot_blocks(p, layout, m):
     ends = elim.starts[1:] + [len(piv)]
     sizes = [end - r for r, end in zip(elim.starts, ends)]
     assert elim.starts[:1] == [0] and all(k > 0 for k in sizes)
-    assert any(inv is None for inv in elim.inverses) == (m == 400 and p > 2)
-    for r, k, inv in zip(elim.starts, sizes, elim.inverses):
-        block = elim.a[r:r + k][:, piv[r:r + k]].astype(np.int64)
-        if inv is None:
-            assert piv[r:r + k] == list(range(piv[r], piv[r] + k)) and k in (2, 32)
-            assert rank_mod_p_reference(block, p) == k
-            continue
-        unit = np.tril(block, -1) + np.eye(k, dtype=np.int64)
-        assert inv.shape == (k, k) and np.abs(inv).max() <= p // 2
-        assert (inv.astype(np.int64) @ unit % p == np.eye(k, dtype=np.int64)).all()
+    assert all(k == 1 for k in sizes) == (p == 2)
+    for r, k in zip(elim.starts, sizes):
+        assert piv[r:r + k] == list(range(piv[r], piv[r] + k)) and k in (1, 2, 4, 8, 16, 32)
+        block = elim.a[r:r + k, piv[r]:piv[r] + k].astype(np.int64)
+        assert rank_mod_p_reference(block, p) == k
 
 
 @pytest.mark.parametrize("p", [37, 73, 1831, 32003])
@@ -733,23 +748,28 @@ def test_block_steps_reduce_the_rows_they_multiply_at_the_float32_edge(monkeypat
     ks = _leading_counts(n, rng)
     assert rank(a, p, leading=ks) == [rank_mod_p_reference(a[:, :k], p) for k in ks]
     assert ks[-1] == n and rank(a, p) == n - 2
-    assert seen == [F32] * 2 and (32, True) in branches
+    assert seen == [F32] * 2 and (32, 32, True) in branches
 
 
 @pytest.mark.parametrize("p", [2, 3, 17, 31, 37])
 def test_block_step_needs_the_panel_width_below_p(p, monkeypatch):
-    # Newton's identities divide by 1..w, so a 32-column panel runs the
-    # column loop for p <= 32, and for p = 37 too where its spread rows
-    # (32, 43, ..., 373 of 400) are singular, here through column 5
+    # Newton's identities divide by 1..w, so a range of w >= p columns
+    # splits, and the halving of a 32-column panel reaches the widest w < p
+    # of 16, 8, 4 and 2, or single columns at p = 2.  At p = 37 the first
+    # panel splits too, as its spread rows (32, 43, ..., 373 of 400) are
+    # singular, here through column 5
     m, n, w = 400, 130, 32
     a = np.random.default_rng(p).integers(0, p, (m, n))
     s = (m - w) // w
     a[list(range(w, w + s * w, s)), 5] = 0
-    seen = _panel_branches(monkeypatch)
+    seen, met = _panel_branches(monkeypatch), _searches(monkeypatch)
     elim = gfp._Elimination(a.astype(_exact_dtype(p, n)), p)
     assert elim.profile() == profile_mod_p_reference(a, p)
-    wide = [(c0, ok) for c0, ok in seen if c0 < 128]  # columns 128..129 are a 2-column panel
-    assert wide[0] == (0, False) and any(ok for _, ok in wide) == (p > w)
+    assert seen[0] == (0, w, False)
+    widths = {width for _, width, ok in seen if ok}
+    assert all(width < p for width in widths)
+    assert max(widths, default=1) == {2: 1, 3: 2, 17: 16, 31: 16, 37: w}[p]
+    assert (len(met) == n) == (p == 2)
 
 
 def test_leading_ranks_of_a_d14_family_head():

@@ -46,12 +46,11 @@ class Table:
 
 
 def per_degree(repeats: int) -> list[dict]:
-    from fatpoints.reduction import (RULE_2x5_TO_4, RULE_43_TO_10, KnownResults,
-                                     closure_audit, validate_glue_rule)
+    from fatpoints.reduction import GLUE_RULES, KnownResults, closure_audit, validate_glue_rule
 
     known = KnownResults.bootstrap()
     # certify the glue rules' base systems before the clock, which times the audit alone
-    if not all(validate_glue_rule(rule, known) for rule in (RULE_2x5_TO_4, RULE_43_TO_10)):
+    if not all(validate_glue_rule(rule, known) for rule in GLUE_RULES):
         raise RuntimeError("a glue rule's base system did not certify")
     rows = []
     for d in DEGREES:

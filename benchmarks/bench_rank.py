@@ -263,7 +263,8 @@ def head_checks(limit: Optional[int] = None) -> list[tuple]:
     checks = []
     for first, family in campaign._families(list(enumerate(cases)))[:limit]:
         specs = [case.to_system() for _, case in family]
-        prime, seed = interpolation.attempt_schedule(1, first * interpolation.MAX_ATTEMPTS, 0)
+        prime, seed = interpolation.attempt_schedule(1, campaign._seed(0, first),
+                                                     campaign._seed(0, family[-1][0]))
         assignment = interpolation._greedy_assignment(specs[-1])
         pinned = sum(conditions_count(m) for _, m in assignment)
         checks.append((specs[-1], prime, seed, assignment,

@@ -31,7 +31,8 @@ gives each attempt its prime and seed.  A case's first seed is its family
 seed, base_seed + first * MAX_ATTEMPTS, where first (the family first) is
 the lowest index of its (q, x, y) in algorithm_b_cases(d), so it does not
 depend on the shard; its retry seed is base_seed + index * MAX_ATTEMPTS.
-Both indices come from one per-degree index, _degree_cases.
+Both indices come from one per-degree index, _degree_cases, the seeds from
+_seed and a shard's cases from _in_shard, for the log's writer and checker.
 
 Every reader takes a log by one rule, _read_log's.  A header counts only if
 this version writes it (_header_config); under any other header, or none,
@@ -243,9 +244,6 @@ class ResultStore:
         self._records: dict[tuple, CertRecord] = {}
         self.configs: list[CampaignConfig] = []
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def add(self, record: CertRecord):
         """Index record; a second record of its case is a duplicate."""
         key = record.case.key()
@@ -301,9 +299,15 @@ def _trim_partial_line(path: Path):
             fh.truncate(keep)
 
 
-def _shard_indices(n_cases: int, shard: tuple[int, int]) -> list[int]:
+def _in_shard(index: int, shard: tuple[int, int]) -> bool:
+    """Whether shard i/n runs the case at index of its degree: index % n == i - 1."""
     i, n = shard
-    return [idx for idx in range(n_cases) if idx % n == i - 1]
+    return index % n == i - 1
+
+
+def _seed(base_seed: int, index: int) -> int:
+    """A family's first seed, at index its family first, or a case's retry seed, at its index."""
+    return base_seed + index * MAX_ATTEMPTS
 
 
 def _families(
@@ -341,7 +345,7 @@ def _plan(config: CampaignConfig, done: ResultStore) -> tuple[dict[int, int], li
     expected, plan = {}, []
     for d in range(config.degrees[0], config.degrees[1] + 1):
         cases = _degree_cases(d)[0]
-        mine = _shard_indices(len(cases), config.shard)
+        mine = [idx for idx in range(len(cases)) if _in_shard(idx, config.shard)]
         todo = [(idx, cases[idx]) for idx in mine if not done.finished(cases[idx].key())]
         expected[d] = len(mine)
         plan += [(d, first, family) for first, family in _families(todo)]
@@ -497,9 +501,9 @@ def _family_unit(
 ) -> list[CertRecord]:
     """The records of one family: attempt 1 by check_family, the retries by check_case."""
     specs = [case.to_system() for _, case in family]
-    tried = check_family(specs, config.base_seed + first * MAX_ATTEMPTS)
+    tried = check_family(specs, _seed(config.base_seed, first))
     return [
-        CertRecord(case, idx, check_case(spec, config.base_seed + idx * MAX_ATTEMPTS, cert))
+        CertRecord(case, idx, check_case(spec, _seed(config.base_seed, idx), cert))
         for (idx, case), spec, cert in zip(family, specs, tried)
     ]
 
@@ -617,12 +621,11 @@ def _header_problems(record: CertRecord, config: Optional[CampaignConfig]) -> li
         problems.append(f"degree {case.degree} is outside the header's {lo}..{hi}")
     if record.index != index:
         problems.append(f"index {record.index} is not the case's {index}")
-    i, n = config.shard
-    if index % n != i - 1:
+    if not _in_shard(index, config.shard):
+        i, n = config.shard
         problems.append(f"case index {index} is outside the header's shard {i}/{n}")
     base = config.base_seed
-    scheduled = attempt_schedule(cert.attempts, base + first * MAX_ATTEMPTS,
-                                 base + index * MAX_ATTEMPTS)
+    scheduled = attempt_schedule(cert.attempts, _seed(base, first), _seed(base, index))
     if scheduled is None:
         return problems + [f"attempt {cert.attempts} is outside 1..{MAX_ATTEMPTS}"]
     prime, seed = scheduled

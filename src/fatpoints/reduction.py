@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,60 +28,13 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class GlueRule:
-    """Consume a point pattern, emit one (base_degree + 1)-point.
-
-    Exactly one of pattern / constraint_total is set: pattern is a fixed
-    multiset like 2^5; constraint_total T describes the family 4^a,3^b with
-    2a+b = T.  Validity rests on each of base_systems being non-special
-    of virtual dimension -1, which forces the consumed conditions to equal
-    the conditions of the new point; that identity is asserted at
-    construction.
-    """
-
-    base_degree: int
-    pattern: Optional[tuple[tuple[int, int], ...]] = None
-    constraint_total: Optional[int] = None
-
-    @property
-    def target(self) -> int:
-        return self.base_degree + 1
-
-    def __post_init__(self):
-        if (self.pattern is None) == (self.constraint_total is None):
-            raise ValueError("exactly one of pattern / constraint_total must be given")
-        if self.pattern is not None:
-            consumed = sum(c * conditions_count(m) for m, c in self.pattern)
-        else:
-            # every (a, b) with 2a+b = T consumes 20a + 10b = 10*T conditions
-            consumed = 10 * self.constraint_total
-        # consumed == C(target+2,3) == C(base+3,3) is simultaneously the
-        # vdim-preservation identity and vdim(base system) == -1
-        if consumed != conditions_count(self.target):
-            raise ValueError(
-                f"rule does not preserve vdim: consumes {consumed}, "
-                f"a {self.target}-point imposes {conditions_count(self.target)}"
-            )
-
-    def label(self) -> str:
-        if self.pattern is not None:
-            body = ",".join(f"{m}^{c}" for m, c in self.pattern)
-            return f"{body}->{self.target}"
-        return f"4^a,3^b->{self.target} (2a+b={self.constraint_total})"
-
-    @cached_property
-    def base_systems(self) -> tuple[SystemSpec, ...]:
-        """L(base_degree; pattern), or L(base_degree; 4^a, 3^(T-2a)) for a = 0..T//2."""
-        if self.pattern is not None:
-            return (SystemSpec(self.base_degree, self.pattern),)
-        total = self.constraint_total
-        return tuple(SystemSpec(self.base_degree, {4: a, 3: total - 2 * a})
-                     for a in range(total // 2 + 1))
-
-
-RULE_2x5_TO_4 = GlueRule(3, pattern=((2, 5),))
-RULE_43_TO_10 = GlueRule(9, constraint_total=22)
+# Each glue rule's base systems, by the label deduce's steps print.  A rule holds once
+# each is non-special of vdim -1 (KnownResults.certify), which is also the identity
+# that the rule keeps the virtual dimension: N = S = the new point's conditions.
+GLUE_RULES: dict[str, tuple[SystemSpec, ...]] = {
+    "2^5->4": (SystemSpec(3, {2: 5}),),
+    "4^a,3^b->10": tuple(SystemSpec(9, {4: a, 3: 22 - 2 * a}) for a in range(12)),
+}
 
 
 class KnownResults:
@@ -108,14 +60,13 @@ class KnownResults:
 
     @classmethod
     def bootstrap(cls) -> "KnownResults":
-        """Certify L(3; 2^5), the base system of 2^5->4.
+        """Known results with L(3; 2^5), the base system of 2^5->4, checked whatever its verdict.
 
         The twelve base systems of 4^a,3^b->10 are certified when that rule
         is first validated, which only deduce and closure_audit do.
         """
         known = cls()
-        if not validate_glue_rule(RULE_2x5_TO_4, known):
-            raise RuntimeError("bootstrap rank check of L(3; 2^5) failed")
+        validate_glue_rule("2^5->4", known)
         return known
 
 
@@ -129,14 +80,14 @@ def default_known() -> KnownResults:
     return _default_known
 
 
-def validate_glue_rule(rule: GlueRule, known: KnownResults) -> bool:
-    """True iff known certifies every base system of the rule.
+def validate_glue_rule(rule: str, known: KnownResults) -> bool:
+    """True iff known certifies every base system of GLUE_RULES[rule].
 
     The glueing theorem's ordering condition is automatic for these rules:
     they preserve vdim, so vdim L1 = vdim L2 and one of the two orderings
     always holds.  What remains is the non-specialty of the base systems.
     """
-    return all(known.certify(spec) for spec in rule.base_systems)
+    return all(known.certify(spec) for spec in GLUE_RULES[rule])
 
 
 @dataclass
@@ -175,14 +126,15 @@ def _ceil_div(n, k):
 
 
 def _glue_steps(t2: int, q: int, total_a: int) -> list[dict]:
+    to_four, to_ten = GLUE_RULES
     steps: list[dict] = []
     if t2:
-        steps.append({"op": "glue", "rule": RULE_2x5_TO_4.label(), "times": int(t2)})
+        steps.append({"op": "glue", "rule": to_four, "times": int(t2)})
     if q:
         steps.append(
             {
                 "op": "glue",
-                "rule": "4^a,3^b->10",
+                "rule": to_ten,
                 "times": int(q),
                 "total_a": int(total_a),
                 "total_b": int(22 * q - 2 * total_a),
@@ -326,9 +278,9 @@ def deduce(
     known = known if known is not None else default_known()
     d = target.degree
     label = target.to_text()
-    for rule in (RULE_2x5_TO_4, RULE_43_TO_10):
+    for rule in GLUE_RULES:
         if not validate_glue_rule(rule, known):
-            return DeduceResult(label, False, reason=f"glue rule {rule.label()} not validated")
+            return DeduceResult(label, False, reason=f"glue rule {rule} not validated")
     counts = target.as_dict()
     bad = set(counts) - {2, 3, 4}
     if bad:
@@ -427,7 +379,7 @@ def closure_audit(
     z_empty = zmax + 1
     table = _degree_table(store, d)
     table = table[table[:, 5] == 1]
-    if not all(validate_glue_rule(rule, known) for rule in (RULE_2x5_TO_4, RULE_43_TO_10)):
+    if not all(validate_glue_rule(rule, known) for rule in GLUE_RULES):
         table = table[:0]
     for qc, xc, yc, zc, sc, _ in table.tolist():
         if sc <= N:

@@ -22,16 +22,13 @@ def d14_run(tmp_path_factory):
     return {"path": out, "summary": summary, "elapsed": elapsed}
 
 
-@pytest.fixture
-def short_base_system(monkeypatch):
-    """Every rank check of L(9; 4^11), a base system of 4^a,3^b->10, comes back one short.
+def _short_rank(monkeypatch, base: SystemSpec) -> SystemSpec:
+    """Plant: every rank check of base comes back one short, so its certificate is inconclusive.
 
-    Its certificate is then inconclusive, so that rule is not valid.  The
-    default registry starts afresh, so a command certifies under the plant.
-    Returns the planted system.
+    The default registry starts afresh, so a command certifies under the
+    plant.  Returns base.
     """
     run = interpolation._run_family
-    base = SystemSpec(9, {4: 11})
 
     def short(head, members, *args):
         ranks = run(head, members, *args)
@@ -40,3 +37,15 @@ def short_base_system(monkeypatch):
     monkeypatch.setattr(interpolation, "_run_family", short)
     monkeypatch.setattr(reduction, "_default_known", None)
     return base
+
+
+@pytest.fixture
+def short_base_system(monkeypatch):
+    """L(9; 4^11), a base system of 4^a,3^b->10, planted one short, so that rule is not valid."""
+    return _short_rank(monkeypatch, SystemSpec(9, {4: 11}))
+
+
+@pytest.fixture
+def short_bootstrap_system(monkeypatch):
+    """L(3; 2^5), the base system of 2^5->4 that bootstrap checks, planted one short."""
+    return _short_rank(monkeypatch, SystemSpec(3, {2: 5}))

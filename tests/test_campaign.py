@@ -13,7 +13,7 @@ from fatpoints.campaign import (
     CertRecord,
     ResultStore,
     _degree_cases,
-    _shard_indices,
+    _in_shard,
     run_campaign,
     status,
     verify_log,
@@ -38,6 +38,11 @@ FAMILY_SHARD = (1, 2)
 def _family_seed(case_key, base_seed=7, max_attempts=3):
     d, q, x, y, _ = case_key
     return base_seed + _degree_cases(d)[1][tuple(case_key)][1] * max_attempts
+
+
+def _shard_indices(n_cases, shard):
+    """The indices of a degree's n_cases cases that shard runs."""
+    return [idx for idx in range(n_cases) if _in_shard(idx, shard)]
 
 
 def _strip(lines):
@@ -73,6 +78,29 @@ def test_sharding_is_a_partition():
             shards = [_shard_indices(total, (i, n)) for i in range(1, n + 1)]
             flat = sorted(idx for shard in shards for idx in shard)
             assert flat == list(range(total))
+
+
+def test_the_checker_accepts_a_planned_case_under_its_shard_alone():
+    # rank-free: the cases _plan gives shard i, each with the attempt-1
+    # certificate its family seed schedules, pass under shard i's header only
+    for n in (1, 2, 8, 35):
+        configs = [CampaignConfig(degrees=(13, 40), out="x.jsonl", base_seed=7, shard=(i, n))
+                   for i in range(1, n + 1)]
+        for config in configs:
+            for _, _, family in campaign._plan(config, ResultStore())[1]:
+                for idx, case in family:
+                    prime, seed = interpolation.attempt_schedule(1, _family_seed(case.key()), 0)
+                    cert = Certificate(case.to_system().to_text(), prime, seed, (), 0, 0, 0,
+                                       "non_special", 1, 0)
+                    record = CertRecord(case, idx, cert)
+                    for other in configs:
+                        problems = campaign._header_problems(record, other)
+                        if other is config:
+                            assert problems == [], (case, config.shard)
+                        else:
+                            i, _ = other.shard
+                            assert problems == [f"case index {idx} is outside the header's"
+                                                f" shard {i}/{n}"], (case, other.shard)
 
 
 def test_degree_cases_index_each_case_at_its_position_and_family_first():
@@ -182,8 +210,7 @@ def test_resume_is_idempotent(tmp_path):
     again = run_campaign(_tiny_config(out, resume=True))
     assert again["computed"] == 0
     assert again["ok"]
-    store = ResultStore.load(out)
-    assert len(store) == 3
+    assert ResultStore.load(out).tally(14) == {"non_special": 3, "inconclusive": 0}
 
 
 def test_resume_after_truncated_line(tmp_path):
@@ -192,10 +219,10 @@ def test_resume_after_truncated_line(tmp_path):
     text = out.read_text()
     last = text.rstrip("\n").rfind("\n") + 1
     out.write_text(text[: last + (len(text) - last) // 2])  # killed mid-write
-    assert len(ResultStore.load(out)) == 2
+    assert sum(ResultStore.load(out).tally(14).values()) == 2
     summary = run_campaign(_tiny_config(out, resume=True))
     assert summary["computed"] == 1
-    assert len(ResultStore.load(out)) == 3
+    assert sum(ResultStore.load(out).tally(14).values()) == 3
     report = verify_log(out)
     assert report.total == 3 and not report.corrupt and report.ok
     assert run_campaign(_tiny_config(out, resume=True))["computed"] == 0
@@ -265,7 +292,7 @@ def test_an_unterminated_last_line_counts_only_in_verify(tmp_path):
     run_campaign(_tiny_config(out))
     cut = tmp_path / "cut.jsonl"
     cut.write_bytes(out.read_bytes()[:-1])  # the last record whole but for its newline
-    assert len(ResultStore.load(cut)) == 2
+    assert sum(ResultStore.load(cut).tally(14).values()) == 2
     assert status(cut, (14, 14))[0]["done"] == 2
     report = verify_log(cut, full=True)
     assert report.corrupt == [{"line": 4, "error": "unterminated last line"}]
@@ -313,13 +340,13 @@ def test_store_duplicate_detection():
     assert not store.finished(case.key())
     cert = check_case(case.to_system(), seed=1)
     store.add(CertRecord(case, 0, cert))
-    assert len(store) == 1 and store.finished(case.key())
+    assert store.finished(case.key())
     assert store.cases(14) == [(case, cert.S, "non_special")]
     # any second record of a case is a duplicate, whatever its verdict
     for later in (cert, replace(cert, rank=cert.rank - 1, verdict="inconclusive")):
         with pytest.raises(ValueError, match="duplicate"):
             store.add(CertRecord(case, 0, later))
-    assert len(store) == 1
+    assert store.cases(14) == [(case, cert.S, "non_special")]
 
 
 def test_verify_log_clean_and_faulty(tmp_path):

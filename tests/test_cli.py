@@ -161,14 +161,26 @@ def test_status_refuses_a_degree_range_a_campaign_refuses(capsys, tmp_path):
     assert not (tmp_path / "x.jsonl").exists()
 
 
-def test_audit_closure_without_a_certified_base_system_lists_every_target(
-        capsys, tmp_path, short_base_system):
+def _audit_of_d14_shard(capsys, tmp_path) -> dict:
+    """The --json audit-closure of d = 14 over a campaign of its shard 5/87; it exits 1."""
     out = tmp_path / "log.jsonl"
     assert main(["campaign", "--degrees", "14", "--shard", "5/87", "--out", str(out)]) == 0
     capsys.readouterr()
-    # L(9; 4^11) is inconclusive, so 4^a,3^b->10 is not valid and nothing deduces
     assert main(["--json", "audit-closure", "-d", "14", "--results", str(out)]) == 1
-    report = json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out)
+
+
+def test_audit_closure_without_a_certified_base_system_lists_every_target(
+        capsys, tmp_path, short_base_system):
+    # L(9; 4^11) is inconclusive, so 4^a,3^b->10 is not valid and nothing deduces
+    report = _audit_of_d14_shard(capsys, tmp_path)
+    assert report["targets"] == len(report["gaps"]) == 85100
+
+
+def test_audit_closure_without_a_certified_bootstrap_system_lists_every_target(
+        capsys, tmp_path, short_bootstrap_system):
+    # L(3; 2^5) is inconclusive, so 2^5->4 is not valid: a gap at every target, not an error
+    report = _audit_of_d14_shard(capsys, tmp_path)
     assert report["targets"] == len(report["gaps"]) == 85100
 
 

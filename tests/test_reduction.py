@@ -11,9 +11,7 @@ from fatpoints.enumeration import algorithm_b_cases, q_values, window
 from fatpoints.interpolation import MAX_ATTEMPTS, check_case
 from fatpoints.model import CaseSignature, SystemSpec, binomial, conditions_count, vdim
 from fatpoints.reduction import (
-    RULE_2x5_TO_4,
-    RULE_43_TO_10,
-    GlueRule,
+    GLUE_RULES,
     KnownResults,
     closure_audit,
     deduce,
@@ -22,14 +20,6 @@ from fatpoints.reduction import (
 )
 
 from _oracles import rational_oracle
-
-# 4^a,3^b -> m rules on base degrees 13, 14, 17 and 19 (2a+b = 56, 68, 114, 154),
-# for the catalogue identities only
-RULE_43_TO_14 = GlueRule(13, constraint_total=56)
-RULE_43_TO_15 = GlueRule(14, constraint_total=68)
-RULE_43_TO_18 = GlueRule(17, constraint_total=114)
-RULE_43_TO_20 = GlueRule(19, constraint_total=154)
-
 
 class FakeStore:
     """Minimal certificate-store stand-in for deduction unit tests."""
@@ -46,29 +36,18 @@ def _known():
 
 
 def test_catalogue_identities():
-    # consumed conditions match the new point's conditions for every rule
-    rules = (RULE_2x5_TO_4, RULE_43_TO_10, RULE_43_TO_14, RULE_43_TO_15,
-             RULE_43_TO_18, RULE_43_TO_20)
-    targets = [rule.target for rule in rules]
-    assert targets == [4, 10, 14, 15, 18, 20]
-    for rule, total in ((RULE_43_TO_10, 22), (RULE_43_TO_14, 56),
-                        (RULE_43_TO_15, 68), (RULE_43_TO_18, 114),
-                        (RULE_43_TO_20, 154)):
-        assert rule.constraint_total == total
-        assert 10 * total == conditions_count(rule.target)
-        assert 10 * total == binomial(rule.base_degree + 3, 3)
-    assert sum(c * conditions_count(m) for m, c in RULE_2x5_TO_4.pattern) == 20
+    # 4^a,3^b -> (base + 1) with 2a + b = T consumes 20a + 10b = 10 T conditions,
+    # those of one (base + 1)-point; 2^5 -> 4 consumes 5 * 4 = 20, those of one 4-point
+    for base, total in ((9, 22), (13, 56), (14, 68), (17, 114), (19, 154)):
+        assert 10 * total == binomial(base + 3, 3) == conditions_count(base + 1)
+    assert 5 * conditions_count(2) == 20 == conditions_count(4)
 
 
-def test_bad_rules_rejected():
-    with pytest.raises(ValueError):
-        GlueRule(3, pattern=((2, 4),))  # 16 conditions cannot make a 4-point
-    with pytest.raises(ValueError):
-        GlueRule(9, constraint_total=21)
-    with pytest.raises(ValueError):
-        GlueRule(9)
-    with pytest.raises(ValueError):
-        GlueRule(9, pattern=((2, 5),), constraint_total=22)
+def test_base_systems_have_vdim_minus_one():
+    # N = S = the conditions of the (degree + 1)-point a rule makes, so it keeps the vdim
+    for specs in GLUE_RULES.values():
+        for spec in specs:
+            assert spec.n_monomials == spec.conditions_total == conditions_count(spec.degree + 1)
 
 
 def test_bootstrap_verifies_base_system():
@@ -78,8 +57,9 @@ def test_bootstrap_verifies_base_system():
 
 
 def test_validate_glue_rules(monkeypatch):
-    assert RULE_2x5_TO_4.base_systems == (SystemSpec(3, {2: 5}),)
-    assert RULE_43_TO_10.base_systems == tuple(
+    assert list(GLUE_RULES) == ["2^5->4", "4^a,3^b->10"]
+    assert GLUE_RULES["2^5->4"] == (SystemSpec(3, {2: 5}),)
+    assert GLUE_RULES["4^a,3^b->10"] == tuple(
         SystemSpec(9, {4: a, 3: 22 - 2 * a}) for a in range(12))
     known = _known()
     checked = []
@@ -87,11 +67,12 @@ def test_validate_glue_rules(monkeypatch):
     monkeypatch.setattr(reduction, "check_case",
                         lambda spec, seed: checked.append(spec) or check(spec, seed))
     for _ in range(2):
-        assert validate_glue_rule(RULE_2x5_TO_4, known)
-        assert validate_glue_rule(RULE_43_TO_10, known)
+        assert validate_glue_rule("2^5->4", known)
+        assert validate_glue_rule("4^a,3^b->10", known)
     # each base system is checked once, and only when its rule is validated
-    assert checked == list(RULE_43_TO_10.base_systems)
-    certs = [known.certificates[spec] for spec in RULE_43_TO_10.base_systems]
+    assert checked == list(GLUE_RULES["4^a,3^b->10"])
+    assert list(known.certificates) == [*GLUE_RULES["2^5->4"], *GLUE_RULES["4^a,3^b->10"]]
+    certs = [known.certificates[spec] for spec in GLUE_RULES["4^a,3^b->10"]]
     assert [(c.verdict, c.N, c.S, c.rank) for c in certs] == [("non_special", 220, 220, 220)] * 12
     # a non_special system of vdim 3 is no base system of a rule
     assert not known.certify(SystemSpec(3, {2: 4}))
@@ -165,8 +146,8 @@ def test_deduce_failure_is_a_value():
 
 def test_deduce_requires_validated_rules(short_base_system):
     known = _known()
-    assert validate_glue_rule(RULE_2x5_TO_4, known)
-    assert not validate_glue_rule(RULE_43_TO_10, known)
+    assert validate_glue_rule("2^5->4", known)
+    assert not validate_glue_rule("4^a,3^b->10", known)
     cert = known.certificates[short_base_system]
     assert cert.verdict == "inconclusive" and cert.attempts == MAX_ATTEMPTS
     sig = CaseSignature(14, 1, 23, 0, 0)
@@ -174,6 +155,17 @@ def test_deduce_requires_validated_rules(short_base_system):
     result = deduce(SystemSpec(14, {4: 34}), store, known=known)
     assert not result.ok
     assert "not validated" in result.reason
+
+
+def test_bootstrap_keeps_a_failed_base_system(short_bootstrap_system):
+    # no error: 2^5->4 is refused by the same check as 4^a,3^b->10
+    known = KnownResults.bootstrap()
+    assert list(known.certificates) == [short_bootstrap_system]
+    assert known.certificates[short_bootstrap_system].verdict == "inconclusive"
+    assert not validate_glue_rule("2^5->4", known)
+    sig = CaseSignature(14, 1, 23, 0, 0)
+    result = deduce(SystemSpec(14, {4: 34}), FakeStore([(sig, 680, "non_special")]), known=known)
+    assert not result.ok and result.reason == "glue rule 2^5->4 not validated"
 
 
 def test_deduce_ignores_inconclusive_cases():

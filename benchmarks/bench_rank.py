@@ -53,17 +53,10 @@ keeps the earlier ones:
 
     python benchmarks/bench_rank.py --against <parent checkout>/src --label one-panel-path
 
---reduce times the two paths of gfp._reduce, the floor-based one and the
-one through np.remainder, on vectors of REDUCE_SIZES entries in float32 and
-float64, and records the microseconds per call and the smallest size from
-which the floor-based path is the faster under "reduce": the crossover that
-gfp._SHORT_REDUCE is set from.
-
 Usage:
     python benchmarks/bench_rank.py [--label NAME] [--src DIR] [--repeats 5]
     python benchmarks/bench_rank.py --against DIR [--label NAME] [--src DIR] [--pairs 10]
                   [--repeats 3]
-    python benchmarks/bench_rank.py --reduce [--repeats 15]
 """
 
 from __future__ import annotations
@@ -92,8 +85,6 @@ D37_CASE = "37; 10^44,3^21,2^2"
 # Row key, case and prime of each single-check row.
 CASES = (("d30", D30_CASE, 32003), ("d30_p73", D30_CASE, 73), ("d37_p73", D37_CASE, 73))
 PHASES = ("rank_s", "panel_s", "trsm_s", "rest_s")
-REDUCE_SIZES = (16, 32, 48, 64, 80, 96, 128, 192, 256, 512)
-REDUCE_PRIME = 73
 # Set to one in every measuring process, as campaign and verify workers run.
 PINNED_BLAS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
@@ -336,46 +327,6 @@ def measure_in_subprocess(src: Path, repeats: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def reduce_rows(gfp, repeats: int, sizes=REDUCE_SIZES, calls: int = 2000) -> dict:
-    """Microseconds per gfp._reduce call on each path, dtype and size, and the crossover.
-
-    Each path is forced by setting gfp._SHORT_REDUCE to 0 (floor-based) or
-    past every size (np.remainder); the calls of the two paths alternate,
-    and the fastest of repeats batches of calls is kept, as the machine's
-    noise only ever adds time.
-    """
-    p = REDUCE_PRIME
-    rows = {}
-    saved = gfp._SHORT_REDUCE
-    try:
-        for dtype in ("float32", "float64"):
-            x = np.random.default_rng(0).integers(-2**20, 2**20, max(sizes)).astype(dtype)
-            out = np.empty_like(x)
-            per_size = []
-            for n in sizes:
-                best = {"floor_us": float("inf"), "remainder_us": float("inf")}
-                for _ in range(repeats):
-                    for key, short in (("floor_us", 0), ("remainder_us", n + 1)):
-                        gfp._SHORT_REDUCE = short
-                        t0 = time.perf_counter()
-                        for _ in range(calls):
-                            gfp._reduce(x[:n], p, out=out[:n])
-                        best[key] = min(best[key], (time.perf_counter() - t0) / calls * 1e6)
-                per_size.append({"size": n, **{k: round(v, 3) for k, v in best.items()}})
-                print(f"{dtype} {n:>4}: floor {best['floor_us']:.2f} us,"
-                      f" remainder {best['remainder_us']:.2f} us", file=sys.stderr, flush=True)
-            floor_wins = [row["size"] for row in per_size if row["floor_us"] < row["remainder_us"]]
-            rows[dtype] = {
-                "per_size": per_size,
-                "crossover": min((n for n in floor_wins
-                                  if all(m in floor_wins for m in sizes if m >= n)), default=None),
-            }
-    finally:
-        gfp._SHORT_REDUCE = saved
-    return {"prime": p, "calls": calls, "repeats": repeats,
-            "timing": "fastest batch of calls, microseconds per call", **rows}
-
-
 def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
     """Alternated pairs of fresh-process runs of two trees: per timing, quartiles and wins."""
     sides = {"against": other, "this": this}
@@ -420,24 +371,14 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, default=None,
                     help="source tree timed against --src, in alternated fresh processes")
     ap.add_argument("--pairs", type=int, default=10, help="pairs of runs with --against")
-    ap.add_argument("--reduce", action="store_true",
-                    help="time the two paths of gfp._reduce instead (this tree)")
     args = ap.parse_args(argv)
-    repeats = args.repeats or (15 if args.reduce else 3 if args.against else 5)
+    repeats = args.repeats or (3 if args.against else 5)
     if repeats < 3:
         ap.error("--repeats must be at least 3 to give quartiles")
     if args.against is not None and args.pairs < 3:
         ap.error("--pairs must be at least 3 to give quartiles")
 
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    if args.reduce:
-        sys.path.insert(0, str(args.src.resolve()))
-        from fatpoints import gfp
-
-        data["reduce"] = reduce_rows(gfp, repeats)
-        OUT.write_text(json.dumps(data, indent=2) + "\n")
-        print(f"wrote {OUT} [reduce]")
-        return 0
     if args.against is not None:
         key = f"against-{args.label}"
         data[key] = against(args.src.resolve(), args.against.resolve(), args.pairs, repeats)

@@ -12,7 +12,7 @@ them: campaign._callees_replaced is patched to say so, as a tracer that
 replaces a unit's callee does.  Then campaign --degrees 14 and the
 d30_shard campaign run once more unpatched, so that the pool's parent side
 is traced too (its forked workers are not): with 71 units, and with three,
-which on 2 CPUs is the count worker_count weighs sharing the CPUs for.
+which on 2 CPUs is the count worker_count gives one worker each.
 
 Prints every function of src/fatpoints whose body never ran, then per
 module the statements never reached, as line ranges.  A statement counts as

@@ -3,11 +3,12 @@
 The result log is JSON-lines: a header record first, then one certificate
 record per case, appended family by family in the order the families run.
 Append-only writing keeps the log usable after a crash (a partial trailing
-line is cut off on resume), and a resume refuses a log with a header of
-another config; sharded runs on separate machines produce disjoint logs
-whose concatenation equals the unsharded log up to ordering.  A family that
-raises, or whose worker dies, ends the run with that exception; the
-families written before it stay in the log, and a resume computes the rest.
+line is cut off on resume), one run writes a log at a time (_lock_log), and
+a resume refuses a log with a header of another config; sharded runs on
+separate machines produce disjoint logs whose concatenation equals the
+unsharded log up to ordering.  A family that raises, or whose worker dies,
+ends the run with that exception; the families written before it stay in
+the log, and a resume computes the rest.
 
 The units of work are independent: a family in run_campaign, a family's
 replay or one record's in verify_log.  Both run them in a pool of worker
@@ -16,11 +17,9 @@ its BLAS on one thread, and consume the results in submission order, so the
 log and verify's report keep their order.  The worker count is worker_count's:
 max(1, min(usable CPUs, units, available memory // the largest unit's peak
 estimate)), or one worker per unit when the units number between the CPUs
-and twice as many, fit in memory together, and are predicted to end sooner
-all at once on shared CPUs than in the pool's rounds; the guard keeps one
-dominant unit from running slower shared.  With one worker the units run in
-the calling process with its own BLAS threads; shard splits the work across
-processes or machines.
+and twice as many and fit in memory together.  With one worker the units run
+in the calling process with its own BLAS threads; shard splits the work
+across processes or machines.
 
 Cases run by family: the cases of one (q, x, y) inside a shard.  Their
 systems differ only in the number z of 2-points, which come last, so at one
@@ -328,6 +327,26 @@ def _families(
     return families
 
 
+def _lock_log(fh, path: Path):
+    """Hold an exclusive advisory lock on the log open as fh until fh closes; ValueError if taken.
+
+    One run writes a log at a time: a second one, resuming into the same log
+    say, is refused before it reads or changes a byte of it.  Readers take
+    no lock, as they ignore an unterminated last line.  Forked workers
+    inherit fh, and the lock with it.  Without fcntl (outside POSIX) no lock
+    is taken.
+    """
+    try:
+        import fcntl
+    except ImportError:
+        return
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise ValueError(f"{path} is being written by another run; refusing to write into it"
+                         ) from None
+
+
 def _start_store(config: CampaignConfig) -> ResultStore:
     """The records a run of config starts from: its log's, if it resumes into one."""
     out = config.out
@@ -395,20 +414,29 @@ def _callees_replaced() -> bool:
                for name in ("check_family", "check_case", "replay_certificate", "replay_family"))
 
 
-def _pool_makespan(costs: list[float], workers: int) -> float:
-    """When a pool of workers ends costs, each unit taken in order by the first worker free."""
-    free = [0.0] * workers
-    for cost in costs:
-        free[free.index(min(free))] += cost
-    return max(free)
+def _worker_init(parent: int):
+    """Set up a pool worker of the process parent: one BLAS thread, and no life past parent's.
 
-
-def _shared_makespan(costs: list[float], cpus: int) -> float:
-    """When costs end if all start at once, each on min(1, cpus / units still running) CPUs."""
-    end = done = 0.0
-    for running, cost in zip(range(len(costs), 0, -1), sorted(costs)):
-        end, done = end + (cost - done) * max(1.0, running / cpus), cost
-    return end
+    numpy's OpenBLAS goes to one thread where _openblas finds its setter (a
+    spawned worker's BLAS reads _BLAS_THREAD_VARS instead).  On Linux the
+    worker asks for SIGKILL when its parent dies (prctl PR_SET_PDEATHSIG),
+    and exits if that has already happened, so a killed run leaves no idle
+    worker holding its memory.  The signal follows the thread that forked
+    the worker, not its process: the pool forks every worker at its first
+    submission, from the thread that submits, which is the main thread in
+    the CLI (_run_units).
+    """
+    set_threads = _openblas("set")
+    if set_threads is not None:
+        set_threads(1)
+    if sys.platform == "linux":
+        import ctypes
+        import signal
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG; it cannot fail for a valid signal
+        if os.getppid() != parent:
+            os._exit(1)
 
 
 def worker_count(peaks: Sequence[int]) -> int:
@@ -419,27 +447,17 @@ def worker_count(peaks: Sequence[int]) -> int:
     against the same budget, so a retry escalated to PRIME_LADDER[1] (up to
     twice its peak) can be refused.  One case more: with U units, CPUs <
     U < 2 CPUs and memory for U workers, it is U, every unit at once on
-    CPUs the kernel shares, when that is predicted to end sooner than the
-    pool's rounds (_shared_makespan, and _pool_makespan of the peaks in
-    submission order), so that no core idles through the last round.  From
-    2 CPUs units on the pool runs two rounds or more, largest first, and
-    stays.  A unit's cost is its matrix bytes (peak less _PROCESS_BYTES) to
-    the power 3/2: peak_bytes is linear in N*S, and every matrix of the
-    sweep is within 3 % of square, so this is N*S*min(N, S), its
-    elimination's flops, up to a constant.  Sharing is slower where one
-    unit dominates: three units of costs a >= b >= c on 2 CPUs end at
-    a + c/2 shared and at max(a, b + c) in the pool.  It is 1 while a
-    function the units call is replaced in this process, so that the units
-    run here.
+    CPUs the kernel shares, so that no core idles through a short last
+    round.  From 2 CPUs units on the pool runs two rounds or more, largest
+    first.  It is 1 while a function the units call is replaced in this
+    process, so that the units run here.
     """
     if not peaks or _callees_replaced():
         return 1
     cpus, units = _usable_cpus(), len(peaks)
     fits = interpolation._mem_available() // max(peaks)
     if cpus < units < 2 * cpus and units <= fits:
-        costs = [(peak - interpolation._PROCESS_BYTES) ** 1.5 for peak in peaks]
-        if _shared_makespan(costs, cpus) < _pool_makespan(costs, cpus):
-            return units
+        return units
     return max(1, min(cpus, units, fits))
 
 
@@ -467,8 +485,9 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     function.  Every task is submitted at once, and the workers start during
     submission, under _blas_pinned.  They are forked (_start_method), all at
     the first submission, before the pool's manager thread starts, and each
-    pins numpy's OpenBLAS to one thread (_openblas); spawned ones import the
-    caller's main module, which needs an `if __name__ == "__main__":` guard.
+    runs _worker_init, which pins numpy's OpenBLAS to one thread and ends
+    the worker with this process; spawned ones import the caller's main
+    module, which needs an `if __name__ == "__main__":` guard.
     numpy.random, which every unit's point sampling needs, is imported
     first, so that forked workers inherit it loaded.
     A worker that dies breaks the pool: each task without a result then
@@ -486,7 +505,7 @@ def _run_units(fn, tasks: Sequence[tuple], workers: int) -> Iterator[Callable[[]
     import numpy.random  # noqa: F401  (once, before the fork, not in each worker's first draw)
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(_start_method(workers)),
-                               initializer=_openblas("set"), initargs=(1,))
+                               initializer=_worker_init, initargs=(os.getpid(),))
     try:
         with _blas_pinned():
             futures = [pool.submit(fn, *task) for task in tasks]
@@ -511,34 +530,35 @@ def _family_unit(
 def run_campaign(config: CampaignConfig) -> dict:
     """Sweep every degree in range, appending certificates to the log.
 
-    Degree by degree, largest head first within a degree (_plan), the
-    families left go to config.effective_threads(plan) workers
-    (_run_units).  Each family's records are appended and flushed in that
-    order as its results arrive, so a log's records are in family order
-    whatever the worker count.  A family that raises, or whose worker dies
-    (BrokenProcessPool), ends the run with that exception once the pool is
-    shut down; the families written before it stay, and a resume computes
-    the rest.  Returns a summary with the log's per-degree counts after the
-    run; any inconclusive case is surfaced there and must be treated as a
-    red flag.
+    The run holds the log's lock (_lock_log) from before it reads the log
+    until it ends, so a second run into the same log is refused.  Degree by
+    degree, largest head first within a degree (_plan), the families left go
+    to config.effective_threads(plan) workers (_run_units).  Each family's
+    records are appended and flushed in that order as its results arrive,
+    so a log's records are in family order whatever the worker count.  A
+    family that raises, or whose worker dies (BrokenProcessPool), ends the
+    run with that exception once the pool is shut down; the families written
+    before it stay, and a resume computes the rest.  Returns a summary with
+    the log's per-degree counts after the run; any inconclusive case is
+    surfaced there and must be treated as a red flag.
     """
     out = config.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.exists() and out.stat().st_size > 0 and not config.resume:
-        raise FileExistsError(f"{out} exists; pass resume to continue into it")
-    done = _start_store(config)  # raises on a bad line before the log is touched
-    for written in done.configs:
-        if written.digest() != config.digest():
-            raise ValueError(
-                f"{out} was written under another config (digest {written.digest()},"
-                f" this run's is {config.digest()}); refusing to resume into it"
-            )
-    if out.exists():
+    with open(out, "a") as fh:
+        _lock_log(fh, out)  # held until fh closes, after the pool has shut down
+        if out.stat().st_size > 0 and not config.resume:
+            raise FileExistsError(f"{out} exists; pass resume to continue into it")
+        done = _start_store(config)  # raises on a bad line before the log is touched
+        for written in done.configs:
+            if written.digest() != config.digest():
+                raise ValueError(
+                    f"{out} was written under another config (digest {written.digest()},"
+                    f" this run's is {config.digest()}); refusing to resume into it"
+                )
         _trim_partial_line(out)
-    expected, plan = _plan(config, done)
-    workers = config.effective_threads(plan)
-    if not done.configs:  # nor records, which load refuses above every header
-        with open(out, "a") as fh:
+        expected, plan = _plan(config, done)
+        workers = config.effective_threads(plan)
+        if not done.configs:  # nor records, which load refuses above every header
             header = {
                 "header": True,
                 "version": __version__,
@@ -555,17 +575,18 @@ def run_campaign(config: CampaignConfig) -> dict:
                 },
             }
             fh.write(json.dumps(header) + "\n")
+            fh.flush()  # before the pool forks workers that copy fh's buffer
 
-    computed = 0
-    tasks = [(config, first, family) for _, first, family in plan]
-    with open(out, "a") as fh, closing(_run_units(_family_unit, tasks, workers)) as results:
-        for result in results:
-            records = result()
-            for record in records:
-                fh.write(record.to_line() + "\n")
-                done.add(record)
-            computed += len(records)
-            fh.flush()
+        computed = 0
+        tasks = [(config, first, family) for _, first, family in plan]
+        with closing(_run_units(_family_unit, tasks, workers)) as results:
+            for result in results:
+                records = result()
+                for record in records:
+                    fh.write(record.to_line() + "\n")
+                    done.add(record)
+                computed += len(records)
+                fh.flush()
     degrees = {}
     for d, n in expected.items():
         tally = done.tally(d)

@@ -36,11 +36,12 @@ BLAS speed.
 Entries are integer-valued floats holding centered residues, and reductions
 mod p are delayed.  With h = (p - 1)/2 (h = 1 at p = 2), a reduction maps x
 to x - floor((x + h) / p) * p, into [-h, p - 1 - h], which is [-h, h] for odd
-p.  An operand of a product (a pivot row, a multiplier, a solved U row, a
-column searched for its pivot, a block B and its powers, B^-1) is reduced
-when it is produced, and no other entry is ever reduced.  An entry absorbs
-at most one product per pivot, and a product of two reduced operands is at
-most h^2, so every entry of an m x n matrix with k = min(m, n) keeps
+p, in the same five passes on a vector of any length (_reduce).  An
+operand of a product (a pivot row, a multiplier, a solved U row, a column
+searched for its pivot, a block B and its powers, B^-1) is reduced when it
+is produced, and no other entry is ever reduced.  An entry absorbs at most
+one product per pivot, and a product of two reduced operands is at most
+h^2, so every entry of an m x n matrix with k = min(m, n) keeps
 
     |entry| <= k * h^2 + h.
 
@@ -96,11 +97,6 @@ _EXACT_LIMIT = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 # Widest column range tried as a leaf (_Elimination._panel); wider ranges split.
 _BASE_WIDTH = 32
-# Below this many entries (x + h) mod p - h, three in-place calls, beats the
-# five-pass floor-based reduction, whose cost on short vectors is mostly
-# per-call overhead: the crossover that benchmarks/bench_rank.py --reduce
-# measured in both dtypes.
-_SHORT_REDUCE = 80
 # Entries per chunk when _prepare validates and reduces its input.
 _PREPARE_CHUNK = 1 << 16
 
@@ -133,23 +129,17 @@ def _exact_dtype(p: int, k: int) -> Optional[np.dtype]:
 def _reduce(x: np.ndarray, p: int, out: Optional[np.ndarray] = None):
     """Exact centered reduction of integer-valued float data into [-h, p-1-h], h = p // 2.
 
-    Writes into out (default x).  x - floor((x + h) / p) * p in five passes,
-    or (x + h) mod p - h in three when x is short.  Both are exact on every
-    integer x with |x| + h <= L, L = 2**24 in float32 and 2**53 in float64:
-    y = x + h is exact, and floor(fl(y / p)) = floor(y / p) because the
-    rounding error of y / p is below |y| / (p L) <= 1 / p, the least distance
-    from a non-integral y / p to an integer above it.  The product
-    q = floor(y / p) * p is exact, as |q| <= |x| + h: q lies in (y - p, y].
-    The remainder and the last subtraction are exact on integers.
+    Writes into out (default x).  x - floor((x + h) / p) * p, in five passes,
+    is exact on every integer x with |x| + h <= L, L = 2**24 in float32 and
+    2**53 in float64: y = x + h is exact, and floor(fl(y / p)) = floor(y / p)
+    because the rounding error of y / p is below |y| / (p L) <= 1 / p, the
+    least distance from a non-integral y / p to an integer above it.  The
+    product q = floor(y / p) * p is exact, as |q| <= |x| + h: q lies in
+    (y - p, y].  x - q is an integer in [-h, p - 1 - h], so it is exact.
     """
     if out is None:
         out = x
     h = p >> 1
-    if x.size < _SHORT_REDUCE:
-        np.add(x, h, out=out)
-        np.remainder(out, p, out=out)
-        np.subtract(out, h, out=out)
-        return
     q = x + h
     q /= p
     np.floor(q, out=q)

@@ -283,15 +283,14 @@ def build_matrix(
 
     The entry of order b at monomial x^e is prod_i G_i[b_i, e_i] over the
     three affine coordinates u_i, with G_i[b, e] = e!/(e-b)! * u_i^(e-b) mod p.
-    The arithmetic is on residues, exact while every product stays within
-    the exact range of its dtype: float32 when the output is float32 and
-    p^3 < 2^24 (p = 73), else float64, where a product of two residues is
-    reduced before the third factor joins it unless p^3 < 2^53 (both
-    ladder primes).  A prime whose product of two residues can pass 2^53
-    ((p - 1)^2 > 2^53) is refused.  The rows of a run of consecutive points
-    with the same multiplicity and chart, up to _RUN_ROWS of them, are
-    gathered, multiplied and reduced by one set of calls: each entry takes
-    the same operations as alone, so the output does not depend on the runs.
+    The arithmetic is on residues, exact while every product of three stays
+    within the exact range of its dtype: float32 when the output is float32
+    and p^3 < 2^24 (p = 73), else float64, for p^3 < 2^53 (both ladder
+    primes).  A larger prime (p^3 >= 2^53) is refused for a non-empty
+    system.  The rows of a run of consecutive points with the same
+    multiplicity and chart, up to _RUN_ROWS of them, are gathered,
+    multiplied and reduced by one set of calls: each entry takes the same
+    operations as alone, so the output does not depend on the runs.
     """
     d = spec.degree
     if prime <= d:
@@ -302,8 +301,8 @@ def build_matrix(
         raise ValueError(f"expected {len(mults)} points of 4 coordinates, got {points.shape}")
     if basis is None:
         basis = monomial_basis(d)
-    if mults and basis.shape[0] and (prime - 1) ** 2 > 2**53:
-        raise ValueError(f"p = {prime}: a product of two residues can leave the exact range"
+    if mults and basis.shape[0] and prime**3 >= 2**53:
+        raise ValueError(f"p = {prime}: a product of three residues can leave the exact range"
                          " of float64")
     pts = points % prime
     chart = np.where(pts.any(axis=1), np.argmax(pts != 0, axis=1), -1)
@@ -313,7 +312,6 @@ def build_matrix(
                    dtype=_matrix_dtype(prime, spec.conditions_total, basis.shape[0]), order="F")
     work = out.dtype if prime**3 < 2**24 else np.dtype(np.float64)
     fp = float(prime)
-    once = prime**3 < 2**53
     inv = _inverses(pts[np.arange(len(mults)), chart], prime)
     affine = (np.take_along_axis(pts, _OTHER[chart], axis=1) * inv[:, None] % prime).astype(work)
     powers = np.empty((len(mults), 3, d + 1), dtype=work)  # powers[j, i, e] = u_ji^e mod p
@@ -347,8 +345,6 @@ def build_matrix(
         np.take(g[0][:, :, orders[:, 0]].reshape(d + 1, rows), ex[0], axis=0, out=x, mode="clip")
         np.take(g[1][:, :, orders[:, 1]].reshape(d + 1, rows), ex[1], axis=0, out=y, mode="clip")
         x *= y
-        if not once:
-            _residues(x, fp, scratch=y)
         np.take(g[2][:, :, orders[:, 2]].reshape(d + 1, rows), ex[2], axis=0, out=y, mode="clip")
         x *= y
         _residues(x, fp, out=block[:, row:row + rows], scratch=y)

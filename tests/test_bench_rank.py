@@ -38,11 +38,6 @@ def test_bench_rank_runs_one_shape_and_the_family_head():
     assert mat.flags.c_contiguous and mat.shape[1] == max(members)
     assert gfp.rank(mat, bench.PRIME, leading=members) == [
         gfp.rank(mat[:, :k], bench.PRIME) for k in members]
-    short = gfp._SHORT_REDUCE
-    rows = bench.reduce_rows(gfp, 3, sizes=(16, 96), calls=10)
-    assert gfp._SHORT_REDUCE == short
-    assert [row["size"] for row in rows["float32"]["per_size"]] == [16, 96]
-    assert rows["float64"]["crossover"] in (16, 96, None)
     assert _bench_files() == before
 
 

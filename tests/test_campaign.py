@@ -2,8 +2,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -606,12 +611,11 @@ def test_worker_count(monkeypatch):
     # two d = 40 cases fit in 7 GiB
     d40 = max(algorithm_b_cases(40), key=lambda case: case.conditions_total)
     assert campaign.worker_count([interpolation.peak_bytes(d40.to_system())] * 4) == 2
-    # between 2 and 4 units: one worker each when sharing the CPUs ends sooner
-    # and memory fits them all
+    # between 2 and 4 units: one worker each when memory fits them all,
+    # whatever their sizes
     monkeypatch.setattr(interpolation, "_mem_available", lambda: 16 * gib)
     assert campaign.worker_count([gib] * 3) == 3
-    # one unit costs more than the other two together: the pool ends sooner
-    assert campaign.worker_count([4 * gib, gib, gib]) == 2
+    assert campaign.worker_count([4 * gib, gib, gib]) == 3
     assert campaign.worker_count([gib] * 4) == 2
     monkeypatch.setattr(interpolation, "_mem_available", lambda: 2 * gib)
     assert campaign.worker_count([gib] * 3) == 2  # memory for two
@@ -791,6 +795,101 @@ def test_dead_worker_stops_the_run_and_resume_completes_it(tmp_path, monkeypatch
     assert out.read_text().splitlines()[:len(lines)] == lines
     report = verify_log(out, full=True)
     assert report.ok and report.replayed == 3 and not report.mismatches, report.to_dict()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _cli_process(*args: str, output=subprocess.PIPE) -> subprocess.Popen:
+    """A fatpoints CLI process of this tree, its stdout and stderr to output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "fatpoints.cli", *args], env=env,
+                            stdout=output, stderr=output, text=True)
+
+
+def test_a_run_into_a_locked_log_is_refused_and_leaves_it_alone(tmp_path, capsys):
+    fcntl = pytest.importorskip("fcntl")
+    out = tmp_path / "log.jsonl"
+    run_campaign(_tiny_config(out))
+    text = out.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    out.write_text(text[: last + (len(text) - last) // 2])  # a killed writer's partial line
+    before = out.read_bytes()
+    args = ["campaign", "--degrees", "14", "--shard", "5/87", "--seed", "7", "--resume",
+            "--out", str(out)]
+    with open(out, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(args) == 2
+    assert f"error: {out} is being written by another run" in capsys.readouterr().err
+    assert out.read_bytes() == before  # the partial line is not cut off either
+    assert main(args) == 0
+    assert sum(ResultStore.load(out).tally(14).values()) == 3
+
+
+def test_two_resumes_into_one_new_log_leave_it_loadable(tmp_path):
+    pytest.importorskip("fcntl")
+    out = tmp_path / "log.jsonl"
+    runs = [_cli_process("campaign", "--degrees", "14", "--resume", "--out", str(out))
+            for _ in range(2)]
+    errors = [proc.communicate(timeout=300)[1] for proc in runs]
+    codes = [proc.returncode for proc in runs]
+    # the second one is refused, unless it started after the first had ended
+    assert sorted(codes) in ([0, 2], [0, 0]), (codes, errors)
+    assert all(str(out) in err for code, err in zip(codes, errors) if code == 2)
+    assert sum(ResultStore.load(out).tally(14).values()) == 261
+
+
+def _ppid_and_state(pid: int):
+    """(parent pid, state letter) of the process pid from /proc, or None once it is gone."""
+    try:
+        state, ppid = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[:2]
+    except (OSError, ValueError):
+        return None
+    return int(ppid), state
+
+
+def _children(pid: int) -> set[int]:
+    kids = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and (_ppid_and_state(int(entry.name)) or (0,))[0] == pid:
+            kids.add(int(entry.name))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs: it exists and is no zombie waiting for its new parent to reap it."""
+    got = _ppid_and_state(pid)
+    return got is not None and got[1] != "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's")
+def test_no_worker_outlives_a_killed_run(tmp_path):
+    run = _cli_process("campaign", "--degrees", "30", "--shard", "1/35",
+                       "--out", str(tmp_path / "log.jsonl"), output=subprocess.DEVNULL)
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            workers = _children(run.pid)
+        assert workers, "the run started no worker"
+        time.sleep(0.2)  # every worker is forked at the first submission
+        workers |= _children(run.pid)
+        assert run.poll() is None, "the run ended before it was killed"
+        run.kill()
+        run.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_verify_reports_mismatches_in_line_order(tmp_path):

@@ -46,14 +46,12 @@ def test_ladder():
     assert _exact_dtype(PRIME_LADDER[1], 11461) == F64
 
 
-@pytest.mark.parametrize("size", [100, 5000])
+@pytest.mark.parametrize("size", [1, 2, 79, 5000])
 def test_reduce_is_exact_next_to_multiples_of_p(size):
     # the rounded quotient is off by one only for values x + h within a few
-    # units of a multiple of p, close to the dtype's exact limit; the whole
-    # vector takes the floor-based path, its head the np.remainder one
+    # units of a multiple of p, close to the dtype's exact limit; a vector of
+    # one entry, a pivot search's short columns and a long one
     rng = np.random.default_rng(size)
-    short = gfp._SHORT_REDUCE - 1
-    assert short < size
     for dtype, limit in ((F32, 2**24), (F64, 2**53)):
         for p in (2, 3, 73, 32003, 104729, 20000003, 2**31 - 1):
             if 4 * p > limit:
@@ -64,11 +62,8 @@ def test_reduce_is_exact_next_to_multiples_of_p(size):
             vals = np.where(np.abs(vals) + h <= limit, vals, 0)
             x = vals.astype(dtype)
             assert (x.astype(np.int64) == vals).all()
-            head = x[:short].copy()
             _reduce(x, p)
-            _reduce(head, p)
             assert x.astype(np.int64).tolist() == _centered(vals, p)
-            assert head.astype(np.int64).tolist() == _centered(vals[:short], p)
 
 
 def test_rank_basics():
@@ -351,7 +346,7 @@ def _reduce_up_to_the_admitted_magnitude(p, dtype):
     qs |= {int(q) for q in np.random.default_rng(p).integers(-(top // p), top // p + 1, 40)}
     vals = [q * p + r for q in sorted(qs) for r in (-h, 0, 1, h, p - 1) if abs(q * p + r) <= top]
     assert max(vals) > top - p and min(vals) < -(top - p)
-    for size in (gfp._SHORT_REDUCE * 2, gfp._SHORT_REDUCE - 1):  # floor-based, np.remainder
+    for size in (1, 2, 79, 5000):
         ints = (vals * (size // len(vals) + 1))[:size]
         x = np.array(ints, dtype=dtype)
         assert x.astype(np.int64).tolist() == ints

@@ -191,11 +191,9 @@ def _entry_oracle(spec, pts, p, charts, basis) -> list[list[int]]:
 
 
 # the first prime above the degree and the ladder's first, both computed in
-# float32; 1009, whose float32 output is computed in float64; two more ladder
-# primes; and primes whose cube exceeds 2^53, where a product of three
-# residues is reduced twice: the first such prime, and one where most such
-# products are inexact in float64
-@pytest.mark.parametrize("p", [7, 73, 1009, 32003, 104729, 208067, 1000003])
+# float32; 1009, whose float32 output is computed in float64; the ladder's
+# second, and a larger prime whose cube stays below 2^53
+@pytest.mark.parametrize("p", [7, 73, 1009, 32003, 104729])
 def test_build_matrix_entries_match_python_ints(p):
     spec = SystemSpec(6, {3: 2, 2: 2, 1: 1})
     rng = np.random.default_rng(p)
@@ -217,17 +215,17 @@ def test_build_matrix_entries_match_python_ints(p):
 
 
 def test_build_matrix_refuses_primes_rank_admits_no_matrix_at():
-    # the products of two residues of 90000049 still fit float64, those of
-    # 94906297 (the first prime whose do not) and 2^31 - 1 do not; rank
-    # admits one column at the first and none at the second
+    # a product of three residues fits float64 at 208057, the last prime whose
+    # cube is below 2^53, and not at 208067, the next one; 90000049 (where
+    # rank still admits 4 columns) and 2^31 - 1 are refused as well
     spec = SystemSpec(2, {2: 1, 1: 1})
     pts = np.array([[1, 2, 3, 4], [5, 0, 7, 8]])
-    p = 90000049
-    assert (p - 1) ** 2 < 2**53 < (94906297 - 1) ** 2
+    p = 208057
+    assert p**3 < 2**53 <= 208067**3
     got = build_matrix(spec, pts, p)
     assert got.astype(np.int64).tolist() == _entry_oracle(spec, pts, p, [0, 0], monomial_basis(2))
-    for p in (94906297, 2**31 - 1):
-        with pytest.raises(ValueError, match="product of two residues"):
+    for p in (208067, 90000049, 2**31 - 1):
+        with pytest.raises(ValueError, match="product of three residues"):
             build_matrix(spec, pts, p)
     assert build_matrix(SystemSpec(2, {}), np.zeros((0, 4)), 2**31 - 1).shape == (0, 10)
 

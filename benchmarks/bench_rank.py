@@ -35,6 +35,12 @@ entry reduction and the halving of the ranges the leaves decline; the
 split is timed by wrappers this script installs (phase_split).  Leaves do
 not nest and no leaf solves, so no time is counted twice.
 
+Each CASES row also records the memory the rank kernel allocates beyond
+the matrix it ranks in place: the tracemalloc peak during one more, untimed
+rank call of a fresh matrix, numpy's allocations being traced, as
+temp_peak_mib and as temp_share, a share of the matrix's bytes
+(temporaries).
+
 Every measurement runs in a fresh process whose BLAS is pinned to one
 thread, as in a campaign's worker processes.  Every timing is repeated;
 the median and the quartiles are recorded, and GFLOP/s is taken from the
@@ -215,6 +221,25 @@ def _split(times: dict, busy: dict, rank_s: float):
     times["rest_s"].append(rank_s - busy["panel"] - busy["trsm"])
 
 
+def temporaries(gfp, mat: np.ndarray, prime: int) -> dict:
+    """The traced peak of one rank of mat in place, above what was traced before it.
+
+    numpy reports its arrays' data to tracemalloc, and mat, a C-contiguous
+    matrix of the dtype its shape takes, is ranked in place: the peak is the
+    kernel's temporaries.  In MiB, and as a share of mat's bytes.
+    """
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gfp.rank(mat, prime, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return {"temp_peak_mib": round(peak / 2**20, 3), "temp_share": round(peak / mat.nbytes, 4)}
+
+
 def case_row(gfp, repeats: int, case: str, prime: int) -> dict:
     """Assembly and rank of case's transposed matrix at prime, the rank split by phase."""
     from fatpoints import interpolation
@@ -232,10 +257,13 @@ def case_row(gfp, repeats: int, case: str, prime: int) -> dict:
             got = gfp.rank(mat, prime, overwrite=True) + n_deleted
             times["assembly_s"].append(t1 - t0)
             _split(times, busy, time.perf_counter() - t1)
+    fresh = interpolation._transposed_matrix(spec, prime, FAMILY_SEED, assignment)[0]
     row = {"case": case, "prime": prime, "dtype": str(mat.dtype), "m": mat.shape[0],
-           "n": mat.shape[1], "rank": got, **{key: quartiles(vals) for key, vals in times.items()}}
+           "n": mat.shape[1], "rank": got, **{key: quartiles(vals) for key, vals in times.items()},
+           **temporaries(gfp, fresh, prime)}
     print(f"{case} ({mat.shape[0]}x{mat.shape[1]}, p = {prime}, {mat.dtype}): "
-          + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times),
+          + ", ".join(f"{key[:-2]} {row[key]['median']:.3f} s" for key in times)
+          + f", temporaries {row['temp_peak_mib']:.1f} MiB ({row['temp_share']:.3f} of the matrix)",
           file=sys.stderr, flush=True)
     return row
 
@@ -303,7 +331,7 @@ def measure(src: Path, repeats: int) -> dict:
 
 
 def medians(result: dict) -> dict[str, float]:
-    """The median of every timing of one measure() result, by name."""
+    """The median of every timing of one measure() result, and every temporaries figure, by name."""
     out = {}
     for row in result["shapes"]:
         out[f"{row['m']}x{row['n']}.rank_s"] = row["rank_s"]["median"]
@@ -313,6 +341,9 @@ def medians(result: dict) -> dict[str, float]:
         for key in result[row]:
             if key.endswith("_s"):
                 out[f"{row}.{key}"] = result[row][key]["median"]
+    for row, _, _ in CASES:
+        for key in ("temp_peak_mib", "temp_share"):
+            out[f"{row}.{key}"] = result[row][key]
     return out
 
 
@@ -355,7 +386,8 @@ def against(this: Path, other: Path, pairs: int, repeats: int) -> dict:
         "repeats": repeats,
         "timing": "per side, median and quartiles of the per-run medians, seconds;"
                   " each run a fresh process with one BLAS thread, sides alternating"
-                  " which runs first",
+                  " which runs first; temp_peak_mib and temp_share are one traced"
+                  " rank call per run, and 'faster' reads 'lower' for them",
         "rows": rows,
     }
 

@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import interpolation
+from . import gfp, interpolation
 from ._version import __version__
 from .enumeration import B_DEGREE_MAX, B_DEGREE_MIN, algorithm_b_cases
 from .interpolation import (
@@ -378,17 +378,14 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 @functools.lru_cache(maxsize=None)
 def _openblas(verb: str):
-    """numpy's OpenBLAS `verb`_num_threads ("set" or "get") by dlsym on its extension; None off Linux."""
-    if sys.platform != "linux":
+    """numpy's OpenBLAS `verb`_num_threads ("set" or "get"), found by gfp._numpy_blas; None off Linux."""
+    found = gfp._numpy_blas([f"{prefix}_{verb}_num_threads{tail}"
+                             for prefix in ("scipy_openblas", "openblas") for tail in ("64_", "")])
+    if found is None:
         return None
     import ctypes  # here, as multiprocessing is in _run_units
-    core = getattr(np, "_core", None) or np.core  # numpy 2, or 1.x
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)  # dlsym also searches what it links
-    names = [f"{prefix}_{verb}_num_threads{tail}" for prefix in ("scipy_openblas", "openblas")
-             for tail in ("64_", "")]
-    fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if fn is not None:
-        fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+    fn = found[1]
+    fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
     return fn
 
 

@@ -53,6 +53,18 @@ and the multipliers A2 @ B^-1, whose rows are reduced first.  A pivot
 search forms one product of reduced operands per multiplier, the entry
 times the pivot's inverse, at most h^2.
 
+The GEMMs of steps 2 and 3 subtract their product in place (_sub_product):
+one call of the gemm numpy itself links, C := -1 L U + 1 C, with no
+temporary the size of the product.  The BLAS may split the sum into blocks
+and add each block's partial sum to C as it goes, in any order, with or
+without fused multiply-adds.  Every value it forms for an entry is then a
+subset sum of the same products of reduced operands, or the entry's old
+value plus such a sum.  The entry still absorbs one product per pivot, so
+that value stays within k * h^2 + h, and it is an integer: it is exact.  Where numpy
+exports no gemm (numpy built on Accelerate or MKL, or not on Linux), or the
+one it exports fails a self-check on first use, the update is C -= L @ U,
+which allocates the product first.
+
 The reduction is exact on every integer x with |x| + h <= L, where
 L = 2^24 in float32 and 2^53 in float64: the dtype holds every integer up
 to L (see _reduce).  So one check on the shape picks the dtype
@@ -77,7 +89,9 @@ transpose of a matrix these are the ranks of its leading row blocks.
 
 from __future__ import annotations
 
+import ctypes  # numpy has imported it already
 import operator
+import sys
 from bisect import bisect_left
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -154,6 +168,130 @@ def _pivot_block(a: np.ndarray, rows: slice, piv: list[int]) -> np.ndarray:
     return a[rows][:, piv]
 
 
+# ---------------------------------------------------------------------------
+# numpy's own BLAS
+# ---------------------------------------------------------------------------
+
+# CBLAS's CblasRowMajor, CblasNoTrans and CblasTrans.
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+def _numpy_blas(names: Sequence[str]):
+    """(name, ctypes function) of the first of names numpy's BLAS exports; None if it exports none.
+
+    dlsym on numpy's extension module also searches the libraries it links,
+    its BLAS among them.  None off Linux.
+    """
+    if sys.platform != "linux":
+        return None
+    core = getattr(np, "_core", None) or np.core  # numpy 2, or 1.x
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    return next(((name, getattr(lib, name)) for name in names if hasattr(lib, name)), None)
+
+
+def _blas_operand(x: np.ndarray) -> Optional[tuple[int, int]]:
+    """(CBLAS transpose flag, leading dimension) of a 2-D x read in row-major order.
+
+    A row-major x, unit stride along its rows, is taken as it is; a
+    column-major one, such as _pivot_block's gather, as the transpose of a
+    row-major array.  None for any other layout.
+    """
+    item = x.itemsize
+    rows, cols = x.shape
+    s0, s1 = x.strides
+    if s1 == item and s0 % item == 0 and s0 // item >= max(1, cols):
+        return _NO_TRANS, s0 // item
+    if s0 == item and s1 % item == 0 and s1 // item >= max(1, rows):
+        return _TRANS, s1 // item
+    return None
+
+
+def _bind_gemm(name: str, fn, dtype: np.dtype):
+    """c -= l @ u in place through the CBLAS gemm fn of dtype, named name.
+
+    The bound function returns False, with c unchanged, unless c is
+    row-major, l and u have a unit stride (_blas_operand), all three are
+    aligned arrays of dtype and the shapes match: BLAS is never left to
+    reject a call.  OpenBLAS's ILP64 interface, the names ending in 64_,
+    takes int64 dimensions; any other name takes int32.
+    """
+    index = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int32
+    scalar = ctypes.c_float if dtype == np.float32 else ctypes.c_double
+    ptr, enum = ctypes.c_void_p, ctypes.c_int
+    fn.argtypes = [enum, enum, enum, index, index, index, scalar, ptr, index, ptr, index,
+                   scalar, ptr, index]
+    fn.restype = None
+
+    def sub(c: np.ndarray, l: np.ndarray, u: np.ndarray) -> bool:
+        (m, n), k = c.shape, l.shape[1]
+        if l.shape != (m, k) or u.shape != (k, n) or not c.dtype == l.dtype == u.dtype == dtype:
+            return False
+        if not (c.flags.aligned and l.flags.aligned and u.flags.aligned):
+            return False
+        lay_c, lay_l, lay_u = _blas_operand(c), _blas_operand(l), _blas_operand(u)
+        if lay_c is None or lay_c[0] != _NO_TRANS or lay_l is None or lay_u is None:
+            return False
+        if m and n and k:
+            fn(_ROW_MAJOR, lay_l[0], lay_u[0], m, n, k, -1.0, l.ctypes.data, lay_l[1],
+               u.ctypes.data, lay_u[1], 1.0, c.ctypes.data, lay_c[1])
+        return True
+
+    return sub
+
+
+def _gemm_agrees(sub, dtype: np.dtype) -> bool:
+    """Whether sub(c, l, u) leaves c - l @ u, as numpy computes it, on small integer operands.
+
+    Every operand is a view with a leading dimension beyond its width, l and
+    u are each taken row-major and column-major, and nothing outside c may
+    change.
+    """
+    base = np.random.default_rng(0).integers(-9, 10, (3, 12, 12)).astype(dtype)
+    try:
+        for l in (base[1, :5, :3], base[1].T[:5, :3]):
+            for u in (base[2, :3, :7], base[2].T[:3, :7]):
+                work = base[0].copy()
+                want = work.copy()
+                want[:5, :7] -= l @ u
+                if not sub(work[:5, :7], l, u) or not np.array_equal(work, want):
+                    return False
+    except (ctypes.ArgumentError, OSError):  # a call ctypes or the library refuses
+        return False
+    return True
+
+
+def _gemm_symbol(dtype: np.dtype):
+    """(name, ctypes function) of the CBLAS gemm of dtype numpy's BLAS exports, or None."""
+    t = {np.dtype(np.float32): "s", np.dtype(np.float64): "d"}[dtype]
+    return _numpy_blas([f"{prefix}cblas_{t}gemm{tail}"
+                        for prefix in ("scipy_", "") for tail in ("64_", "")])
+
+
+@lru_cache(maxsize=None)
+def _gemm(dtype: np.dtype):
+    """c -= l @ u through the gemm of dtype that numpy links (_bind_gemm), or None.
+
+    Bound on first use, and None where numpy's BLAS exports no such gemm or
+    the one it exports fails _gemm_agrees.
+    """
+    found = _gemm_symbol(dtype)
+    if found is None:
+        return None
+    sub = _bind_gemm(*found, dtype)
+    return sub if _gemm_agrees(sub, dtype) else None
+
+
+def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray):
+    """c -= l @ u in place, through numpy's own gemm where _gemm binds one and takes the layouts.
+
+    c must not overlap l or u, since BLAS forbids aliasing.  Elsewhere the
+    product is a temporary, subtracted from c in a second pass.
+    """
+    gemm = _gemm(c.dtype)
+    if gemm is None or not gemm(c, l, u):
+        c -= l @ u
+
+
 @lru_cache(maxsize=None)
 def _reciprocals(p: int, n: int) -> tuple[int, ...]:
     """(0, 1^-1, 2^-1, ..., n^-1) mod p, for n < p."""
@@ -228,7 +366,8 @@ class _Elimination:
             return
         t = starts[(i + j) // 2] - r
         self._trsm(r, lo[:t, :t], x[:t])
-        x[t:] -= lo[t:, :t] @ x[:t]
+        # x lies right of the pivot columns, lo in them: x[t:] overlaps neither
+        _sub_product(x[t:], lo[t:, :t], x[:t])
         self._trsm(r + t, lo[t:, t:], x[t:])
 
     def _panel(self, r: int, c0: int, c1: int) -> Optional[list[int]]:
@@ -310,7 +449,9 @@ class _Elimination:
             top = a[r:r + k1, h:c1]
             self._trsm(r, _pivot_block(a, slice(r, r + k1), piv), top)
             if r + k1 < m:
-                a[r + k1:, h:c1] -= _pivot_block(a, slice(r + k1, m), piv) @ top
+                # rows below the pivot rows, right of the pivot columns: the
+                # update's target overlaps neither its multipliers nor top
+                _sub_product(a[r + k1:, h:c1], _pivot_block(a, slice(r + k1, m), piv), top)
         return piv + self._eliminate(r + k1, h, c1)
 
 

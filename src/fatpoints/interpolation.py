@@ -63,10 +63,15 @@ def peak_bytes(spec: SystemSpec, prime: int = PRIME_LADDER[0]) -> int:
     The unreduced N x S matrix in the dtype rank picks for its shape, half
     as much again for the kernel's workspace, and the interpreter.  At
     PRIME_LADDER[0] every matrix of the sweep is float32: the largest d = 40
-    case comes to 937 MiB and its process peaks at 715 MiB (11480 x 11461
-    after reduction), and a d = 30 shard's worker peaks at 155 MiB against
-    an estimate of 234 MiB.  At 32003 they are float64, twice the matrix
-    (1810 MiB for that d = 40 case): a retry escalated there can take that.
+    case comes to 937 MiB (11480 x 11461 after reduction) and its process
+    peaked at 715 MiB while every update allocated its product.  A d = 30
+    shard's worker peaks at 117 MiB against an estimate of 234 MiB, and the
+    d = 37 head 37; 10^44,3^21,2^2 at 362 MiB against 624 MiB, where
+    gfp._sub_product updates in place through numpy's gemm; at 146-150 and
+    458 MiB where it falls back to a temporary product.  The margin stays
+    for that fallback, whose product takes up to a quarter of the matrix.
+    At 32003 they are float64, twice the matrix (1810 MiB for that d = 40
+    case): a retry escalated there can take that.
     worker_count sizes the pool by it and _transposed_matrix refuses a matrix by
     it less _PROCESS_BYTES, both against the one budget, _mem_available.
     """

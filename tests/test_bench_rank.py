@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fatpoints import gfp
 
@@ -38,6 +39,13 @@ def test_bench_rank_runs_one_shape_and_the_family_head():
     assert mat.flags.c_contiguous and mat.shape[1] == max(members)
     assert gfp.rank(mat, bench.PRIME, leading=members) == [
         gfp.rank(mat[:, :k], bench.PRIME) for k in members]
+    # a CASES row, on a d = 14 case: its traced temporaries, in MiB and as a share of the matrix
+    row = bench.case_row(gfp, 3, "14; 10^1,3^47,2^2", gfp.PRIME_LADDER[0])
+    assert (row["m"], row["n"], row["dtype"]) == (430, 448, "float32")
+    assert 0 < row["temp_peak_mib"] * 2**20 == pytest.approx(row["temp_share"] * 430 * 448 * 4, rel=1e-2)
+    result = {"shapes": [], "family": {"each_member_s": row["rank_s"], "leading_s": row["rank_s"]},
+              "d14.heads": {}, **{key: row for key, _, _ in bench.CASES}}
+    assert bench.medians(result)["d30_p73.temp_share"] == row["temp_share"]
     assert _bench_files() == before
 
 

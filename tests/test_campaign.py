@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -888,6 +890,85 @@ def test_no_worker_outlives_a_killed_run(tmp_path):
             run.kill()
             run.wait()
         for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _line_count(path: Path) -> int:
+    try:
+        return path.read_bytes().count(b"\n")
+    except FileNotFoundError:
+        return 0
+
+
+def _records_by_case(path: Path) -> list[dict]:
+    """The records of a log, without elapsed_ms, by case."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records = [{k: v for k, v in rec.items() if k != "elapsed_ms"}
+               for rec in records if not rec.get("header")]
+    return sorted(records, key=lambda rec: rec["case"])
+
+
+def _cmdline(pid: int) -> bytes:
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return b""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="finds the run's workers in /proc")
+def test_kills_and_resumes_leave_the_records_of_an_uninterrupted_run(tmp_path):
+    # the parent is killed with SIGKILL once the log has reached each of
+    # three seeded line counts, and once a pool worker is, each time
+    # followed by a resume; the last resume runs to the end
+    args = ("campaign", "--degrees", "14..15", "--seed", "7")
+    whole = tmp_path / "whole.jsonl"
+    assert _cli_process(*args, "--out", str(whole), output=subprocess.DEVNULL).wait(600) == 0
+    total = _line_count(whole)
+    assert total == 1 + 261 + 336
+    rng = random.Random(1415)
+    kills = [(line, "parent") for line in sorted(rng.sample(range(2, total * 3 // 4), 3))]
+    kills.insert(rng.randrange(4), (rng.randrange(2, total * 3 // 4), "worker"))
+    out = tmp_path / "log.jsonl"
+    run, pids = None, set()
+    try:
+        for at, victim in kills + [(None, None)]:
+            run = _cli_process(*args, "--resume", "--out", str(out), output=subprocess.DEVNULL)
+            pids.add(run.pid)
+            killed = None
+            while run.poll() is None and killed is None:
+                # a forked worker runs its parent's command line
+                command = _cmdline(run.pid)
+                workers = {pid for pid in _children(run.pid) if command and _cmdline(pid) == command}
+                pids |= workers
+                if at is not None and _line_count(out) >= at:
+                    target = run.pid if victim == "parent" else min(workers, default=None)
+                    if target is not None:
+                        with contextlib.suppress(ProcessLookupError):  # it has just ended
+                            os.kill(target, signal.SIGKILL)
+                            killed = target
+                time.sleep(0.005)
+            if at is None:
+                assert run.wait(600) == 0
+            else:
+                # a run whose worker dies ends with BrokenProcessPool, exit status 2
+                assert killed is not None, f"the run ended before {victim} was killed at line {at}"
+                assert run.wait(600) == (-signal.SIGKILL if victim == "parent" else 2)
+        assert _records_by_case(out) == _records_by_case(whole)
+        verify = _cli_process("verify", "--full", str(out))
+        stdout, stderr = verify.communicate(timeout=600)
+        assert verify.returncode == 0 and stdout == "ok\n", stderr
+        assert "597 replayed, 0 mismatches, 0 corrupt, 0 structural problems" in stderr
+        deadline = time.monotonic() + 5
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _alive(pid)]
+    finally:
+        if run is not None and run.poll() is None:
+            run.kill()
+            run.wait()
+        for pid in pids:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -785,3 +787,155 @@ def test_leading_ranks_of_a_d14_family_head():
     assert len(rows) > 1 and mat.shape[1] == rows[-1] > 400
     ks = rows + [k for k in _SEAMS if k < rows[0]]
     assert rank(mat, p, leading=ks) == [rank(mat[:, :k], p) for k in ks]
+
+
+# ---------------------------------------------------------------------------
+# the two update paths: numpy's own gemm in place, and c -= l @ u
+# ---------------------------------------------------------------------------
+
+def _no_gemm(monkeypatch):
+    """Send every update through c -= l @ u, as where numpy exports no gemm."""
+    monkeypatch.setattr(gfp, "_gemm", lambda dtype: None)
+
+
+def _without_gemm(test):
+    """test, run with the updates on c -= l @ u; it keeps test's parameters and assertions.
+
+    test itself runs on the gemm numpy links, where it exports one.
+    """
+    @functools.wraps(test)
+    def fallback(**kwargs):
+        _no_gemm(kwargs["monkeypatch"])
+        test(**kwargs)
+
+    return fallback
+
+
+test_rank_on_both_sides_of_the_float32_edge_without_gemm = _without_gemm(
+    test_rank_on_both_sides_of_the_float32_edge)
+test_triangular_solve_on_both_sides_of_the_float32_edge_without_gemm = _without_gemm(
+    test_triangular_solve_on_both_sides_of_the_float32_edge)
+test_rank_across_panels_with_all_some_or_no_pivots_without_gemm = _without_gemm(
+    test_rank_across_panels_with_all_some_or_no_pivots)
+test_rank_at_73_matches_the_reference_with_planted_deficits_without_gemm = _without_gemm(
+    test_rank_at_73_matches_the_reference_with_planted_deficits)
+
+
+def _exports_gemm() -> bool:
+    return all(gfp._gemm_symbol(dtype) is not None for dtype in (F32, F64))
+
+
+needs_gemm = pytest.mark.skipif(not _exports_gemm(), reason="numpy's BLAS exports no cblas gemm")
+
+
+@needs_gemm
+def test_numpy_gemm_binds_and_passes_its_self_check():
+    assert gfp._gemm(F32) is not None and gfp._gemm(F64) is not None
+
+
+def _gemm_calls(monkeypatch) -> list[tuple[bool, bool]]:
+    """Record (l column-major, done in place) of every call of the bound gemm."""
+    seen = []
+    bound = gfp._gemm
+
+    def spy(dtype):
+        sub = bound(dtype)
+
+        def call(c, l, u):
+            done = sub(c, l, u)
+            seen.append((l.strides[0] == l.itemsize != l.strides[1], done))
+            return done
+
+        return None if sub is None else call
+
+    monkeypatch.setattr(gfp, "_gemm", spy)
+    return seen
+
+
+@pytest.mark.parametrize("path", ["gemm", "fallback"])
+@pytest.mark.parametrize("p, dtype", [(73, F32), (P, F64)])
+def test_updates_by_column_major_gathers_match_the_reference(p, dtype, path, monkeypatch):
+    # column 1 of every 32-column panel combines the columns left of it, so
+    # the left half of every range above the single columns holds a
+    # non-pivot column between two pivots: its multipliers are gathered by
+    # _pivot_block, column-major, and the update takes them transposed
+    m, n = 300, 200
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (m, n))
+    for c in range(1, n, 32):
+        a[:, c] = a[:, :c] @ rng.integers(0, p, c) % p
+    if path == "gemm":
+        if not _exports_gemm():
+            pytest.skip("numpy's BLAS exports no cblas gemm")
+        seen = _gemm_calls(monkeypatch)
+    else:
+        _no_gemm(monkeypatch)
+    want = profile_mod_p_reference(a, p)
+    assert len(want) == n - len(range(1, n, 32))
+    ks = _leading_counts(n, rng)
+    assert rank(a, p, leading=ks) == [sum(c < k for c in want) for k in ks]
+    elim = gfp._Elimination(a.astype(dtype), p)
+    assert _exact_dtype(p, n) == dtype and elim.profile() == want
+    if path == "gemm":
+        # about 100 of some 115 updates; most others have one multiplier column
+        assert seen and all(done for _, done in seen)
+        assert 5 * sum(gathered for gathered, _ in seen) >= 4 * len(seen)
+
+
+def test_operands_without_a_unit_stride_take_the_product(monkeypatch):
+    # c = a[:, ::2] and the like: the bound gemm declines, with c unchanged,
+    # and _sub_product subtracts numpy's product instead
+    rng = np.random.default_rng(3)
+    base = rng.integers(-36, 37, (3, 20, 20)).astype(np.float32)
+    for c, l, u in ((base[0, :6, ::2], base[1, :6, :4], base[2, :4, :10]),
+                    (base[0, :6, :10], base[1, :6, ::5], base[2, :4, :10]),
+                    (base[0, :6, :10], base[1, :6, :4], base[2, :4, ::2])):
+        want = c - l @ u
+        work = c.copy() if c.flags.c_contiguous else c
+        gemm = gfp._gemm(F32)
+        if gemm is not None:
+            before = c.copy()
+            assert not gemm(c, l, u) and np.array_equal(c, before)
+        gfp._sub_product(work, l, u)
+        assert np.array_equal(work, want)
+
+
+@pytest.mark.parametrize("fault", ["silent", "beta0", "raises"])
+def test_a_gemm_that_fails_its_self_check_is_not_used(fault, monkeypatch):
+    # silent returns with c untouched, as OpenBLAS does on an illegal
+    # parameter; beta0 overwrites c with -l @ u; raises is refused by ctypes
+    real = gfp._gemm_symbol(F32)
+    if fault == "beta0":
+        if real is None:
+            pytest.skip("numpy's BLAS exports no cblas gemm")
+        gfp._bind_gemm(*real, F32)  # declares real's argument types
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        if fault == "raises":
+            raise OSError("exception: access violation")
+        if fault == "beta0":
+            real[1](*args[:11], 0.0, *args[12:])
+
+    monkeypatch.setattr(gfp, "_gemm_symbol", lambda dtype: ("cblas_sgemm64_", fake))
+    monkeypatch.setattr(gfp, "_gemm", functools.lru_cache(maxsize=None)(gfp._gemm.__wrapped__))
+    assert gfp._gemm(F32) is None and calls
+    a = _panel_layout(150, 130, 73, "dependent")
+    assert rank(a, 73) == len(profile_mod_p_reference(a, 73))
+
+
+@needs_gemm
+def test_ranking_in_place_keeps_numpy_temporaries_below_a_tenth_of_the_matrix():
+    # numpy reports its arrays' data to tracemalloc.  The product of every
+    # update used to be a temporary as large as its target, a quarter of
+    # the matrix at the top split
+    a = np.random.default_rng(16).integers(0, 73, (1600, 1600)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert rank(a, 73, overwrite=True) == 1600
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 10

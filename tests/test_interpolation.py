@@ -1,11 +1,16 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fatpoints import interpolation
+from fatpoints import gfp, interpolation
 from fatpoints.enumeration import algorithm_b_cases
 from fatpoints.gfp import PRIME_LADDER, _exact_dtype, rank
 from fatpoints.interpolation import (
@@ -402,6 +407,45 @@ def test_memory_guard(monkeypatch):
     monkeypatch.setattr(interpolation, "_sample_distinct", never_sampled)
     with pytest.raises(MatrixTooLargeError):
         check_case(SystemSpec(40, {2: 200000}), seed=0)
+
+
+# Checks the largest d = 26 case (2792 x 2774 after the fundamental reduction)
+# as a campaign worker does, with one BLAS thread, and prints the process's
+# peak RSS and peak_bytes' estimate.  With "fallback" the child unbinds
+# numpy's gemm itself, so that every update allocates its product.
+_PEAK_CHILD = """
+import json, resource, sys
+import numpy as np
+from fatpoints import gfp, interpolation
+from fatpoints.enumeration import algorithm_b_cases
+if sys.argv[1] == "fallback":
+    gfp._gemm = lambda dtype: None
+spec = max(algorithm_b_cases(26), key=lambda case: case.conditions_total).to_system()
+cert = interpolation.check_case(spec, 0)
+print(json.dumps({"spec": spec.to_text(), "verdict": cert.verdict,
+                  "gemm": gfp._gemm(np.dtype(np.float32)) is not None,
+                  "maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+                  "peak_bytes": interpolation.peak_bytes(spec)}))
+"""
+
+
+@pytest.mark.parametrize("path", ["gemm", "fallback"])
+def test_peak_bytes_bounds_a_real_check(path):
+    # the pool is sized by peak_bytes, so a worker must not exceed it; the
+    # fallback's temporaries are what its margin of half the matrix covers
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is in KiB on Linux only")
+    src = str(Path(interpolation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    # ru_maxrss keeps the peak of the image a process replaced by exec, so a
+    # child of this large process would count it: a small launcher starts it
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    proc = subprocess.run([sys.executable, "-c", launch, "-c", _PEAK_CHILD, path], env=env,
+                          check=True, stdout=subprocess.PIPE, text=True)
+    got = json.loads(proc.stdout)
+    assert got["spec"] == "26; 10^16,3^14,2^3" and got["verdict"] == "non_special"
+    assert got["gemm"] == (path == "gemm" and gfp._gemm(np.dtype(np.float32)) is not None)
+    assert got["maxrss"] <= got["peak_bytes"]
 
 
 def test_rational_oracle_examples():

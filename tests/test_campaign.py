@@ -53,11 +53,11 @@ def _shard_indices(n_cases, shard):
 
 
 def _strip(lines):
-    """Records of a log, without elapsed_ms, in case index order."""
+    """Records of a log, without elapsed_ms, by degree and case index."""
     records = [json.loads(line) for line in lines if not json.loads(line).get("header")]
     for rec in records:
         rec.pop("elapsed_ms", None)
-    return sorted(records, key=lambda r: r["index"])
+    return sorted(records, key=lambda r: (r["case"][0], r["index"]))
 
 
 def _tiny_config(out, **kw):
@@ -901,14 +901,6 @@ def _line_count(path: Path) -> int:
         return 0
 
 
-def _records_by_case(path: Path) -> list[dict]:
-    """The records of a log, without elapsed_ms, by case."""
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    records = [{k: v for k, v in rec.items() if k != "elapsed_ms"}
-               for rec in records if not rec.get("header")]
-    return sorted(records, key=lambda rec: rec["case"])
-
-
 def _cmdline(pid: int) -> bytes:
     try:
         return Path(f"/proc/{pid}/cmdline").read_bytes()
@@ -955,7 +947,7 @@ def test_kills_and_resumes_leave_the_records_of_an_uninterrupted_run(tmp_path):
                 # a run whose worker dies ends with BrokenProcessPool, exit status 2
                 assert killed is not None, f"the run ended before {victim} was killed at line {at}"
                 assert run.wait(600) == (-signal.SIGKILL if victim == "parent" else 2)
-        assert _records_by_case(out) == _records_by_case(whole)
+        assert _strip(out.read_text().splitlines()) == _strip(whole.read_text().splitlines())
         verify = _cli_process("verify", "--full", str(out))
         stdout, stderr = verify.communicate(timeout=600)
         assert verify.returncode == 0 and stdout == "ok\n", stderr
